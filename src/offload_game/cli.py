@@ -14,11 +14,12 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from ._version import __version__
 from .baselines import (
+    DEFAULT_PROFILE_CAP,
     CrossEntropyParams,
     Objective,
     all_cloud_random,
@@ -26,7 +27,7 @@ from .baselines import (
     cross_entropy_optimize,
 )
 from .dco import RunReport, run_dco
-from .errors import InstanceTooLarge, OffloadGameError, SchemaError
+from .errors import InstanceTooLarge, OffloadGameError
 from .game import ProfileEvaluator
 from .metrics import poa_beneficial, poa_overhead
 from .model import AccessModel
@@ -58,83 +59,58 @@ def _int_range(text: str) -> tuple:
     return value, value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def _add_gen_params(parser: argparse.ArgumentParser):
+    """One flag per GenParams field, in field order: --n-users for n_users, ..."""
     defaults = GenParams()
-    parser.add_argument("--n-users", type=int, default=defaults.n_users)
-    parser.add_argument("--channels", type=int, default=defaults.channels)
-    parser.add_argument("--cell-radius-m", type=float, default=defaults.cell_radius_m)
-    parser.add_argument("--path-loss-exponent", type=float, default=defaults.path_loss_exponent)
-    parser.add_argument("--bandwidth-hz", type=float, default=defaults.bandwidth_hz)
-    parser.add_argument("--noise-dbm", type=float, default=defaults.noise_dbm)
-    parser.add_argument("--transmit-power-mw", type=float, default=defaults.transmit_power_mw)
-    parser.add_argument("--input-kb", type=float, default=defaults.input_kb)
-    parser.add_argument("--task-megacycles", type=float, default=defaults.task_megacycles)
-    parser.add_argument(
-        "--device-rate-choices-ghz", type=_float_list, default=defaults.device_rate_choices_ghz
-    )
-    parser.add_argument("--cloud-rate-ghz", type=float, default=defaults.cloud_rate_ghz)
-    parser.add_argument(
-        "--energy-weight-choices", type=_float_list, default=defaults.energy_weight_choices
-    )
-    parser.add_argument("--energy-per-cycle-j", type=float, default=defaults.energy_per_cycle_j)
-    parser.add_argument("--tail-energy-j", type=float, default=defaults.tail_energy_j)
-    parser.add_argument(
-        "--access-model",
-        choices=[m.value for m in AccessModel],
-        default=defaults.access_model.value,
-    )
-    parser.add_argument(
-        "--contention-weight-choices",
-        type=_float_list,
-        default=defaults.contention_weight_choices,
-    )
-    parser.add_argument(
-        "--contention-peak-rate-bps", type=float, default=defaults.contention_peak_rate_bps
-    )
+    for f in fields(GenParams):
+        flag = "--" + f.name.replace("_", "-")
+        default = getattr(defaults, f.name)
+        if isinstance(default, AccessModel):
+            parser.add_argument(flag, choices=[m.value for m in AccessModel], default=default.value)
+        elif isinstance(default, tuple):
+            parser.add_argument(flag, type=_float_list, default=default)
+        else:
+            parser.add_argument(flag, type=type(default), default=default)
 
 
 def _params_from_args(args: argparse.Namespace, **overrides) -> GenParams:
-    params = GenParams(
-        n_users=args.n_users,
-        channels=args.channels,
-        cell_radius_m=args.cell_radius_m,
-        path_loss_exponent=args.path_loss_exponent,
-        bandwidth_hz=args.bandwidth_hz,
-        noise_dbm=args.noise_dbm,
-        transmit_power_mw=args.transmit_power_mw,
-        input_kb=args.input_kb,
-        task_megacycles=args.task_megacycles,
-        device_rate_choices_ghz=args.device_rate_choices_ghz,
-        cloud_rate_ghz=args.cloud_rate_ghz,
-        energy_weight_choices=args.energy_weight_choices,
-        energy_per_cycle_j=args.energy_per_cycle_j,
-        tail_energy_j=args.tail_energy_j,
-        access_model=AccessModel(args.access_model),
-        contention_weight_choices=args.contention_weight_choices,
-        contention_peak_rate_bps=args.contention_peak_rate_bps,
-    )
-    return replace(params, **overrides) if overrides else params
+    values = {f.name: getattr(args, f.name) for f in fields(GenParams)}
+    values.update(overrides, access_model=AccessModel(args.access_model))
+    return GenParams(**values)
 
 
-def _worker_count(args: argparse.Namespace) -> int:
-    workers = max(1, getattr(args, "workers", 1))
-    cap = os.environ.get("OFFLOAD_GAME_THREADS")
-    if cap:
-        workers = min(workers, max(1, int(cap)))
-    return workers
+def _add_cell_flags(parser: argparse.ArgumentParser, seeds: int, profile_cap: bool):
+    """Flags shared by the seed-cell commands (sweep, oracle, poa), in config.json order."""
+    parser.add_argument("--seeds", type=_positive_int, default=seeds)
+    parser.add_argument("--seed-base", type=int, default=0)
+    if profile_cap:
+        parser.add_argument("--profile-cap", type=int, default=DEFAULT_PROFILE_CAP)
+    parser.add_argument("--workers", type=_positive_int, default=1)
+    parser.add_argument("--out", type=Path, default=None)
 
 
-def _map_cells(func, cells, workers: int):
-    if workers <= 1 or len(cells) <= 1:
+def _seed_range(args: argparse.Namespace) -> range:
+    return range(args.seed_base, args.seed_base + args.seeds)
+
+
+def _worker_count(requested: int, cells: int) -> int:
+    """Worker processes for a cell map: never more than the CPUs or the cells."""
+    return min(requested, os.cpu_count() or 1, cells)
+
+
+def _map_cells(func, cells, requested_workers: int) -> list:
+    workers = _worker_count(requested_workers, len(cells))
+    if workers <= 1:
         return [func(cell) for cell in cells]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, cells, chunksize=max(1, len(cells) // (workers * 4))))
-
-
-def _prepare_out_dir(args: argparse.Namespace, command: str) -> Path:
-    out = Path(args.out) if args.out else Path("runs") / command
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _write_json(path: Path, payload):
@@ -149,7 +125,12 @@ def _write_csv(path: Path, header, rows):
             writer.writerow(["" if v is None else v for v in row])
 
 
-def _write_config(out: Path, command: str, args: argparse.Namespace):
+def _write_rows(path: Path, rows: list):
+    """CSV of dict rows; the header is the key order, which every row shares."""
+    _write_csv(path, list(rows[0]), [list(row.values()) for row in rows])
+
+
+def _write_config(out: Path, args: argparse.Namespace):
     options = {
         k: (str(v) if isinstance(v, Path) else list(v) if isinstance(v, tuple) else v)
         for k, v in vars(args).items()
@@ -157,7 +138,7 @@ def _write_config(out: Path, command: str, args: argparse.Namespace):
     }
     _write_json(
         out / "config.json",
-        {"tool": "offload-game", "version": __version__, "command": command, "options": options},
+        {"tool": "offload-game", "version": __version__, "command": args.command, "options": options},
     )
 
 
@@ -208,21 +189,16 @@ def write_slots_csv(path: Path, report: RunReport):
     )
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    out = _prepare_out_dir(args, "gen")
+def cmd_gen(args: argparse.Namespace, out: Path):
     scenario = generate(_params_from_args(args), args.seed)
     write_scenario(out / "scenario.json", scenario)
-    _write_config(out, "gen", args)
     print(f"wrote {out / 'scenario.json'}")
-    return EXIT_OK
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    out = _prepare_out_dir(args, "trace")
+def cmd_trace(args: argparse.Namespace, out: Path):
     scenario = read_scenario(args.scenario)
     report = run_dco(scenario, args.seed)
     write_scenario(out / "scenario.json", scenario)
-    _write_config(out, "trace", args)
     _write_json(out / "report.json", report_document(report))
     write_slots_csv(out / "slots.csv", report)
     print(
@@ -230,7 +206,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         f"{report.beneficial_count} beneficial offloaders, "
         f"system overhead {report.system_overhead:.6g}"
     )
-    return EXIT_OK
 
 
 def _sweep_cell(cell) -> dict:
@@ -252,49 +227,39 @@ def _sweep_cell(cell) -> dict:
     }
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    out = _prepare_out_dir(args, "sweep")
+def _sweep_summary(rows: list) -> list:
+    """Per-size means of every per-run column after (n, seed)."""
+    summary = []
+    for n in dict.fromkeys(row["n"] for row in rows):
+        group = [row for row in rows if row["n"] == n]
+        means = {
+            f"mean_{key}": sum(row[key] for row in group) / len(group) for key in list(group[0])[2:]
+        }
+        summary.append({"n": n, "seeds": len(group), **means})
+    return summary
+
+
+def _run_cells(args: argparse.Namespace, out: Path, cell_fn, cells: list, summarize=None):
+    """The seed-cell driver: map cell_fn over cells in order, then write the CSVs.
+
+    With `summarize`, the per-cell rows go to runs.csv and summarize(rows) to
+    summary.csv; without it, the per-cell rows are the summary.
+    """
+    rows = _map_cells(cell_fn, cells, args.workers)
+    if summarize is not None:
+        _write_rows(out / "runs.csv", rows)
+    _write_rows(out / "summary.csv", summarize(rows) if summarize else rows)
+    print(f"wrote {out / 'summary.csv'} ({len(rows)} {'runs' if summarize else 'instances'})")
+
+
+def cmd_sweep(args: argparse.Namespace, out: Path):
     lo, hi = args.n
-    sizes = list(range(lo, hi + 1, args.step))
+    sizes = range(lo, hi + 1, args.step)
     if not sizes:
         raise ValueError(f"empty user-count range {lo}..{hi} step {args.step}")
     params = _params_from_args(args)
-    cells = [(params, n, seed) for n in sizes for seed in range(args.seed_base, args.seed_base + args.seeds)]
-    rows = _map_cells(_sweep_cell, cells, _worker_count(args))
-    rows.sort(key=lambda r: (r["n"], r["seed"]))
-    run_header = [
-        "n", "seed", "dco_beneficial", "dco_system_overhead", "dco_update_slots",
-        "all_local_overhead", "all_cloud_beneficial", "all_cloud_overhead",
-    ]
-    _write_csv(out / "runs.csv", run_header, [[r[k] for k in run_header] for r in rows])
-    summary = []
-    for n in sizes:
-        group = [r for r in rows if r["n"] == n]
-        count = len(group)
-        summary.append(
-            [
-                n,
-                count,
-                sum(r["dco_beneficial"] for r in group) / count,
-                sum(r["dco_system_overhead"] for r in group) / count,
-                sum(r["dco_update_slots"] for r in group) / count,
-                sum(r["all_local_overhead"] for r in group) / count,
-                sum(r["all_cloud_beneficial"] for r in group) / count,
-                sum(r["all_cloud_overhead"] for r in group) / count,
-            ]
-        )
-    _write_csv(
-        out / "summary.csv",
-        [
-            "n", "seeds", "mean_dco_beneficial", "mean_dco_system_overhead",
-            "mean_dco_update_slots", "mean_all_local_overhead",
-            "mean_all_cloud_beneficial", "mean_all_cloud_overhead",
-        ],
-        summary,
-    )
-    _write_config(out, "sweep", args)
-    print(f"wrote {out / 'summary.csv'} ({len(rows)} runs)")
-    return EXIT_OK
+    cells = [(params, n, seed) for n in sizes for seed in _seed_range(args)]
+    _run_cells(args, out, _sweep_cell, cells, _sweep_summary)
 
 
 def _oracle_cell(cell) -> dict:
@@ -321,25 +286,11 @@ def _oracle_cell(cell) -> dict:
     }
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    out = _prepare_out_dir(args, "oracle")
+def cmd_oracle(args: argparse.Namespace, out: Path):
     params = _params_from_args(args, n_users=args.n, channels=args.m)
     ce_params = _ce_params_from_args(args)
-    cells = [
-        (params, seed, args.profile_cap, ce_params)
-        for seed in range(args.seed_base, args.seed_base + args.seeds)
-    ]
-    rows = _map_cells(_oracle_cell, cells, _worker_count(args))
-    rows.sort(key=lambda r: r["seed"])
-    header = [
-        "seed", "n", "m", "dco_beneficial", "dco_overhead", "dco_update_slots",
-        "opt_beneficial", "opt_overhead", "ce_beneficial", "ce_overhead",
-        "poa_beneficial", "poa_overhead",
-    ]
-    _write_csv(out / "summary.csv", header, [[r[k] for k in header] for r in rows])
-    _write_config(out, "oracle", args)
-    print(f"wrote {out / 'summary.csv'} ({len(rows)} instances)")
-    return EXIT_OK
+    cells = [(params, seed, args.profile_cap, ce_params) for seed in _seed_range(args)]
+    _run_cells(args, out, _oracle_cell, cells)
 
 
 def _poa_cell(cell) -> dict:
@@ -362,24 +313,10 @@ def _poa_cell(cell) -> dict:
     }
 
 
-def cmd_poa(args: argparse.Namespace) -> int:
-    out = _prepare_out_dir(args, "poa")
+def cmd_poa(args: argparse.Namespace, out: Path):
     params = _params_from_args(args, n_users=args.n, channels=args.m)
-    cells = [
-        (params, seed, args.profile_cap)
-        for seed in range(args.seed_base, args.seed_base + args.seeds)
-    ]
-    rows = _map_cells(_poa_cell, cells, _worker_count(args))
-    rows.sort(key=lambda r: r["seed"])
-    header = [
-        "seed", "n", "m", "poa_beneficial", "beneficial_bound_low",
-        "poa_overhead", "overhead_bound_high",
-        "weight_max", "weight_min", "threshold_max", "threshold_min",
-    ]
-    _write_csv(out / "summary.csv", header, [[r[k] for k in header] for r in rows])
-    _write_config(out, "poa", args)
-    print(f"wrote {out / 'summary.csv'} ({len(rows)} instances)")
-    return EXIT_OK
+    cells = [(params, seed, args.profile_cap) for seed in _seed_range(args)]
+    _run_cells(args, out, _poa_cell, cells)
 
 
 def _ce_params_from_args(args: argparse.Namespace) -> CrossEntropyParams:
@@ -399,14 +336,12 @@ def _add_ce_params(parser: argparse.ArgumentParser):
     parser.add_argument("--ce-iterations", type=int, default=defaults.iterations)
 
 
-def cmd_ce(args: argparse.Namespace) -> int:
-    out = _prepare_out_dir(args, "ce")
+def cmd_ce(args: argparse.Namespace, out: Path):
     scenario = read_scenario(args.scenario)
     objective = _OBJECTIVES[args.objective]
     ce_params = _ce_params_from_args(args)
     profile, value = cross_entropy_optimize(scenario, objective, ce_params, args.seed)
     write_scenario(out / "scenario.json", scenario)
-    _write_config(out, "ce", args)
     _write_json(
         out / "report.json",
         {
@@ -418,7 +353,6 @@ def cmd_ce(args: argparse.Namespace) -> int:
         },
     )
     print(f"{args.objective} = {value}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,11 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="multi-seed sweep over user counts")
     _add_gen_params(sweep)
     sweep.add_argument("--n", type=_int_range, required=True, metavar="LO..HI")
-    sweep.add_argument("--step", type=int, default=5)
-    sweep.add_argument("--seeds", type=int, default=100)
-    sweep.add_argument("--seed-base", type=int, default=0)
-    sweep.add_argument("--workers", type=int, default=1)
-    sweep.add_argument("--out", type=Path, default=None)
+    sweep.add_argument("--step", type=_positive_int, default=5)
+    _add_cell_flags(sweep, seeds=100, profile_cap=False)
     sweep.set_defaults(func=cmd_sweep)
 
     oracle = sub.add_parser("oracle", help="compare the distributed result with exhaustive/CE optima")
@@ -456,22 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ce_params(oracle)
     oracle.add_argument("--n", type=int, required=True)
     oracle.add_argument("--m", type=int, required=True)
-    oracle.add_argument("--seeds", type=int, default=50)
-    oracle.add_argument("--seed-base", type=int, default=0)
-    oracle.add_argument("--profile-cap", type=int, default=10**7)
-    oracle.add_argument("--workers", type=int, default=1)
-    oracle.add_argument("--out", type=Path, default=None)
+    _add_cell_flags(oracle, seeds=50, profile_cap=True)
     oracle.set_defaults(func=cmd_oracle)
 
     poa = sub.add_parser("poa", help="price-of-anarchy study on enumerable instances")
     _add_gen_params(poa)
     poa.add_argument("--n", type=int, required=True)
     poa.add_argument("--m", type=int, required=True)
-    poa.add_argument("--seeds", type=int, default=50)
-    poa.add_argument("--seed-base", type=int, default=0)
-    poa.add_argument("--profile-cap", type=int, default=10**7)
-    poa.add_argument("--workers", type=int, default=1)
-    poa.add_argument("--out", type=Path, default=None)
+    _add_cell_flags(poa, seeds=50, profile_cap=True)
     poa.set_defaults(func=cmd_poa)
 
     ce = sub.add_parser("ce", help="cross-entropy optimization of one scenario")
@@ -486,19 +409,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command into its output directory; a command reports failure by raising."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
+    out = args.out or Path("runs") / args.command
     try:
-        return args.func(args)
-    except InstanceTooLarge as exc:
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(args, out)
+        _write_config(out, args)
+    except (OffloadGameError, ValueError, OSError) as exc:  # SchemaError included
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except (SchemaError, OffloadGameError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_TOO_LARGE if isinstance(exc, InstanceTooLarge) else EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BoundInapplicable, InstanceTooLarge
-from .game import BEST_RESPONSE_ATOL, ProfileEvaluator, access_weight
-from .model import NEVER_BENEFICIAL, beneficial_threshold
+from .game import ProfileEvaluator, _best_responses
+from .model import NEVER_BENEFICIAL
 from .scenario import Scenario, scenario_fingerprint
 
 __all__ = ["SlotRecord", "RunReport", "run_dco", "convergence_slot_bound"]
@@ -75,6 +75,7 @@ def run_dco(scenario: Scenario, seed: int, max_cells: int | None = None) -> RunR
         )
     evaluator = ProfileEvaluator(env, users)
     profile = np.zeros((1, n_users), dtype=np.int64)
+    potential_now = float(evaluator.potential(profile)[0])
     records = []
     updates = 0
     slot = 0
@@ -83,14 +84,13 @@ def run_dco(scenario: Scenario, seed: int, max_cells: int | None = None) -> RunR
         current = candidates[np.arange(n_users), profile[0]]
         best = candidates.min(axis=1)
         senders = tuple(int(n) for n in np.flatnonzero(best < current))
-        potential_now = float(evaluator.potential(profile)[0])
         state = SlotRecord(
             slot=slot,
             profile=tuple(int(d) for d in profile[0]),
             potential=potential_now,
             overheads=tuple(float(z) for z in current),
             system_overhead=float(current.sum()),
-            beneficial_count=int(evaluator.beneficial_counts(profile)[0]),
+            beneficial_count=int(evaluator.beneficial_mask(profile, current).sum()),
             rtu_senders=senders,
             updater=None,
             new_decision=None,
@@ -99,15 +99,8 @@ def run_dco(scenario: Scenario, seed: int, max_cells: int | None = None) -> RunR
             records.append(state)
             break
         pick = senders[int(_slot_rng(seed, slot).integers(len(senders)))]
-        row = candidates[pick]
-        row_best = row.min()
-        new_decision = min(
-            d
-            for d in range(env.channels + 1)
-            if row[d] - row_best <= BEST_RESPONSE_ATOL and row[d] < current[pick]
-        )
-        records.append(replace(state, updater=pick, new_decision=int(new_decision)))
-        profile = profile.copy()
+        new_decision = _best_responses(candidates[pick].tolist(), float(current[pick]))[0]
+        records.append(replace(state, updater=pick, new_decision=new_decision))
         profile[0, pick] = new_decision
         next_potential = float(evaluator.potential(profile)[0])
         if not next_potential < potential_now:
@@ -115,6 +108,7 @@ def run_dco(scenario: Scenario, seed: int, max_cells: int | None = None) -> RunR
                 f"potential failed to decrease at slot {slot} "
                 f"({potential_now!r} -> {next_potential!r}); improvement path broken"
             )
+        potential_now = next_potential
         updates += 1
         slot += 1
 
@@ -139,15 +133,11 @@ def convergence_slot_bound(scenario: Scenario) -> float:
     nonnegative integer (with positive minimum weight); otherwise the
     quadratic guarantee does not apply and BoundInapplicable is raised.
     """
-    env = scenario.channel_env
-    users = scenario.user_profiles
-    weights = [access_weight(env, u) for u in users]
-    thresholds = []
-    for i, u in enumerate(users):
-        t = beneficial_threshold(env, u)
+    evaluator = ProfileEvaluator(scenario.channel_env, scenario.user_profiles)
+    weights, thresholds = evaluator.weights.tolist(), evaluator.thresholds
+    for i, t in enumerate(thresholds):
         if t is NEVER_BENEFICIAL:
             raise BoundInapplicable(f"user {i} can never benefit; no integer threshold")
-        thresholds.append(t)
     for name, values in (("weight", weights), ("threshold", thresholds)):
         for i, v in enumerate(values):
             if v < 0 or not float(v).is_integer():
@@ -157,5 +147,5 @@ def convergence_slot_bound(scenario: Scenario) -> float:
         raise BoundInapplicable("minimum access weight must be positive")
     q_max = max(weights)
     t_max = max(thresholds)
-    n = len(users)
+    n = len(weights)
     return q_max * q_max / (2.0 * q_min) * n * n + q_max * t_max / q_min * n

@@ -19,6 +19,8 @@ from .model import (
     AccessModel,
     ChannelEnv,
     UserProfile,
+    _cloud_cost_coefficients,
+    access_weight,
     beneficial_threshold,
     is_beneficial,
     local_overhead,
@@ -43,13 +45,6 @@ __all__ = [
 BEST_RESPONSE_ATOL = 1e-12
 
 
-def access_weight(env: ChannelEnv, u: UserProfile) -> float:
-    """The user's footprint on a shared channel, in the model's weight units."""
-    if env.access is AccessModel.INTERFERENCE:
-        return u.transmit_power_mw * u.channel_gain
-    return u.contention_weight
-
-
 def channel_load(env: ChannelEnv, users: Sequence[UserProfile], m: int, a: Sequence[int]) -> float:
     """Total access weight currently on channel m (what the base-station measures)."""
     if not 1 <= m <= env.channels:
@@ -71,17 +66,13 @@ def received_interference(
     return load
 
 
-def _clamped_thresholds(env: ChannelEnv, users: Sequence[UserProfile]) -> list:
+def _clamped(thresholds: Sequence) -> list:
     """Beneficiality thresholds with the never-beneficial sentinel clamped to 0.
 
     Users that can never benefit stay local under any improvement path, so a
     zero stand-in keeps the potential finite without breaking its descent.
     """
-    out = []
-    for u in users:
-        t = beneficial_threshold(env, u)
-        out.append(0.0 if t is NEVER_BENEFICIAL else t)
-    return out
+    return [0.0 if t is NEVER_BENEFICIAL else t for t in thresholds]
 
 
 def potential(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> float:
@@ -91,7 +82,7 @@ def potential(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -
     user's weight times its beneficiality threshold.
     """
     weights = [access_weight(env, u) for u in users]
-    thresholds = _clamped_thresholds(env, users)
+    thresholds = _clamped([beneficial_threshold(env, u) for u in users])
     pair_term = 0.0
     for m in range(1, env.channels + 1):
         total = 0.0
@@ -108,6 +99,18 @@ def potential(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -
     return pair_term + local_term
 
 
+def _best_responses(costs: Sequence[float], current_cost: float) -> list:
+    """The best-response tie rule over one user's per-decision costs.
+
+    Returns, in ascending order, the decisions within BEST_RESPONSE_ATOL of
+    the cheapest that also strictly beat current_cost.
+    """
+    best = min(costs)
+    return [
+        d for d, cost in enumerate(costs) if cost - best <= BEST_RESPONSE_ATOL and cost < current_cost
+    ]
+
+
 def best_response_set(
     env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]
 ) -> frozenset:
@@ -122,15 +125,7 @@ def best_response_set(
     for decision in range(env.channels + 1):
         scratch[n] = decision
         candidates.append(user_overhead(env, users, n, scratch))
-    current_cost = candidates[a[n]]
-    best = min(candidates)
-    if not best < current_cost:
-        return frozenset()
-    return frozenset(
-        d
-        for d, cost in enumerate(candidates)
-        if cost - best <= BEST_RESPONSE_ATOL and cost < current_cost
-    )
+    return frozenset(_best_responses(candidates, candidates[a[n]]))
 
 
 def is_nash(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> bool:
@@ -167,23 +162,13 @@ class ProfileEvaluator:
         self.channels = env.channels
         self.weights = np.array([access_weight(env, u) for u in users])
         self.local_costs = np.array([local_overhead(u) for u in users])
-        coeff_fixed = [
-            (
-                (u.time_weight + u.energy_weight * u.transmit_power_mw) * u.input_bits,
-                u.energy_weight * u.tail_energy_j + u.time_weight * u.task_cycles / u.cloud_rate_hz,
-            )
-            for u in users
-        ]
+        coeff_fixed = [_cloud_cost_coefficients(u) for u in users]
         self.rate_coeffs = np.array([cf[0] for cf in coeff_fixed])
         self.fixed_cloud_costs = np.array([cf[1] for cf in coeff_fixed])
         self.thresholds = [beneficial_threshold(env, u) for u in users]
-        self._phi_thresholds = np.array(_clamped_thresholds(env, users))
-        if env.access is AccessModel.INTERFERENCE:
-            self._signals = np.array([u.transmit_power_mw * u.channel_gain for u in users])
-        else:
-            self._peaks = np.array([u.peak_rate_bps for u in users])
-            if np.any(self._peaks <= 0):
-                raise ValueError("contention peak rate must be > 0 under the contention model")
+        self._phi_thresholds = np.array(_clamped(self.thresholds))
+        # > 0 under contention: beneficial_threshold above raises otherwise
+        self._peaks = np.array([u.peak_rate_bps for u in users])
 
     def _as_batch(self, profiles) -> np.ndarray:
         batch = np.asarray(profiles, dtype=np.int64)
@@ -201,21 +186,18 @@ class ProfileEvaluator:
             loads[:, m - 1] = (batch == m) @ self.weights
         return loads
 
-    def _rates(self, idx: np.ndarray, interference: np.ndarray) -> np.ndarray:
+    def _rates(self, idx: np.ndarray, received: np.ndarray) -> np.ndarray:
         """Uplink rates for users idx (broadcastable) at the given co-channel weight."""
-        if self.env.access is AccessModel.INTERFERENCE:
-            signal = self._signals[idx]
-            return self.env.bandwidth_hz * np.log2(
-                1.0 + signal / (self.env.noise_mw + interference)
-            )
         w = self.weights[idx]
-        return self._peaks[idx] * w / (w + interference)
+        if self.env.access is AccessModel.INTERFERENCE:
+            return self.env.bandwidth_hz * np.log2(1.0 + w / (self.env.noise_mw + received))
+        return self._peaks[idx] * w / (w + received)
 
-    def _cloud_costs(self, idx: np.ndarray, interference: np.ndarray) -> np.ndarray:
+    def _cloud_costs(self, idx: np.ndarray, received: np.ndarray) -> np.ndarray:
         coeff = self.rate_coeffs[idx]
         fixed = self.fixed_cloud_costs[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
-            upload = coeff / self._rates(idx, interference)
+            upload = coeff / self._rates(idx, received)
         return np.where(coeff == 0.0, fixed, upload + fixed)
 
     def overheads(self, profiles) -> np.ndarray:
@@ -225,17 +207,19 @@ class ProfileEvaluator:
         cloud = batch > 0
         mu = np.take_along_axis(loads, np.maximum(batch - 1, 0), axis=1) - self.weights
         idx = np.broadcast_to(np.arange(self.n_users), batch.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cloud_costs = self._cloud_costs(idx, mu)
-        return np.where(cloud, cloud_costs, self.local_costs)
+        return np.where(cloud, self._cloud_costs(idx, mu), self.local_costs)
 
     def system_overheads(self, profiles) -> np.ndarray:
         return self.overheads(profiles).sum(axis=1)
 
-    def beneficial_mask(self, profiles) -> np.ndarray:
-        """(k, n_users) True where a user offloads at no loss versus local computing."""
+    def beneficial_mask(self, profiles, costs: np.ndarray | None = None) -> np.ndarray:
+        """(k, n_users) True where a user offloads at no loss versus local computing.
+
+        `costs` are the profiles' per-user costs when the caller already has them.
+        """
         batch = self._as_batch(profiles)
-        costs = self.overheads(batch)
+        if costs is None:
+            costs = self.overheads(batch)
         return (batch > 0) & (costs <= self.local_costs)
 
     def beneficial_counts(self, profiles) -> np.ndarray:
@@ -255,9 +239,8 @@ class ProfileEvaluator:
         own = batch[:, :, np.newaxis] == np.arange(1, self.channels + 1)
         mu = loads[:, np.newaxis, :] - self.weights[np.newaxis, :, np.newaxis] * own
         idx = np.broadcast_to(np.arange(self.n_users)[:, np.newaxis], mu.shape[1:])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cloud_costs = self._cloud_costs(np.broadcast_to(idx, mu.shape), mu)
-        out = np.empty((k, self.n_users, self.channels + 1))
+        cloud_costs = self._cloud_costs(np.broadcast_to(idx, mu.shape), mu)
+        out = np.empty((k, self.n_users, self.channels + 1))  # after the temporaries are freed
         out[:, :, 0] = self.local_costs
         out[:, :, 1:] = cloud_costs
         return out

@@ -14,15 +14,17 @@ from typing import Sequence
 
 from .baselines import DEFAULT_PROFILE_CAP, Objective, enumerate_nash, exhaustive_optimize
 from .errors import ContentionUnsupported
-from .game import access_weight, count_beneficial, system_overhead
+from .game import count_beneficial, system_overhead
 from .model import (
     NEVER_BENEFICIAL,
     AccessModel,
     ChannelEnv,
     UserProfile,
+    access_weight,
     beneficial_threshold,
     cloud_cost_at_rate,
     local_overhead,
+    rate_at,
 )
 from .scenario import Scenario
 
@@ -136,11 +138,7 @@ def k_cloud_extremes(env: ChannelEnv, users: Sequence[UserProfile], n: int) -> t
     if env.access is not AccessModel.INTERFERENCE:
         raise ContentionUnsupported("cloud-cost extremes are defined for the interference model")
     u = users[n]
-    signal = u.transmit_power_mw * u.channel_gain
-    others = sum(
-        users[i].transmit_power_mw * users[i].channel_gain for i in range(len(users)) if i != n
-    )
-    spread = others / env.channels
-    rate_best = env.bandwidth_hz * math.log2(1.0 + signal / env.noise_mw)
-    rate_worst = env.bandwidth_hz * math.log2(1.0 + signal / (env.noise_mw + spread))
+    others = sum(access_weight(env, users[i]) for i in range(len(users)) if i != n)
+    rate_best = rate_at(env, u, 0.0)
+    rate_worst = rate_at(env, u, others / env.channels)
     return cloud_cost_at_rate(u, rate_best), cloud_cost_at_rate(u, rate_worst)

@@ -23,6 +23,8 @@ __all__ = [
     "NEVER_BENEFICIAL",
     "NeverBeneficial",
     "validate_profile",
+    "access_weight",
+    "rate_at",
     "uplink_rate",
     "local_overhead",
     "cloud_overhead",
@@ -147,29 +149,36 @@ def _check_cloud_decision(env: ChannelEnv, users: Sequence[UserProfile], n: int,
         raise ValueError(f"channel {a[n]} out of range 1..{env.channels}")
 
 
-def uplink_rate(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> float:
-    """Uplink data rate (bits/s) of user n on its chosen channel a[n] > 0.
+def access_weight(env: ChannelEnv, u: UserProfile) -> float:
+    """The user's footprint on a shared channel, in the model's weight units."""
+    if env.access is AccessModel.INTERFERENCE:
+        return u.transmit_power_mw * u.channel_gain
+    return u.contention_weight
+
+
+def rate_at(env: ChannelEnv, u: UserProfile, received: float) -> float:
+    """Uplink rate (bits/s) of user u facing co-channel access weight `received`.
 
     Interference model: bandwidth * log2(1 + own power-gain over noise plus
-    the summed power-gain of co-channel users).  Contention model: the peak
-    rate scaled by this user's share of the co-channel contention weights.
+    the received power-gain).  Contention model: the peak rate scaled by the
+    user's share of the co-channel contention weights.
     """
-    _check_cloud_decision(env, users, n, a)
-    me = users[n]
+    own = access_weight(env, u)
     if env.access is AccessModel.INTERFERENCE:
-        interference = 0.0
-        for i, other in enumerate(users):
-            if i != n and a[i] == a[n]:
-                interference += other.transmit_power_mw * other.channel_gain
-        signal = me.transmit_power_mw * me.channel_gain
-        return env.bandwidth_hz * math.log2(1.0 + signal / (env.noise_mw + interference))
-    if me.peak_rate_bps <= 0:
+        return env.bandwidth_hz * math.log2(1.0 + own / (env.noise_mw + received))
+    if u.peak_rate_bps <= 0:
         raise ValueError("contention peak rate must be > 0 under the contention model")
-    load = 0.0
+    return u.peak_rate_bps * own / (own + received)
+
+
+def uplink_rate(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> float:
+    """Uplink data rate (bits/s) of user n on its chosen channel a[n] > 0."""
+    _check_cloud_decision(env, users, n, a)
+    received = 0.0
     for i, other in enumerate(users):
         if i != n and a[i] == a[n]:
-            load += other.contention_weight
-    return me.peak_rate_bps * me.contention_weight / (me.contention_weight + load)
+            received += access_weight(env, other)
+    return rate_at(env, users[n], received)
 
 
 def local_overhead(u: UserProfile) -> float:
@@ -232,8 +241,7 @@ def beneficial_threshold(env: ChannelEnv, u: UserProfile):
             return -env.noise_mw  # required rate unreachable at any interference
         if denom == 0.0:
             return math.inf  # required rate negligible against the budget
-        signal = u.transmit_power_mw * u.channel_gain
-        return signal / denom - env.noise_mw
+        return access_weight(env, u) / denom - env.noise_mw
     if u.peak_rate_bps <= 0:
         raise ValueError("contention peak rate must be > 0 under the contention model")
     if coeff == 0.0:
@@ -247,5 +255,4 @@ def is_beneficial(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequ
     Only defined for users that actually offload (a[n] > 0); ties count as
     beneficial.
     """
-    _check_cloud_decision(env, users, n, a)
     return cloud_overhead(env, users, n, a) <= local_overhead(users[n])

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -83,9 +84,13 @@ class GenParams:
             raise ValueError("bandwidth must be > 0 and transmit power >= 0")
         if self.input_kb <= 0 or self.task_megacycles <= 0 or self.cloud_rate_ghz <= 0:
             raise ValueError("task size, cycle count and cloud rate must be > 0")
-        for name in ("device_rate_choices_ghz", "energy_weight_choices", "contention_weight_choices"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be a nonempty choice set")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            numbers = value if isinstance(f.default, tuple) else (value,)  # choice sets
+            if not numbers:
+                raise ValueError(f"{f.name} must be a nonempty choice set")
+            if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -152,27 +157,16 @@ class Scenario:
         )
 
 
+def _json_native(value):
+    """A GenParams value in JSON form: choice sets as lists, the access model by value."""
+    if isinstance(value, AccessModel):
+        return value.value
+    return list(value) if isinstance(value, (tuple, list)) else value
+
+
 def _generator_doc(params: GenParams) -> dict:
-    """Generation parameters as a JSON-native dict (choice sets as lists)."""
-    return {
-        "n_users": params.n_users,
-        "channels": params.channels,
-        "cell_radius_m": params.cell_radius_m,
-        "path_loss_exponent": params.path_loss_exponent,
-        "bandwidth_hz": params.bandwidth_hz,
-        "noise_dbm": params.noise_dbm,
-        "transmit_power_mw": params.transmit_power_mw,
-        "input_kb": params.input_kb,
-        "task_megacycles": params.task_megacycles,
-        "device_rate_choices_ghz": list(params.device_rate_choices_ghz),
-        "cloud_rate_ghz": params.cloud_rate_ghz,
-        "energy_weight_choices": list(params.energy_weight_choices),
-        "energy_per_cycle_j": params.energy_per_cycle_j,
-        "tail_energy_j": params.tail_energy_j,
-        "access_model": params.access_model.value,
-        "contention_weight_choices": list(params.contention_weight_choices),
-        "contention_peak_rate_bps": params.contention_peak_rate_bps,
-    }
+    """Generation parameters as a JSON-native dict, in field order."""
+    return {f.name: _json_native(getattr(params, f.name)) for f in fields(params)}
 
 
 def generate(params: GenParams, seed: int) -> Scenario:
@@ -217,19 +211,7 @@ def generate(params: GenParams, seed: int) -> Scenario:
     )
 
 
-_USER_FIELDS = (
-    "q_mw",
-    "g",
-    "b_kb",
-    "d_megacycles",
-    "f_m_ghz",
-    "f_c_ghz",
-    "gamma_j_per_cycle",
-    "L_j",
-    "lambda_e",
-    "W",
-    "R_bps",
-)
+_USER_FIELDS = tuple(f.name for f in fields(ScenarioUser))
 
 
 def _require(doc: dict, key: str, path: str):
@@ -242,6 +224,8 @@ def _require(doc: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise SchemaError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+from dataclasses import fields
+
+import pytest
 
 from offload_game import GenParams, generate, load_scenario, run_dco, write_scenario
-from offload_game.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOO_LARGE, main
+from offload_game.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOO_LARGE, _worker_count, main
+from offload_game.model import AccessModel
 
 
 def read_csv(path):
@@ -40,6 +45,30 @@ class TestGen:
         doc = json.loads((out / "scenario.json").read_text())
         assert doc["env"]["access_model"] == "contention"
         assert all(u["lambda_e"] in (0.0, 0.5) for u in doc["users"])
+
+    @pytest.mark.parametrize("field", fields(GenParams), ids=lambda f: f.name)
+    def test_every_field_has_a_flag(self, tmp_path, field):
+        """Each GenParams field is settable by its flag and recorded under meta.generator."""
+        default = getattr(GenParams(), field.name)
+        if isinstance(default, AccessModel):
+            text = expected = AccessModel.CONTENTION.value
+        elif isinstance(default, tuple):
+            text, expected = "0.25", [0.25]
+        else:
+            expected = default + 1 if isinstance(default, int) else default + 0.25
+            text = repr(expected)
+        assert expected != default
+        out = tmp_path / "g"
+        flag = "--" + field.name.replace("_", "-")
+        assert main(gen_args(3, 2, out) + [flag, text]) == EXIT_OK
+        generator = json.loads((out / "scenario.json").read_text())["meta"]["generator"]
+        assert generator[field.name] == expected
+        assert set(generator) == {f.name for f in fields(GenParams)}
+
+    def test_non_finite_flag_is_config_error(self, tmp_path):
+        out = tmp_path / "nan"
+        assert main(gen_args(3, 2, out) + ["--cell-radius-m", "nan"]) == EXIT_CONFIG
+        assert not (out / "scenario.json").exists()
 
 
 class TestTrace:
@@ -113,17 +142,25 @@ class TestSweep:
         assert (out / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
         assert (out / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
 
-    def test_parallel_equals_serial(self, tmp_path, monkeypatch):
+    def test_parallel_equals_serial(self, tmp_path):
         serial, parallel = tmp_path / "ser", tmp_path / "par"
         main(self.sweep_args(serial))
-        monkeypatch.setenv("OFFLOAD_GAME_THREADS", "2")
         main(self.sweep_args(parallel, workers=2))
         assert (serial / "runs.csv").read_bytes() == (parallel / "runs.csv").read_bytes()
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        out = tmp_path / "capped"
-        monkeypatch.setenv("OFFLOAD_GAME_THREADS", "1")
-        assert main(self.sweep_args(out, workers=8)) == EXIT_OK
+    def test_worker_count_clamped(self):
+        cpus = os.cpu_count() or 1
+        assert _worker_count(10**6, 50) == min(cpus, 50)
+        assert _worker_count(10**6, 1) == 1
+        assert _worker_count(2, 6) == min(2, cpus)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"), ("--seeds", "0"), ("--step", "0"), ("--step", "-1"),
+    ])
+    def test_nonpositive_counts_rejected(self, tmp_path, flag, value):
+        out = tmp_path / "bad"
+        assert main(self.sweep_args(out) + [flag, value]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestOracleAndPoa:
@@ -156,6 +193,12 @@ class TestOracleAndPoa:
         for row in rows[1:]:
             assert row[by["beneficial_bound_low"]] != ""  # thresholds nonnegative here
             assert float(row[by["poa_overhead"]]) >= 1.0
+
+    @pytest.mark.parametrize("command", ["oracle", "poa"])
+    def test_nonpositive_seeds_or_workers_rejected(self, tmp_path, command):
+        base = [command, "--n", "3", "--m", "2", "--out", str(tmp_path / command)]
+        assert main(base + ["--seeds", "0"]) == EXIT_CONFIG
+        assert main(base + ["--workers", "0"]) == EXIT_CONFIG
 
     def test_too_large_exit_code(self, tmp_path):
         code = main([

@@ -7,15 +7,17 @@ from offload_game import (
     BoundInapplicable,
     GenParams,
     InstanceTooLarge,
+    best_response_set,
     count_beneficial,
     generate,
     is_nash,
+    potential,
     run_dco,
     scenario_fingerprint,
     convergence_slot_bound,
 )
 from offload_game._version import __version__
-from offload_game.model import AccessModel
+from offload_game.model import AccessModel, user_overhead
 from offload_game.scenario import Scenario, ScenarioUser
 from support import (
     contention_scenario_from_users,
@@ -111,6 +113,44 @@ class TestRunDco:
         with pytest.raises(InstanceTooLarge):
             run_dco(scenario, seed=0, max_cells=11)
         run_dco(scenario, seed=0, max_cells=12)
+
+
+def _generated(access, weight_choices=(1.0,)):
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        params = GenParams(
+            n_users=int(rng.integers(2, 9)), channels=int(rng.integers(1, 4)),
+            access_model=access, contention_weight_choices=weight_choices,
+        )
+        return generate(params, 500 + seed)
+    return build
+
+
+class TestSlotStatistics:
+    """Every SlotRecord against the scalar reference functions, slot by slot."""
+
+    @pytest.mark.parametrize("build", [
+        _generated(AccessModel.INTERFERENCE),
+        _generated(AccessModel.CONTENTION),  # unit weights: symmetric channels tie exactly
+        _generated(AccessModel.CONTENTION, weight_choices=(1.0, 2.0, 3.0)),
+        lambda seed: integer_contention_scenario(6, 2, seed),  # exact integer ties
+    ], ids=["interference", "contention-unit", "contention-weighted", "contention-integer"])
+    def test_every_slot_matches_scalar_reference(self, build):
+        for seed in range(12):
+            scenario = build(seed)
+            env, users = scenario.channel_env, scenario.user_profiles
+            report = run_dco(scenario, seed)
+            for rec in report.slots:
+                a = rec.profile
+                assert rec.potential == pytest.approx(potential(env, users, a), rel=1e-9, abs=1e-18)
+                assert rec.beneficial_count == count_beneficial(env, users, a)
+                expected = [user_overhead(env, users, n, a) for n in range(len(users))]
+                assert list(rec.overheads) == pytest.approx(expected, rel=1e-9)
+                assert rec.system_overhead == pytest.approx(sum(expected), rel=1e-9)
+                responses = [best_response_set(env, users, n, a) for n in range(len(users))]
+                assert rec.rtu_senders == tuple(n for n, r in enumerate(responses) if r)
+                if rec.updater is not None:
+                    assert rec.new_decision == min(responses[rec.updater])
 
 
 class TestConvergenceBound:

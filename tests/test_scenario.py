@@ -94,6 +94,17 @@ class TestGenerate:
         with pytest.raises(ValueError):
             GenParams(device_rate_choices_ghz=())
 
+    @pytest.mark.parametrize("overrides", [
+        {"cell_radius_m": float("nan")},
+        {"bandwidth_hz": float("inf")},
+        {"noise_dbm": float("-inf")},
+        {"contention_peak_rate_bps": float("nan")},
+        {"device_rate_choices_ghz": (1.0, float("nan"))},
+    ])
+    def test_non_finite_params_rejected(self, overrides):
+        with pytest.raises(ValueError, match="finite"):
+            GenParams(**overrides)
+
 
 class TestDocuments:
     def test_round_trip_from_generated(self):
@@ -134,6 +145,20 @@ class TestDocuments:
         doc["users"] = []
         with pytest.raises(SchemaError, match="users"):
             load_scenario(doc)
+
+    @pytest.mark.parametrize("row, key, literal, path", [
+        (0, "g", "NaN", "users[0].g"),
+        (1, "b_kb", "Infinity", "users[1].b_kb"),
+        (None, "w_hz", "Infinity", "env.w_hz"),
+        (None, "noise_dbm", "-Infinity", "env.noise_dbm"),
+    ])
+    def test_non_finite_numbers_rejected(self, row, key, literal, path):
+        doc = minimal_doc()
+        target = doc["env"] if row is None else doc["users"][row]
+        target[key] = json.loads(literal)  # what json.load makes of the bare literal
+        with pytest.raises(SchemaError, match="finite") as info:
+            load_scenario(doc)
+        assert info.value.path == path
 
     def test_model_invariants_surface_as_schema_errors(self):
         doc = minimal_doc()
