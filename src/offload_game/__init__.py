@@ -9,109 +9,21 @@ exhaustive and cross-entropy baselines, and worst-case efficiency metrics.
 """
 
 from ._version import __version__
-from .baselines import (
-    CrossEntropyParams,
-    Objective,
-    all_cloud_random,
-    all_local,
-    cross_entropy_optimize,
-    enumerate_nash,
-    exhaustive_optimize,
-)
-from .dco import RunReport, SlotRecord, run_dco, convergence_slot_bound
-from .errors import (
-    BoundInapplicable,
-    ContentionUnsupported,
-    InstanceTooLarge,
-    OffloadGameError,
-    SchemaError,
-)
-from .game import (
-    ProfileEvaluator,
-    access_weight,
-    best_response_set,
-    channel_load,
-    count_beneficial,
-    is_nash,
-    potential,
-    received_interference,
-    system_overhead,
-)
-from .metrics import PoaReport, k_cloud_extremes, poa_beneficial, poa_overhead
-from .model import (
-    NEVER_BENEFICIAL,
-    AccessModel,
-    ChannelEnv,
-    UserProfile,
-    beneficial_threshold,
-    cloud_overhead,
-    is_beneficial,
-    local_overhead,
-    uplink_rate,
-    user_overhead,
-    validate_profile,
-)
-from .scenario import (
-    GenParams,
-    Scenario,
-    ScenarioUser,
-    generate,
-    load_scenario,
-    read_scenario,
-    save_scenario,
-    scenario_fingerprint,
-    write_scenario,
-)
+from .model import *
+from .game import *
+from .dco import *
+from .baselines import *
+from .metrics import *
+from .scenario import *
+from .errors import *
 
-__all__ = [
-    "__version__",
-    "AccessModel",
-    "UserProfile",
-    "ChannelEnv",
-    "NEVER_BENEFICIAL",
-    "uplink_rate",
-    "local_overhead",
-    "cloud_overhead",
-    "user_overhead",
-    "beneficial_threshold",
-    "is_beneficial",
-    "validate_profile",
-    "access_weight",
-    "received_interference",
-    "channel_load",
-    "potential",
-    "best_response_set",
-    "is_nash",
-    "count_beneficial",
-    "system_overhead",
-    "ProfileEvaluator",
-    "run_dco",
-    "convergence_slot_bound",
-    "RunReport",
-    "SlotRecord",
-    "Objective",
-    "CrossEntropyParams",
-    "all_local",
-    "all_cloud_random",
-    "exhaustive_optimize",
-    "enumerate_nash",
-    "cross_entropy_optimize",
-    "PoaReport",
-    "poa_beneficial",
-    "poa_overhead",
-    "k_cloud_extremes",
-    "GenParams",
-    "Scenario",
-    "ScenarioUser",
-    "generate",
-    "load_scenario",
-    "save_scenario",
-    "read_scenario",
-    "write_scenario",
-    "scenario_fingerprint",
-    "OffloadGameError",
-    "InstanceTooLarge",
-    "BoundInapplicable",
-    "ContentionUnsupported",
-    "SchemaError",
-]
+# each public name is declared once, in its module's __all__
+__all__ = ["__version__"] + (
+    model.__all__
+    + game.__all__
+    + dco.__all__
+    + baselines.__all__
+    + metrics.__all__
+    + scenario.__all__
+    + errors.__all__
+)

@@ -21,7 +21,6 @@ from .scenario import Scenario
 
 __all__ = [
     "Objective",
-    "DEFAULT_PROFILE_CAP",
     "CrossEntropyParams",
     "all_local",
     "all_cloud_random",
@@ -159,10 +158,9 @@ def cross_entropy_optimize(
     for _ in range(params.iterations):
         draws = rng.random((params.samples, n_users))
         cumulative = np.cumsum(table, axis=1)
-        profiles = np.empty((params.samples, n_users), dtype=np.int64)
-        for n in range(n_users):
-            profiles[:, n] = np.searchsorted(cumulative[n], draws[:, n], side="right")
-        np.clip(profiles, 0, n_decisions - 1, out=profiles)
+        # inverse-CDF draw; leaving out the last column caps a draw above a
+        # rounded-down total at the last decision
+        profiles = sum(draws >= cumulative[:, d] for d in range(n_decisions - 1))
         candidates = evaluator.repair_to_beneficial(profiles)
         if maximize:
             scores = (candidates > 0).sum(axis=1)
@@ -183,9 +181,7 @@ def cross_entropy_optimize(
             best_value = scores[top]
             best_profile = candidates[top].copy()
         elite = candidates[order[:elite_count]]
-        frequencies = np.empty_like(table)
-        for decision in range(n_decisions):
-            frequencies[:, decision] = (elite == decision).mean(axis=0)
+        frequencies = (elite[:, :, np.newaxis] == np.arange(n_decisions)).mean(axis=0)
         table = params.smoothing * frequencies + (1.0 - params.smoothing) * table
         if np.all(table.max(axis=1) >= 1.0 - params.degenerate_tol):
             break

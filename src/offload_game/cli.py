@@ -27,7 +27,7 @@ from .baselines import (
     cross_entropy_optimize,
 )
 from .dco import RunReport, run_dco
-from .errors import InstanceTooLarge, OffloadGameError
+from .errors import InstanceTooLarge, OffloadGameError, SchemaError
 from .game import ProfileEvaluator
 from .metrics import poa_beneficial, poa_overhead
 from .model import AccessModel
@@ -36,6 +36,8 @@ from .scenario import GenParams, generate, read_scenario, write_scenario
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOO_LARGE = 3
+
+SEED_LIMIT = 2**128  # run_dco keys a Philox stream with the seed
 
 _OBJECTIVES = {
     "max-beneficial": Objective.MAX_BENEFICIAL,
@@ -51,12 +53,21 @@ def _float_list(text: str) -> tuple:
 
 
 def _int_range(text: str) -> tuple:
-    """Parse 'A..B' (inclusive) or a single integer into (lo, hi)."""
+    """Parse 'A..B' (inclusive) or a single integer into (lo, hi), 1 <= lo <= hi."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = (int(part) for part in text.split("..", 1))
+    else:
+        lo = hi = int(text)
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"expected LO..HI with 1 <= LO <= HI, got {text!r}")
+    return lo, hi
+
+
+def _seed(text: str) -> int:
     value = int(text)
-    return value, value
+    if not 0 <= value < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"expected a seed in [0, 2**128), got {value}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -83,13 +94,16 @@ def _add_gen_params(parser: argparse.ArgumentParser):
 def _params_from_args(args: argparse.Namespace, **overrides) -> GenParams:
     values = {f.name: getattr(args, f.name) for f in fields(GenParams)}
     values.update(overrides, access_model=AccessModel(args.access_model))
-    return GenParams(**values)
+    try:
+        return GenParams(**values)
+    except ValueError as exc:
+        raise SchemaError("generator flags", str(exc)) from exc
 
 
 def _add_cell_flags(parser: argparse.ArgumentParser, seeds: int, profile_cap: bool):
     """Flags shared by the seed-cell commands (sweep, oracle, poa), in config.json order."""
     parser.add_argument("--seeds", type=_positive_int, default=seeds)
-    parser.add_argument("--seed-base", type=int, default=0)
+    parser.add_argument("--seed-base", type=_seed, default=0)
     if profile_cap:
         parser.add_argument("--profile-cap", type=int, default=DEFAULT_PROFILE_CAP)
     parser.add_argument("--workers", type=_positive_int, default=1)
@@ -97,7 +111,10 @@ def _add_cell_flags(parser: argparse.ArgumentParser, seeds: int, profile_cap: bo
 
 
 def _seed_range(args: argparse.Namespace) -> range:
-    return range(args.seed_base, args.seed_base + args.seeds)
+    seeds = range(args.seed_base, args.seed_base + args.seeds)
+    if seeds[-1] >= SEED_LIMIT:
+        raise SchemaError("--seed-base", f"seeds {seeds.start}..{seeds[-1]} run past 2**128 - 1")
+    return seeds
 
 
 def _worker_count(requested: int, cells: int) -> int:
@@ -142,38 +159,25 @@ def _write_config(out: Path, args: argparse.Namespace):
     )
 
 
-def report_document(report: RunReport, config: dict | None = None) -> dict:
-    """JSON form of a run report; the slot list mirrors slots.csv plus the profiles."""
+def report_document(report: RunReport) -> dict:
+    """JSON form of a run report; each slot is its SlotRecord, fields in declaration order."""
     return {
         "meta": {
             "tool": "offload-game",
             "version": __version__,
             "seed": report.seed,
             "scenario_fingerprint": report.scenario_fingerprint,
-            "config": config or {},
+            "config": {},
         },
         "result": {
-            "final_profile": list(report.final_profile),
+            "final_profile": report.final_profile,
             "update_slots": report.update_slots,
             "total_slots": report.total_slots,
             "is_nash": report.nash_terminal,
             "beneficial_count": report.beneficial_count,
             "system_overhead": report.system_overhead,
         },
-        "slots": [
-            {
-                "slot": rec.slot,
-                "profile": list(rec.profile),
-                "potential": rec.potential,
-                "system_overhead": rec.system_overhead,
-                "beneficial_count": rec.beneficial_count,
-                "overheads": list(rec.overheads),
-                "rtu_senders": list(rec.rtu_senders),
-                "updater": rec.updater,
-                "new_decision": rec.new_decision,
-            }
-            for rec in report.slots
-        ],
+        "slots": [vars(rec) for rec in report.slots],
     }
 
 
@@ -254,11 +258,8 @@ def _run_cells(args: argparse.Namespace, out: Path, cell_fn, cells: list, summar
 
 def cmd_sweep(args: argparse.Namespace, out: Path):
     lo, hi = args.n
-    sizes = range(lo, hi + 1, args.step)
-    if not sizes:
-        raise ValueError(f"empty user-count range {lo}..{hi} step {args.step}")
     params = _params_from_args(args)
-    cells = [(params, n, seed) for n in sizes for seed in _seed_range(args)]
+    cells = [(params, n, seed) for n in range(lo, hi + 1, args.step) for seed in _seed_range(args)]
     _run_cells(args, out, _sweep_cell, cells, _sweep_summary)
 
 
@@ -320,12 +321,15 @@ def cmd_poa(args: argparse.Namespace, out: Path):
 
 
 def _ce_params_from_args(args: argparse.Namespace) -> CrossEntropyParams:
-    return CrossEntropyParams(
-        samples=args.ce_samples,
-        elite_fraction=args.ce_elite_fraction,
-        smoothing=args.ce_smoothing,
-        iterations=args.ce_iterations,
-    )
+    try:
+        return CrossEntropyParams(
+            samples=args.ce_samples,
+            elite_fraction=args.ce_elite_fraction,
+            smoothing=args.ce_smoothing,
+            iterations=args.ce_iterations,
+        )
+    except ValueError as exc:
+        raise SchemaError("ce flags", str(exc)) from exc
 
 
 def _add_ce_params(parser: argparse.ArgumentParser):
@@ -365,13 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a scenario file")
     _add_gen_params(gen)
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=_seed, required=True)
     gen.add_argument("--out", type=Path, default=None)
     gen.set_defaults(func=cmd_gen)
 
     trace = sub.add_parser("trace", help="run one seeded trace of the distributed algorithm")
     trace.add_argument("--scenario", type=Path, required=True)
-    trace.add_argument("--seed", type=int, required=True)
+    trace.add_argument("--seed", type=_seed, required=True)
     trace.add_argument("--out", type=Path, default=None)
     trace.set_defaults(func=cmd_trace)
 
@@ -400,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce = sub.add_parser("ce", help="cross-entropy optimization of one scenario")
     ce.add_argument("--scenario", type=Path, required=True)
     ce.add_argument("--objective", choices=sorted(_OBJECTIVES), required=True)
-    ce.add_argument("--seed", type=int, default=0)
+    ce.add_argument("--seed", type=_seed, default=0)
     _add_ce_params(ce)
     ce.add_argument("--out", type=Path, default=None)
     ce.set_defaults(func=cmd_ce)
@@ -420,7 +424,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         args.func(args, out)
         _write_config(out, args)
-    except (OffloadGameError, ValueError, OSError) as exc:  # SchemaError included
+    except (OffloadGameError, OSError) as exc:  # anything else is a bug: let it raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE if isinstance(exc, InstanceTooLarge) else EXIT_CONFIG
     return EXIT_OK

@@ -11,11 +11,11 @@ Nash equilibrium of the underlying game.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundInapplicable, InstanceTooLarge
+from .errors import BoundInapplicable
 from .game import ProfileEvaluator, _best_responses
 from .model import NEVER_BENEFICIAL
 from .scenario import Scenario, scenario_fingerprint
@@ -30,9 +30,9 @@ class SlotRecord:
     slot: int
     profile: tuple  # decisions at slot start
     potential: float
-    overheads: tuple  # per-user cost at slot start
     system_overhead: float
     beneficial_count: int
+    overheads: tuple  # per-user cost at slot start
     rtu_senders: tuple  # users that requested an update this slot
     updater: int | None  # user granted the update, None on the terminal slot
     new_decision: int | None
@@ -58,22 +58,15 @@ def _slot_rng(seed: int, slot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=slot))
 
 
-def run_dco(scenario: Scenario, seed: int, max_cells: int | None = None) -> RunReport:
+def run_dco(scenario: Scenario, seed: int) -> RunReport:
     """Run the slotted update process from the all-local profile to equilibrium.
 
     Deterministic given (scenario, seed): the only randomness is the choice
     among simultaneous update requesters, drawn from a stream keyed by
-    (seed, slot).  Raises InstanceTooLarge when users*channels exceeds
-    max_cells (no cap by default; a slot is a linear scan).
+    (seed, slot).
     """
-    env = scenario.channel_env
-    users = scenario.user_profiles
-    n_users = len(users)
-    if max_cells is not None and n_users * env.channels > max_cells:
-        raise InstanceTooLarge(
-            f"{n_users} users x {env.channels} channels exceeds the per-slot cap {max_cells}"
-        )
-    evaluator = ProfileEvaluator(env, users)
+    n_users = scenario.n_users
+    evaluator = ProfileEvaluator(scenario.channel_env, scenario.user_profiles)
     profile = np.zeros((1, n_users), dtype=np.int64)
     potential_now = float(evaluator.potential(profile)[0])
     records = []
@@ -84,23 +77,25 @@ def run_dco(scenario: Scenario, seed: int, max_cells: int | None = None) -> RunR
         current = candidates[np.arange(n_users), profile[0]]
         best = candidates.min(axis=1)
         senders = tuple(int(n) for n in np.flatnonzero(best < current))
-        state = SlotRecord(
-            slot=slot,
-            profile=tuple(int(d) for d in profile[0]),
-            potential=potential_now,
-            overheads=tuple(float(z) for z in current),
-            system_overhead=float(current.sum()),
-            beneficial_count=int(evaluator.beneficial_mask(profile, current).sum()),
-            rtu_senders=senders,
-            updater=None,
-            new_decision=None,
+        pick = new_decision = None
+        if senders:
+            pick = senders[int(_slot_rng(seed, slot).integers(len(senders)))]
+            new_decision = _best_responses(candidates[pick].tolist(), float(current[pick]))[0]
+        records.append(
+            SlotRecord(
+                slot=slot,
+                profile=tuple(int(d) for d in profile[0]),
+                potential=potential_now,
+                system_overhead=float(current.sum()),
+                beneficial_count=int(evaluator.beneficial_mask(profile, current).sum()),
+                overheads=tuple(float(z) for z in current),
+                rtu_senders=senders,
+                updater=pick,
+                new_decision=new_decision,
+            )
         )
         if not senders:
-            records.append(state)
             break
-        pick = senders[int(_slot_rng(seed, slot).integers(len(senders)))]
-        new_decision = _best_responses(candidates[pick].tolist(), float(current[pick]))[0]
-        records.append(replace(state, updater=pick, new_decision=new_decision))
         profile[0, pick] = new_decision
         next_potential = float(evaluator.potential(profile)[0])
         if not next_potential < potential_now:

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "OffloadGameError",
+    "InstanceTooLarge",
+    "BoundInapplicable",
+    "ContentionUnsupported",
+    "SchemaError",
+]
+
 
 class OffloadGameError(Exception):
     """Base class for all package-specific errors."""
@@ -18,7 +26,7 @@ class ContentionUnsupported(OffloadGameError):
 
 
 class SchemaError(OffloadGameError):
-    """Raised on malformed scenario/report documents; message names the field path."""
+    """Raised on malformed documents or invalid parameters; message names the field path."""
 
     def __init__(self, path: str, reason: str):
         self.path = path

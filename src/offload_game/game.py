@@ -28,8 +28,6 @@ from .model import (
 )
 
 __all__ = [
-    "BEST_RESPONSE_ATOL",
-    "access_weight",
     "channel_load",
     "received_interference",
     "potential",
@@ -245,17 +243,12 @@ class ProfileEvaluator:
         out[:, :, 1:] = cloud_costs
         return out
 
-    def current_and_best(self, profiles):
-        """(current cost, best achievable cost) per user; both (k, n_users)."""
+    def nash_mask(self, profiles) -> np.ndarray:
+        """(k,) True where no user has a strictly improving unilateral deviation."""
         batch = self._as_batch(profiles)
         cand = self.candidate_overheads(batch)
         current = np.take_along_axis(cand, batch[:, :, np.newaxis], axis=2)[:, :, 0]
-        return current, cand.min(axis=2)
-
-    def nash_mask(self, profiles) -> np.ndarray:
-        """(k,) True where no user has a strictly improving unilateral deviation."""
-        current, best = self.current_and_best(profiles)
-        return ~np.any(best < current, axis=1)
+        return ~np.any(cand.min(axis=2) < current, axis=1)
 
     def potential(self, profiles) -> np.ndarray:
         """(k,) potential values; same formula as the scalar `potential`."""

@@ -19,12 +19,9 @@ __all__ = [
     "AccessModel",
     "UserProfile",
     "ChannelEnv",
-    "DecisionProfile",
     "NEVER_BENEFICIAL",
-    "NeverBeneficial",
     "validate_profile",
     "access_weight",
-    "rate_at",
     "uplink_rate",
     "local_overhead",
     "cloud_overhead",
@@ -32,8 +29,6 @@ __all__ = [
     "beneficial_threshold",
     "is_beneficial",
 ]
-
-DecisionProfile = tuple[int, ...]  # entries in {0, .., M}; 0 means local computing
 
 LOCAL = 0  # decision value for on-device computing
 

@@ -123,23 +123,39 @@ class Scenario:
     access_model: AccessModel
     users: tuple = field(default_factory=tuple)  # tuple[ScenarioUser, ...]
 
+    def __post_init__(self):
+        """Check the model invariants once, however the scenario was built.
+
+        A fault raises SchemaError with the path `env` or `users[i]`.
+        """
+        self.channel_env  # noqa: B018
+        self.user_profiles  # noqa: B018
+
     @property
     def n_users(self) -> int:
         return len(self.users)
 
     @cached_property
     def channel_env(self) -> ChannelEnv:
-        return ChannelEnv(
-            channels=self.channels,
-            bandwidth_hz=self.bandwidth_hz,
-            noise_mw=dbm_to_mw(self.noise_dbm),
-            access=self.access_model,
-        )
+        try:
+            return ChannelEnv(
+                channels=self.channels,
+                bandwidth_hz=self.bandwidth_hz,
+                noise_mw=dbm_to_mw(self.noise_dbm),
+                access=self.access_model,
+            )
+        except ValueError as exc:
+            raise SchemaError("env", str(exc)) from exc
 
     @cached_property
     def user_profiles(self) -> tuple:
-        return tuple(
-            UserProfile(
+        return tuple(self._user_profile(u, f"users[{i}]") for i, u in enumerate(self.users))
+
+    def _user_profile(self, u: ScenarioUser, path: str) -> UserProfile:
+        if self.access_model is AccessModel.CONTENTION and not u.R_bps > 0:
+            raise SchemaError(path, "contention peak rate must be > 0 under the contention model")
+        try:
+            return UserProfile(
                 transmit_power_mw=u.q_mw,
                 channel_gain=u.g,
                 input_bits=u.b_kb * BITS_PER_KB,
@@ -153,8 +169,8 @@ class Scenario:
                 contention_weight=u.W,
                 peak_rate_bps=u.R_bps,
             )
-            for u in self.users
-        )
+        except ValueError as exc:
+            raise SchemaError(path, str(exc)) from exc
 
 
 def _json_native(value):
@@ -266,7 +282,7 @@ def load_scenario(doc: dict) -> Scenario:
         values = {name: _number(_require(row, name, path), f"{path}.{name}") for name in _USER_FIELDS}
         users.append(ScenarioUser(**values))
 
-    scenario = Scenario(
+    return Scenario(
         seed=seed,
         generator=generator,
         version=version,
@@ -276,12 +292,6 @@ def load_scenario(doc: dict) -> Scenario:
         access_model=access,
         users=tuple(users),
     )
-    try:
-        scenario.channel_env  # noqa: B018  (validates env invariants)
-        scenario.user_profiles
-    except ValueError as exc:
-        raise SchemaError("users", str(exc)) from exc
-    return scenario
 
 
 def save_scenario(scenario: Scenario) -> dict:

@@ -7,7 +7,8 @@ from dataclasses import fields
 
 import pytest
 
-from offload_game import GenParams, generate, load_scenario, run_dco, write_scenario
+from offload_game import GenParams, SlotRecord, generate, load_scenario, run_dco, write_scenario
+from offload_game import cli
 from offload_game.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOO_LARGE, _worker_count, main
 from offload_game.model import AccessModel
 
@@ -66,9 +67,18 @@ class TestGen:
         assert set(generator) == {f.name for f in fields(GenParams)}
 
     def test_non_finite_flag_is_config_error(self, tmp_path):
-        out = tmp_path / "nan"
-        assert main(gen_args(3, 2, out) + ["--cell-radius-m", "nan"]) == EXIT_CONFIG
-        assert not (out / "scenario.json").exists()
+        """Non-finite values, bad seeds and values that make an invalid user all exit 2."""
+        cases = [
+            ["--cell-radius-m", "nan"],
+            ["--seed", "-1"],
+            ["--energy-weight-choices", "1.5"],
+            ["--access-model", "contention", "--contention-weight-choices", "0"],
+            ["--access-model", "contention", "--contention-peak-rate-bps", "0"],
+        ]
+        for i, flags in enumerate(cases):
+            out = tmp_path / str(i)
+            assert main(gen_args(3, 2, out) + flags) == EXIT_CONFIG, flags
+            assert not (out / "scenario.json").exists()
 
 
 class TestTrace:
@@ -93,6 +103,8 @@ class TestTrace:
         assert doc["result"]["is_nash"] is True
         assert doc["meta"]["scenario_fingerprint"] == report.scenario_fingerprint
         assert len(doc["slots"]) == report.total_slots
+        names = [f.name for f in fields(SlotRecord)]
+        assert all(list(slot) == names for slot in doc["slots"])
 
     def test_slots_csv_layout(self, tmp_path):
         _, out = self.run_trace(tmp_path)
@@ -119,6 +131,14 @@ class TestTrace:
             "--out", str(tmp_path / "t"),
         ])
         assert code == EXIT_CONFIG
+
+    def test_internal_error_is_not_config_error(self, tmp_path, monkeypatch):
+        def broken(scenario, seed):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "run_dco", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            self.run_trace(tmp_path)
 
 
 class TestSweep:
@@ -156,6 +176,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("flag, value", [
         ("--workers", "0"), ("--seeds", "0"), ("--step", "0"), ("--step", "-1"),
+        ("--n", "0..3"), ("--n", "5..3"), ("--seed-base", "-1"),
     ])
     def test_nonpositive_counts_rejected(self, tmp_path, flag, value):
         out = tmp_path / "bad"
@@ -199,6 +220,9 @@ class TestOracleAndPoa:
         base = [command, "--n", "3", "--m", "2", "--out", str(tmp_path / command)]
         assert main(base + ["--seeds", "0"]) == EXIT_CONFIG
         assert main(base + ["--workers", "0"]) == EXIT_CONFIG
+        assert main(base + ["--seed-base", "-1"]) == EXIT_CONFIG
+        # the last seed of the range must still key run_dco's Philox stream
+        assert main(base + ["--seed-base", str(2**128 - 1), "--seeds", "2"]) == EXIT_CONFIG
 
     def test_too_large_exit_code(self, tmp_path):
         code = main([

@@ -6,7 +6,6 @@ import pytest
 from offload_game import (
     BoundInapplicable,
     GenParams,
-    InstanceTooLarge,
     best_response_set,
     count_beneficial,
     generate,
@@ -107,12 +106,6 @@ class TestRunDco:
         assert report.seed == 2
         assert report.total_slots == report.update_slots + 1
         assert report.nash_terminal
-
-    def test_instance_cap(self):
-        scenario = small_paper_scenario(6, 2, seed=1)
-        with pytest.raises(InstanceTooLarge):
-            run_dco(scenario, seed=0, max_cells=11)
-        run_dco(scenario, seed=0, max_cells=12)
 
 
 def _generated(access, weight_choices=(1.0,)):

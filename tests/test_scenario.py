@@ -161,10 +161,19 @@ class TestDocuments:
         assert info.value.path == path
 
     def test_model_invariants_surface_as_schema_errors(self):
-        doc = minimal_doc()
-        doc["users"][0]["b_kb"] = 0.0
-        with pytest.raises(SchemaError):
-            load_scenario(doc)
+        """Each case breaks one model invariant; the error path names env or the user."""
+        cases = [
+            ("interference", 0, "b_kb", 0.0, "users[0]"),
+            ("interference", None, "w_hz", -1.0, "env"),
+            ("contention", 1, "R_bps", 0.0, "users[1]"),  # interference ignores R_bps
+        ]
+        for access, row, key, value, path in cases:
+            doc = minimal_doc()
+            doc["env"]["access_model"] = access
+            (doc["env"] if row is None else doc["users"][row])[key] = value
+            with pytest.raises(SchemaError) as info:
+                load_scenario(doc)
+            assert info.value.path == path
 
     def test_fingerprint_stable_and_content_sensitive(self):
         scenario = generate(GenParams(n_users=3), 2)
