@@ -1,9 +1,9 @@
 """Command-line harness: single traces, seed sweeps, oracle comparisons, PoA studies.
 
 Every invocation writes into one output directory: the scenario(s) involved,
-a `config.json` with the tool version and the full invocation, and CSV/JSON
-artifacts whose numbers are recomputable from (scenario, seed).  CSV files
-use a header row, '.' decimals and '\n' line endings.
+a `config.json` with the tool version and every option the command read, and
+CSV/JSON artifacts whose numbers are recomputable from (scenario, seed).  CSV
+files use a header row, '.' decimals and '\n' line endings.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
+from enum import Enum
 from pathlib import Path
 
 from ._version import __version__
@@ -30,7 +31,6 @@ from .dco import RunReport, run_dco
 from .errors import InstanceTooLarge, OffloadGameError, SchemaError
 from .game import ProfileEvaluator
 from .metrics import poa_beneficial, poa_overhead
-from .model import AccessModel
 from .scenario import GenParams, generate, read_scenario, write_scenario
 
 EXIT_OK = 0
@@ -38,6 +38,8 @@ EXIT_CONFIG = 2
 EXIT_TOO_LARGE = 3
 
 SEED_LIMIT = 2**128  # run_dco keys a Philox stream with the seed
+
+TOOL_META = {"tool": "offload-game", "version": __version__}  # heads config.json and report.json
 
 _OBJECTIVES = {
     "max-beneficial": Objective.MAX_BENEFICIAL,
@@ -77,27 +79,32 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_gen_params(parser: argparse.ArgumentParser):
-    """One flag per GenParams field, in field order: --n-users for n_users, ..."""
-    defaults = GenParams()
-    for f in fields(GenParams):
-        flag = "--" + f.name.replace("_", "-")
-        default = getattr(defaults, f.name)
-        if isinstance(default, AccessModel):
-            parser.add_argument(flag, choices=[m.value for m in AccessModel], default=default.value)
-        elif isinstance(default, tuple):
-            parser.add_argument(flag, type=_float_list, default=default)
+def _add_fields(parser: argparse.ArgumentParser, cls, prefix: str = "", omit=()):
+    """One flag per field of dataclass `cls`, in field order: --<prefix><name> for <name>."""
+    for f in fields(cls):
+        if f.name in omit:
+            continue
+        flag = "--" + (prefix + f.name).replace("_", "-")
+        if isinstance(f.default, Enum):
+            choices = [e.value for e in type(f.default)]
+            parser.add_argument(flag, choices=choices, default=f.default.value)
+        elif isinstance(f.default, tuple):
+            parser.add_argument(flag, type=_float_list, default=f.default)
         else:
-            parser.add_argument(flag, type=type(default), default=default)
+            parser.add_argument(flag, type=type(f.default), default=f.default)
 
 
-def _params_from_args(args: argparse.Namespace, **overrides) -> GenParams:
-    values = {f.name: getattr(args, f.name) for f in fields(GenParams)}
-    values.update(overrides, access_model=AccessModel(args.access_model))
+def _from_fields(args: argparse.Namespace, cls, label: str, prefix: str = "", **set_by_command):
+    """`cls` built from the flags _add_fields registered plus the fields the command sets."""
+    values = {}
+    for f in fields(cls):
+        if hasattr(args, prefix + f.name):
+            value = getattr(args, prefix + f.name)
+            values[f.name] = type(f.default)(value) if isinstance(f.default, Enum) else value
     try:
-        return GenParams(**values)
+        return cls(**values, **set_by_command)
     except ValueError as exc:
-        raise SchemaError("generator flags", str(exc)) from exc
+        raise SchemaError(label, str(exc)) from exc
 
 
 def _add_cell_flags(parser: argparse.ArgumentParser, seeds: int, profile_cap: bool):
@@ -105,7 +112,7 @@ def _add_cell_flags(parser: argparse.ArgumentParser, seeds: int, profile_cap: bo
     parser.add_argument("--seeds", type=_positive_int, default=seeds)
     parser.add_argument("--seed-base", type=_seed, default=0)
     if profile_cap:
-        parser.add_argument("--profile-cap", type=int, default=DEFAULT_PROFILE_CAP)
+        parser.add_argument("--profile-cap", type=_positive_int, default=DEFAULT_PROFILE_CAP)
     parser.add_argument("--workers", type=_positive_int, default=1)
     parser.add_argument("--out", type=Path, default=None)
 
@@ -134,37 +141,26 @@ def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, rows: list):
+    """CSV of dict rows; the header is the key order, which every row shares."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
-
-
-def _write_rows(path: Path, rows: list):
-    """CSV of dict rows; the header is the key order, which every row shares."""
-    _write_csv(path, list(rows[0]), [list(row.values()) for row in rows])
+            writer.writerow(["" if v is None else v for v in row.values()])
 
 
 def _write_config(out: Path, args: argparse.Namespace):
-    options = {
-        k: (str(v) if isinstance(v, Path) else list(v) if isinstance(v, tuple) else v)
-        for k, v in vars(args).items()
-        if k != "func"
-    }
-    _write_json(
-        out / "config.json",
-        {"tool": "offload-game", "version": __version__, "command": args.command, "options": options},
-    )
+    options = {k: str(v) if isinstance(v, Path) else v for k, v in vars(args).items()}
+    del options["func"]
+    _write_json(out / "config.json", {**TOOL_META, "command": args.command, "options": options})
 
 
 def report_document(report: RunReport) -> dict:
     """JSON form of a run report; each slot is its SlotRecord, fields in declaration order."""
     return {
         "meta": {
-            "tool": "offload-game",
-            "version": __version__,
+            **TOOL_META,
             "seed": report.seed,
             "scenario_fingerprint": report.scenario_fingerprint,
             "config": {},
@@ -182,19 +178,16 @@ def report_document(report: RunReport) -> dict:
 
 
 def write_slots_csv(path: Path, report: RunReport):
-    _write_csv(
-        path,
-        ["slot", "phi", "system_overhead", "beneficial_count", "updater", "new_decision"],
-        [
-            [rec.slot, rec.potential, rec.system_overhead, rec.beneficial_count,
-             rec.updater, rec.new_decision]
-            for rec in report.slots
-        ],
-    )
+    _write_csv(path, [
+        {"slot": rec.slot, "phi": rec.potential, "system_overhead": rec.system_overhead,
+         "beneficial_count": rec.beneficial_count, "updater": rec.updater,
+         "new_decision": rec.new_decision}
+        for rec in report.slots
+    ])
 
 
 def cmd_gen(args: argparse.Namespace, out: Path):
-    scenario = generate(_params_from_args(args), args.seed)
+    scenario = generate(_from_fields(args, GenParams, "generator flags"), args.seed)
     write_scenario(out / "scenario.json", scenario)
     print(f"wrote {out / 'scenario.json'}")
 
@@ -213,14 +206,14 @@ def cmd_trace(args: argparse.Namespace, out: Path):
 
 
 def _sweep_cell(cell) -> dict:
-    params, n, seed = cell
-    scenario = generate(replace(params, n_users=n), seed)
+    params, seed = cell
+    scenario = generate(params, seed)
     evaluator = ProfileEvaluator(scenario.channel_env, scenario.user_profiles)
     report = run_dco(scenario, seed)
     local_cost = float(evaluator.system_overheads([all_local(scenario)])[0])
     random_profile = all_cloud_random(scenario, seed)
     return {
-        "n": n,
+        "n": params.n_users,
         "seed": seed,
         "dco_beneficial": report.beneficial_count,
         "dco_system_overhead": report.system_overhead,
@@ -251,15 +244,18 @@ def _run_cells(args: argparse.Namespace, out: Path, cell_fn, cells: list, summar
     """
     rows = _map_cells(cell_fn, cells, args.workers)
     if summarize is not None:
-        _write_rows(out / "runs.csv", rows)
-    _write_rows(out / "summary.csv", summarize(rows) if summarize else rows)
+        _write_csv(out / "runs.csv", rows)
+    _write_csv(out / "summary.csv", summarize(rows) if summarize else rows)
     print(f"wrote {out / 'summary.csv'} ({len(rows)} {'runs' if summarize else 'instances'})")
 
 
 def cmd_sweep(args: argparse.Namespace, out: Path):
     lo, hi = args.n
-    params = _params_from_args(args)
-    cells = [(params, n, seed) for n in range(lo, hi + 1, args.step) for seed in _seed_range(args)]
+    size_params = [
+        _from_fields(args, GenParams, "generator flags", n_users=n)
+        for n in range(lo, hi + 1, args.step)
+    ]
+    cells = [(params, seed) for params in size_params for seed in _seed_range(args)]
     _run_cells(args, out, _sweep_cell, cells, _sweep_summary)
 
 
@@ -288,8 +284,8 @@ def _oracle_cell(cell) -> dict:
 
 
 def cmd_oracle(args: argparse.Namespace, out: Path):
-    params = _params_from_args(args, n_users=args.n, channels=args.m)
-    ce_params = _ce_params_from_args(args)
+    params = _from_fields(args, GenParams, "generator flags", n_users=args.n, channels=args.m)
+    ce_params = _from_fields(args, CrossEntropyParams, "ce flags", prefix="ce_")
     cells = [(params, seed, args.profile_cap, ce_params) for seed in _seed_range(args)]
     _run_cells(args, out, _oracle_cell, cells)
 
@@ -315,41 +311,21 @@ def _poa_cell(cell) -> dict:
 
 
 def cmd_poa(args: argparse.Namespace, out: Path):
-    params = _params_from_args(args, n_users=args.n, channels=args.m)
+    params = _from_fields(args, GenParams, "generator flags", n_users=args.n, channels=args.m)
     cells = [(params, seed, args.profile_cap) for seed in _seed_range(args)]
     _run_cells(args, out, _poa_cell, cells)
-
-
-def _ce_params_from_args(args: argparse.Namespace) -> CrossEntropyParams:
-    try:
-        return CrossEntropyParams(
-            samples=args.ce_samples,
-            elite_fraction=args.ce_elite_fraction,
-            smoothing=args.ce_smoothing,
-            iterations=args.ce_iterations,
-        )
-    except ValueError as exc:
-        raise SchemaError("ce flags", str(exc)) from exc
-
-
-def _add_ce_params(parser: argparse.ArgumentParser):
-    defaults = CrossEntropyParams()
-    parser.add_argument("--ce-samples", type=int, default=defaults.samples)
-    parser.add_argument("--ce-elite-fraction", type=float, default=defaults.elite_fraction)
-    parser.add_argument("--ce-smoothing", type=float, default=defaults.smoothing)
-    parser.add_argument("--ce-iterations", type=int, default=defaults.iterations)
 
 
 def cmd_ce(args: argparse.Namespace, out: Path):
     scenario = read_scenario(args.scenario)
     objective = _OBJECTIVES[args.objective]
-    ce_params = _ce_params_from_args(args)
+    ce_params = _from_fields(args, CrossEntropyParams, "ce flags", prefix="ce_")
     profile, value = cross_entropy_optimize(scenario, objective, ce_params, args.seed)
     write_scenario(out / "scenario.json", scenario)
     _write_json(
         out / "report.json",
         {
-            "meta": {"tool": "offload-game", "version": __version__, "seed": args.seed},
+            "meta": {**TOOL_META, "seed": args.seed},
             "objective": args.objective,
             "value": value,
             "profile": list(profile),
@@ -360,6 +336,11 @@ def cmd_ce(args: argparse.Namespace, out: Path):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The six commands; each registers only the flags it reads.
+
+    Generator and CE flags are GenParams and CrossEntropyParams fields, less
+    the ones a command sets itself from --n/--m; degenerate_tol has no flag.
+    """
     parser = argparse.ArgumentParser(
         prog="offload-game",
         description="Multi-user computation offloading: traces, sweeps, oracles, efficiency studies.",
@@ -368,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a scenario file")
-    _add_gen_params(gen)
+    _add_fields(gen, GenParams)
     gen.add_argument("--seed", type=_seed, required=True)
     gen.add_argument("--out", type=Path, default=None)
     gen.set_defaults(func=cmd_gen)
@@ -380,22 +361,22 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=cmd_trace)
 
     sweep = sub.add_parser("sweep", help="multi-seed sweep over user counts")
-    _add_gen_params(sweep)
+    _add_fields(sweep, GenParams, omit={"n_users"})
     sweep.add_argument("--n", type=_int_range, required=True, metavar="LO..HI")
     sweep.add_argument("--step", type=_positive_int, default=5)
     _add_cell_flags(sweep, seeds=100, profile_cap=False)
     sweep.set_defaults(func=cmd_sweep)
 
     oracle = sub.add_parser("oracle", help="compare the distributed result with exhaustive/CE optima")
-    _add_gen_params(oracle)
-    _add_ce_params(oracle)
+    _add_fields(oracle, GenParams, omit={"n_users", "channels"})
+    _add_fields(oracle, CrossEntropyParams, prefix="ce_", omit={"degenerate_tol"})
     oracle.add_argument("--n", type=int, required=True)
     oracle.add_argument("--m", type=int, required=True)
     _add_cell_flags(oracle, seeds=50, profile_cap=True)
     oracle.set_defaults(func=cmd_oracle)
 
     poa = sub.add_parser("poa", help="price-of-anarchy study on enumerable instances")
-    _add_gen_params(poa)
+    _add_fields(poa, GenParams, omit={"n_users", "channels"})
     poa.add_argument("--n", type=int, required=True)
     poa.add_argument("--m", type=int, required=True)
     _add_cell_flags(poa, seeds=50, profile_cap=True)
@@ -405,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--scenario", type=Path, required=True)
     ce.add_argument("--objective", choices=sorted(_OBJECTIVES), required=True)
     ce.add_argument("--seed", type=_seed, default=0)
-    _add_ce_params(ce)
+    _add_fields(ce, CrossEntropyParams, prefix="ce_", omit={"degenerate_tol"})
     ce.add_argument("--out", type=Path, default=None)
     ce.set_defaults(func=cmd_ce)
 

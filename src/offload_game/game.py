@@ -155,7 +155,6 @@ class ProfileEvaluator:
 
     def __init__(self, env: ChannelEnv, users: Sequence[UserProfile]):
         self.env = env
-        self.users = tuple(users)
         self.n_users = len(users)
         self.channels = env.channels
         self.weights = np.array([access_weight(env, u) for u in users])

@@ -144,6 +144,8 @@ class Scenario:
                 noise_mw=dbm_to_mw(self.noise_dbm),
                 access=self.access_model,
             )
+        except OverflowError:
+            raise SchemaError("env", f"noise floor {self.noise_dbm} dBm overflows in mW") from None
         except ValueError as exc:
             raise SchemaError("env", str(exc)) from exc
 

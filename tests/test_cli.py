@@ -74,6 +74,7 @@ class TestGen:
             ["--energy-weight-choices", "1.5"],
             ["--access-model", "contention", "--contention-weight-choices", "0"],
             ["--access-model", "contention", "--contention-peak-rate-bps", "0"],
+            ["--noise-dbm", "4000"],  # finite, but its mW value overflows
         ]
         for i, flags in enumerate(cases):
             out = tmp_path / str(i)
@@ -223,6 +224,8 @@ class TestOracleAndPoa:
         assert main(base + ["--seed-base", "-1"]) == EXIT_CONFIG
         # the last seed of the range must still key run_dco's Philox stream
         assert main(base + ["--seed-base", str(2**128 - 1), "--seeds", "2"]) == EXIT_CONFIG
+        assert main(base + ["--profile-cap", "0"]) == EXIT_CONFIG
+        assert main(base + ["--profile-cap", "-5"]) == EXIT_CONFIG
 
     def test_too_large_exit_code(self, tmp_path):
         code = main([
@@ -267,3 +270,25 @@ class TestParser:
         write_scenario(path, scenario)
         out = tmp_path / "out"
         assert main(["trace", "--scenario", str(path), "--seed", "0", "--out", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("command, args, dropped", [
+        ("sweep", ["--n", "3..4", "--seeds", "1", "--channels", "2"], {"n_users"}),
+        ("oracle", ["--n", "3", "--m", "2", "--seeds", "1"], {"n_users", "channels"}),
+        ("poa", ["--n", "3", "--m", "2", "--seeds", "1"], {"n_users", "channels"}),
+    ], ids=["sweep", "oracle", "poa"])
+    def test_cell_commands_take_no_overridden_generator_flags(
+        self, tmp_path, command, args, dropped
+    ):
+        """--n/--m set these GenParams fields: their flags exit 2 and config.json omits them."""
+        for name in sorted(dropped):
+            out = tmp_path / name
+            flag = "--" + name.replace("_", "-")
+            assert main([command, *args, flag, "7", "--out", str(out)]) == EXIT_CONFIG
+            assert not out.exists()
+        out = tmp_path / "ok"
+        assert main([command, *args, "--out", str(out)]) == EXIT_OK
+        options = json.loads((out / "config.json").read_text())["options"]
+        generator = {f.name for f in fields(GenParams)}
+        assert generator - dropped <= set(options)
+        assert not dropped & set(options)
+        assert "ce_degenerate_tol" not in options

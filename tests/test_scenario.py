@@ -166,6 +166,8 @@ class TestDocuments:
             ("interference", 0, "b_kb", 0.0, "users[0]"),
             ("interference", None, "w_hz", -1.0, "env"),
             ("contention", 1, "R_bps", 0.0, "users[1]"),  # interference ignores R_bps
+            ("interference", None, "noise_dbm", 4000.0, "env"),  # overflows in mW
+            ("contention", None, "noise_dbm", 4000.0, "env"),
         ]
         for access, row, key, value, path in cases:
             doc = minimal_doc()
