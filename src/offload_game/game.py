@@ -9,13 +9,13 @@ of decision profiles can be scored with numpy.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .model import (
     LOCAL,
-    NEVER_BENEFICIAL,
     AccessModel,
     ChannelEnv,
     UserProfile,
@@ -64,13 +64,16 @@ def received_interference(
     return load
 
 
-def _clamped(thresholds: Sequence) -> list:
-    """Beneficiality thresholds with the never-beneficial sentinel clamped to 0.
+def _clamped(thresholds: Sequence[float], weights: Sequence[float]) -> list:
+    """The finite stand-ins the potential uses for the beneficiality thresholds.
 
-    Users that can never benefit stay local under any improvement path, so a
-    zero stand-in keeps the potential finite without breaking its descent.
+    -inf (never beneficial) becomes 0: such users stay local on every
+    improvement path.  +inf (any co-channel weight is tolerable) becomes twice
+    the instance's total access weight, above any co-channel weight a user can
+    face even after rounding.  Finite thresholds pass through unchanged.
     """
-    return [0.0 if t is NEVER_BENEFICIAL else t for t in thresholds]
+    ceiling = 2.0 * sum(weights)
+    return [0.0 if t == -math.inf else ceiling if t == math.inf else t for t in thresholds]
 
 
 def potential(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> float:
@@ -80,7 +83,7 @@ def potential(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -
     user's weight times its beneficiality threshold.
     """
     weights = [access_weight(env, u) for u in users]
-    thresholds = _clamped([beneficial_threshold(env, u) for u in users])
+    thresholds = _clamped([beneficial_threshold(env, u) for u in users], weights)
     pair_term = 0.0
     for m in range(1, env.channels + 1):
         total = 0.0
@@ -162,8 +165,8 @@ class ProfileEvaluator:
         coeff_fixed = [_cloud_cost_coefficients(u) for u in users]
         self.rate_coeffs = np.array([cf[0] for cf in coeff_fixed])
         self.fixed_cloud_costs = np.array([cf[1] for cf in coeff_fixed])
-        self.thresholds = [beneficial_threshold(env, u) for u in users]
-        self._phi_thresholds = np.array(_clamped(self.thresholds))
+        self.thresholds = np.array([beneficial_threshold(env, u) for u in users])
+        self._phi_thresholds = np.array(_clamped(self.thresholds, self.weights))
         # > 0 under contention: beneficial_threshold above raises otherwise
         self._peaks = np.array([u.peak_rate_bps for u in users])
 
@@ -248,6 +251,18 @@ class ProfileEvaluator:
         cand = self.candidate_overheads(batch)
         current = np.take_along_axis(cand, batch[:, :, np.newaxis], axis=2)[:, :, 0]
         return ~np.any(cand.min(axis=2) < current, axis=1)
+
+    def co_channel_weight(self, profile: np.ndarray, user: int, decision: int) -> float:
+        """μ: the co-channel weight `user` faces at `decision` under the (1, n_users) `profile`.
+
+        Computed as candidate_overheads computes it; at local, μ is the
+        user's potential threshold.  Moving the user from decision a to b
+        changes the potential by exactly weights[user] * (μ_b - μ_a).
+        """
+        if decision == LOCAL:
+            return float(self._phi_thresholds[user])
+        load = float(((profile == decision) @ self.weights)[0])
+        return float(load - self.weights[user]) if profile[0, user] == decision else load
 
     def potential(self, profiles) -> np.ndarray:
         """(k,) potential values; same formula as the scalar `potential`."""

@@ -16,7 +16,6 @@ from .baselines import DEFAULT_PROFILE_CAP, Objective, enumerate_nash, exhaustiv
 from .errors import ContentionUnsupported
 from .game import count_beneficial, system_overhead
 from .model import (
-    NEVER_BENEFICIAL,
     AccessModel,
     ChannelEnv,
     UserProfile,
@@ -46,14 +45,14 @@ class PoaReport:
     bound_high: float | None
     weight_max: float
     weight_min: float
-    threshold_max: float | None  # None when some user can never benefit
+    threshold_max: float | None  # None when some threshold is infinite
     threshold_min: float | None
 
 
 def _instance_extremes(env: ChannelEnv, users: Sequence[UserProfile]):
     weights = [access_weight(env, u) for u in users]
     thresholds = [beneficial_threshold(env, u) for u in users]
-    if any(t is NEVER_BENEFICIAL or not math.isfinite(t) for t in thresholds):
+    if not all(math.isfinite(t) for t in thresholds):
         t_max = t_min = None
     else:
         t_max, t_min = max(thresholds), min(thresholds)

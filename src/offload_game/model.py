@@ -19,7 +19,6 @@ __all__ = [
     "AccessModel",
     "UserProfile",
     "ChannelEnv",
-    "NEVER_BENEFICIAL",
     "validate_profile",
     "access_weight",
     "uplink_rate",
@@ -98,27 +97,6 @@ class ChannelEnv:
             raise ValueError("bandwidth must be > 0")
         if self.access is AccessModel.INTERFERENCE and self.noise_mw <= 0:
             raise ValueError("noise power must be > 0 under the interference model")
-
-
-class NeverBeneficial:
-    """Sentinel threshold for users whose offloading can never beat local computing.
-
-    Kept as an explicit singleton instead of -inf so that comparisons stay
-    total and serialized documents stay finite.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NEVER_BENEFICIAL"
-
-
-NEVER_BENEFICIAL = NeverBeneficial()
 
 
 def validate_profile(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> tuple:
@@ -220,12 +198,13 @@ def beneficial_threshold(env: ChannelEnv, u: UserProfile):
     Under interference the returned value is in power-gain (mW) units, under
     contention in contention-weight units.  Offloading is beneficial exactly
     when the user's received co-channel weight is <= this threshold.  Returns
-    NEVER_BENEFICIAL when the local cost cannot be beaten at any rate.
+    -inf when the local cost cannot be beaten at any rate and +inf when any
+    co-channel weight is tolerable.
     """
     coeff, fixed = _cloud_cost_coefficients(u)
     headroom = local_overhead(u) - fixed  # cost budget available for the upload
     if headroom <= 0.0:
-        return NEVER_BENEFICIAL
+        return -math.inf
     if env.access is AccessModel.INTERFERENCE:
         if coeff == 0.0:
             return math.inf  # upload is free; any interference is tolerable

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import SchemaError
-from .model import AccessModel, ChannelEnv, UserProfile
+from .model import AccessModel, ChannelEnv, UserProfile, access_weight
 
 __all__ = [
     "GenParams",
@@ -157,7 +157,7 @@ class Scenario:
         if self.access_model is AccessModel.CONTENTION and not u.R_bps > 0:
             raise SchemaError(path, "contention peak rate must be > 0 under the contention model")
         try:
-            return UserProfile(
+            profile = UserProfile(
                 transmit_power_mw=u.q_mw,
                 channel_gain=u.g,
                 input_bits=u.b_kb * BITS_PER_KB,
@@ -173,6 +173,10 @@ class Scenario:
             )
         except ValueError as exc:
             raise SchemaError(path, str(exc)) from exc
+        if not access_weight(self.channel_env, profile) > 0:
+            # a user nobody hears moves without changing the potential
+            raise SchemaError(path, "access weight (transmit power times gain) must be > 0")
+        return profile
 
 
 def _json_native(value):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from offload_game import GenParams, NEVER_BENEFICIAL, beneficial_threshold, generate
+from offload_game import GenParams, beneficial_threshold, generate
 from offload_game._version import __version__
 from offload_game.model import AccessModel, ChannelEnv, UserProfile
 from offload_game.scenario import Scenario, ScenarioUser
@@ -70,7 +70,7 @@ def random_instance(rng, access=AccessModel.INTERFERENCE, n_range=(2, 6), m_rang
         u = random_user(rng)
         if finite_thresholds:
             t = beneficial_threshold(env, u)
-            if t is NEVER_BENEFICIAL or not np.isfinite(t):
+            if not np.isfinite(t):
                 continue
         users.append(u)
     return env, users
@@ -147,7 +147,7 @@ def contention_scenario_from_users(users, channels=2, seed=0) -> Scenario:
 def never_beneficial_user() -> UserProfile:
     """Cloud execution alone already costs more than local computing."""
     u = simple_user(task_cycles=1.0, device_rate_hz=1.0, cloud_rate_hz=0.5)
-    assert beneficial_threshold(simple_env(), u) is NEVER_BENEFICIAL
+    assert beneficial_threshold(simple_env(), u) == -np.inf
     return u
 
 

@@ -31,7 +31,7 @@ from offload_game import (
     run_dco,
     convergence_slot_bound,
 )
-from offload_game.model import NEVER_BENEFICIAL, AccessModel
+from offload_game.model import AccessModel
 from support import integer_contention_scenario, random_instance, random_profile
 
 SWEEP_SIZES = list(range(15, 51, 5))
@@ -175,9 +175,7 @@ def paper_sweep():
             _, ce_max = cross_entropy_optimize(scenario, Objective.MAX_BENEFICIAL, seed=s)
             _, ce_min = cross_entropy_optimize(scenario, Objective.MIN_OVERHEAD, seed=s)
             weights = evaluator.weights
-            finite = [
-                t for t in evaluator.thresholds if t is not NEVER_BENEFICIAL and np.isfinite(t)
-            ]
+            finite = [t for t in evaluator.thresholds.tolist() if np.isfinite(t)]
             rows.append(
                 {
                     "n": n,

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import math
 import os
 from dataclasses import fields
 
 import pytest
 
-from offload_game import GenParams, SlotRecord, generate, load_scenario, run_dco, write_scenario
+from offload_game import (
+    GenParams, SlotRecord, generate, is_nash, load_scenario, run_dco, write_scenario,
+)
 from offload_game import cli
 from offload_game.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOO_LARGE, _worker_count, main
 from offload_game.model import AccessModel
@@ -75,6 +78,8 @@ class TestGen:
             ["--access-model", "contention", "--contention-weight-choices", "0"],
             ["--access-model", "contention", "--contention-peak-rate-bps", "0"],
             ["--noise-dbm", "4000"],  # finite, but its mW value overflows
+            # zero access weight under interference: a move cannot lower the potential
+            ["--transmit-power-mw", "0", "--energy-weight-choices", "1.0"],
         ]
         for i, flags in enumerate(cases):
             out = tmp_path / str(i)
@@ -106,6 +111,23 @@ class TestTrace:
         assert len(doc["slots"]) == report.total_slots
         names = [f.name for f in fields(SlotRecord)]
         assert all(list(slot) == names for slot in doc["slots"])
+
+    @pytest.mark.parametrize("seed, flags", [
+        (475, ["--cell-radius-m", "300"]),  # slot 0 lowers φ by less than one ulp of φ
+        (1, ["--n-users", "5", "--access-model", "contention", "--transmit-power-mw", "0",
+             "--energy-weight-choices", "1.0"]),  # free uploads: +inf thresholds
+    ], ids=["sub-ulp-descent", "free-upload"])
+    def test_edge_scenarios_end_at_nash(self, tmp_path, seed, flags):
+        gen_out = tmp_path / "gen"
+        assert main(["gen", "--seed", str(seed), *flags, "--out", str(gen_out)]) == EXIT_OK
+        out = tmp_path / "trace"
+        argv = ["trace", "--scenario", str(gen_out / "scenario.json"), "--seed", str(seed)]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        scenario = load_scenario(json.loads((out / "scenario.json").read_text()))
+        doc = json.loads((out / "report.json").read_text())
+        final = tuple(doc["result"]["final_profile"])
+        assert is_nash(scenario.channel_env, scenario.user_profiles, final)
+        assert all(math.isfinite(slot["potential"]) for slot in doc["slots"])
 
     def test_slots_csv_layout(self, tmp_path):
         _, out = self.run_trace(tmp_path)
@@ -248,6 +270,7 @@ class TestCeCommand:
         assert doc["objective"] == "min-overhead"
         assert len(doc["profile"]) == 5
         assert doc["params"]["samples"] == 200
+        assert "degenerate_tol" not in doc["params"]  # a constant, not a parameter
 
     def test_bad_objective_rejected(self, tmp_path):
         code = main([

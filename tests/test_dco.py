@@ -87,8 +87,13 @@ class TestRunDco:
             # potential strictly decreases across the trace
             phis = [rec.potential for rec in report.slots]
             assert all(b < a for a, b in zip(phis, phis[1:]))
-            # termination is a Nash equilibrium with only winners offloading
-            assert report.final_profile == report.slots[-1].profile
+            # the result is the last slot, and it is a Nash equilibrium with
+            # only winners offloading
+            last = report.slots[-1]
+            assert report.final_profile == last.profile
+            assert report.total_slots == len(report.slots) == report.update_slots + 1
+            assert report.beneficial_count == last.beneficial_count
+            assert report.system_overhead == last.system_overhead
             assert is_nash(env, users, report.final_profile)
             assert report.beneficial_count == count_beneficial(env, users, report.final_profile)
             assert report.beneficial_count == sum(1 for d in report.final_profile if d > 0)
@@ -105,7 +110,7 @@ class TestRunDco:
         assert report.scenario_fingerprint == scenario_fingerprint(scenario)
         assert report.seed == 2
         assert report.total_slots == report.update_slots + 1
-        assert report.nash_terminal
+        assert is_nash(scenario.channel_env, scenario.user_profiles, report.final_profile)
 
 
 def _generated(access, weight_choices=(1.0,)):

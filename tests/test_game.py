@@ -1,5 +1,8 @@
 """Unit and property tests for the game layer."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,12 +21,13 @@ from offload_game import (
     user_overhead,
 )
 from offload_game.game import BEST_RESPONSE_ATOL
-from offload_game.model import AccessModel
+from offload_game.model import AccessModel, ChannelEnv
 from support import (
     integer_contention_scenario,
     never_beneficial_user,
     random_instance,
     random_profile,
+    random_user,
     simple_env,
     simple_user,
     small_paper_scenario,
@@ -125,6 +129,76 @@ class TestPotential:
             b[n] = d
             assert potential(env, users, tuple(b)) < potential(env, users, a)
             done += 1
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_closed_form_descent_at_wide_weight_ranges(self, access):
+        """Access weights log-uniform over 1e-5..1e2 against a 1e-10 mW noise floor.
+
+        Here an improving move can change φ by less than one ulp of φ, so two
+        rounded potentials may tie.  The mover's closed-form drop
+        w * (μ_new - μ_old), which run_dco checks, is negative for every move
+        and matches the difference of the potentials.
+        """
+        def check(env, users, a, n, d):
+            b = list(a)
+            b[n] = d
+            evaluator = ProfileEvaluator(env, users)
+            mu_old = evaluator.co_channel_weight(np.array([a]), n, a[n])
+            mu_new = evaluator.co_channel_weight(np.array([a]), n, d)
+            assert mu_new < mu_old
+            phi_a, phi_b = potential(env, users, a), potential(env, users, tuple(b))
+            assert evaluator.weights[n] * (mu_new - mu_old) == pytest.approx(
+                phi_b - phi_a, rel=1e-9, abs=1e-12 * (abs(phi_a) + abs(phi_b))
+            )
+            return phi_a, phi_b
+
+        if access is AccessModel.INTERFERENCE:
+            # a 3.3e-5 mW user leaves local for the empty channel beside a 9e4
+            # pair term: φ drops by about 5e-14, below its ulp
+            env = simple_env(channels=2, noise_mw=1e-10)
+            big = simple_user(channel_gain=300.0)
+            users = [big, big, simple_user(channel_gain=3.3e-5, input_bits=7.1)]
+            assert find_improving_deviation(np.random.default_rng(0), env, users, (1, 1, 0)) == (2, 2)
+            phi_a, phi_b = check(env, users, (1, 1, 0), 2, 2)
+            assert phi_a == phi_b
+        rng = np.random.default_rng(24)
+        done = 0
+        while done < 3000:
+            env = ChannelEnv(channels=int(rng.integers(1, 4)),
+                             bandwidth_hz=float(rng.uniform(0.5, 5.0)), noise_mw=1e-10, access=access)
+            users = []
+            for _ in range(int(rng.integers(2, 6))):
+                weight = float(10.0 ** rng.uniform(-5.0, 2.0))
+                u = replace(random_user(rng), transmit_power_mw=1.0, channel_gain=weight,
+                            contention_weight=weight)
+                if np.isfinite(beneficial_threshold(env, u)):
+                    users.append(u)
+            a = random_profile(rng, env, users)
+            move = find_improving_deviation(rng, env, users, a) if users else None
+            if move is None:
+                continue
+            check(env, users, a, *move)
+            done += 1
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_infinite_thresholds_keep_potential_finite(self, access):
+        """-inf and +inf thresholds: scalar and batch φ are finite and equal on every profile."""
+        env = simple_env(channels=2, access=access)
+        users = [
+            never_beneficial_user(),  # -inf
+            # +inf: a free upload (zero access weight under interference)
+            simple_user(transmit_power_mw=0.0, time_weight=0.0, energy_weight=1.0,
+                        energy_per_cycle_j=1.0),
+            simple_user(channel_gain=2.0, contention_weight=2.0),
+        ]
+        if access is AccessModel.INTERFERENCE:
+            users.append(simple_user(input_bits=1e-300))  # +inf at a positive weight
+        thresholds = [beneficial_threshold(env, u) for u in users]
+        assert -np.inf in thresholds and np.inf in thresholds
+        profiles = list(itertools.product(range(env.channels + 1), repeat=len(users)))
+        batch = ProfileEvaluator(env, users).potential(profiles)
+        assert np.all(np.isfinite(batch))
+        assert batch.tolist() == [potential(env, users, a) for a in profiles]
 
     def test_integer_instances_drop_by_at_least_minimum_weight(self):
         rng = np.random.default_rng(15)

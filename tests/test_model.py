@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from offload_game import (
-    NEVER_BENEFICIAL,
     beneficial_threshold,
     cloud_overhead,
     is_beneficial,
@@ -155,7 +154,18 @@ class TestUserOverhead:
 class TestBeneficialThreshold:
     def test_sentinel_when_local_cannot_be_beaten(self):
         env = simple_env()
-        assert beneficial_threshold(env, never_beneficial_user()) is NEVER_BENEFICIAL
+        assert beneficial_threshold(env, never_beneficial_user()) == -math.inf
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_infinite_when_any_weight_is_tolerable(self, access):
+        # a free upload (zero rate coefficient) beats local at any co-channel weight
+        free = simple_user(transmit_power_mw=0.0, time_weight=0.0, energy_weight=1.0,
+                           energy_per_cycle_j=1.0)
+        assert beneficial_threshold(simple_env(access=access), free) == math.inf
+        # so does an upload whose required rate rounds to nothing against the budget
+        if access is AccessModel.INTERFERENCE:
+            tiny = simple_user(input_bits=1e-300)
+            assert beneficial_threshold(simple_env(), tiny) == math.inf
 
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_cost_at_threshold_interference_matches_local(self, access):
@@ -166,7 +176,7 @@ class TestBeneficialThreshold:
             env, users = random_instance(rng, access=access, n_range=(1, 2), m_range=(1, 2))
             user = users[0]
             t = beneficial_threshold(env, user)
-            if t is NEVER_BENEFICIAL or not np.isfinite(t) or t <= 0:
+            if not np.isfinite(t) or t <= 0:
                 continue
             if access is AccessModel.INTERFERENCE:
                 other = simple_user(transmit_power_mw=t, channel_gain=1.0)

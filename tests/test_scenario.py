@@ -168,6 +168,8 @@ class TestDocuments:
             ("contention", 1, "R_bps", 0.0, "users[1]"),  # interference ignores R_bps
             ("interference", None, "noise_dbm", 4000.0, "env"),  # overflows in mW
             ("contention", None, "noise_dbm", 4000.0, "env"),
+            ("interference", 1, "q_mw", 0.0, "users[1]"),  # zero access weight
+            ("interference", 0, "g", 0.0, "users[0]"),
         ]
         for access, row, key, value, path in cases:
             doc = minimal_doc()
