@@ -2,9 +2,10 @@
 
 Both access models reduce to the same structure through a per-user access
 weight: transmit power times channel gain under interference, the contention
-weight otherwise.  Everything here is a pure function of immutable values;
-ProfileEvaluator additionally precomputes per-user constants so that batches
-of decision profiles can be scored with numpy.
+weight otherwise.  ProfileEvaluator is the one place rates, costs, channel
+loads and the potential are computed: it precomputes per-user constants so
+that batches of decision profiles can be scored with numpy.  The module-level
+functions are single-profile views of it.
 """
 
 from __future__ import annotations
@@ -22,16 +23,11 @@ from .model import (
     _cloud_cost_coefficients,
     access_weight,
     beneficial_threshold,
-    is_beneficial,
     local_overhead,
-    user_overhead,
 )
 
 __all__ = [
-    "channel_load",
-    "received_interference",
-    "potential",
-    "best_response_set",
+    "user_overhead",
     "is_nash",
     "count_beneficial",
     "system_overhead",
@@ -41,27 +37,6 @@ __all__ = [
 # Two candidate decisions count as equally good when their costs are this close;
 # the improvement test against the status quo stays an exact float comparison.
 BEST_RESPONSE_ATOL = 1e-12
-
-
-def channel_load(env: ChannelEnv, users: Sequence[UserProfile], m: int, a: Sequence[int]) -> float:
-    """Total access weight currently on channel m (what the base-station measures)."""
-    if not 1 <= m <= env.channels:
-        raise ValueError(f"channel {m} out of range 1..{env.channels}")
-    return sum(access_weight(env, users[i]) for i in range(len(users)) if a[i] == m)
-
-
-def received_interference(
-    env: ChannelEnv, users: Sequence[UserProfile], n: int, m: int, a: Sequence[int]
-) -> float:
-    """Co-channel weight user n would see on channel m, excluding itself.
-
-    Follows the measurement rule: the total load on m, minus the user's own
-    weight when it is currently transmitting there.
-    """
-    load = channel_load(env, users, m, a)
-    if a[n] == m:
-        return load - access_weight(env, users[n])
-    return load
 
 
 def _clamped(thresholds: Sequence[float], weights: Sequence[float]) -> list:
@@ -76,30 +51,6 @@ def _clamped(thresholds: Sequence[float], weights: Sequence[float]) -> list:
     return [0.0 if t == -math.inf else ceiling if t == math.inf else t for t in thresholds]
 
 
-def potential(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> float:
-    """Scalar function that strictly decreases on every improving unilateral move.
-
-    Half the sum of pairwise co-channel weight products, plus each local
-    user's weight times its beneficiality threshold.
-    """
-    weights = [access_weight(env, u) for u in users]
-    thresholds = _clamped([beneficial_threshold(env, u) for u in users], weights)
-    pair_term = 0.0
-    for m in range(1, env.channels + 1):
-        total = 0.0
-        total_sq = 0.0
-        for i in range(len(users)):
-            if a[i] == m:
-                total += weights[i]
-                total_sq += weights[i] * weights[i]
-        pair_term += 0.5 * (total * total - total_sq)
-    local_term = 0.0
-    for i in range(len(users)):
-        if a[i] == LOCAL:
-            local_term += weights[i] * thresholds[i]
-    return pair_term + local_term
-
-
 def _best_responses(costs: Sequence[float], current_cost: float) -> list:
     """The best-response tie rule over one user's per-decision costs.
 
@@ -110,40 +61,6 @@ def _best_responses(costs: Sequence[float], current_cost: float) -> list:
     return [
         d for d, cost in enumerate(costs) if cost - best <= BEST_RESPONSE_ATOL and cost < current_cost
     ]
-
-
-def best_response_set(
-    env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]
-) -> frozenset:
-    """Decisions that strictly beat user n's current cost, restricted to the argmin.
-
-    Empty when no strict improvement exists.  Candidates within
-    BEST_RESPONSE_ATOL of the best value are all reported, so symmetric
-    channels appear together.
-    """
-    candidates = []
-    scratch = list(a)
-    for decision in range(env.channels + 1):
-        scratch[n] = decision
-        candidates.append(user_overhead(env, users, n, scratch))
-    return frozenset(_best_responses(candidates, candidates[a[n]]))
-
-
-def is_nash(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> bool:
-    """True when no user can strictly reduce its own cost by deviating alone."""
-    return all(not best_response_set(env, users, n, a) for n in range(len(users)))
-
-
-def count_beneficial(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> int:
-    """Number of users that offload and are no worse off than computing locally."""
-    return sum(
-        1 for n in range(len(users)) if a[n] != LOCAL and is_beneficial(env, users, n, a)
-    )
-
-
-def system_overhead(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> float:
-    """Total cost across all users under profile a."""
-    return sum(user_overhead(env, users, n, a) for n in range(len(users)))
 
 
 class ProfileEvaluator:
@@ -171,12 +88,17 @@ class ProfileEvaluator:
         self._peaks = np.array([u.peak_rate_bps for u in users])
 
     def _as_batch(self, profiles) -> np.ndarray:
-        batch = np.asarray(profiles, dtype=np.int64)
+        """The one check on profiles: integer decisions in 0..channels, one per user."""
+        batch = np.asarray(profiles)
         if batch.ndim == 1:
             batch = batch[np.newaxis, :]
         if batch.shape[1] != self.n_users:
             raise ValueError(f"profile width {batch.shape[1]} != user count {self.n_users}")
-        return batch
+        if batch.dtype.kind not in "iu":
+            raise ValueError(f"profile entries must be integers, not {batch.dtype}")
+        if batch.size and (batch.min() < LOCAL or batch.max() > self.channels):
+            raise ValueError(f"profile entries must lie in {LOCAL}..{self.channels}")
+        return batch.astype(np.int64, copy=False)
 
     def channel_loads(self, profiles) -> np.ndarray:
         """(k, channels) array of summed access weights per channel."""
@@ -265,7 +187,12 @@ class ProfileEvaluator:
         return float(load - self.weights[user]) if profile[0, user] == decision else load
 
     def potential(self, profiles) -> np.ndarray:
-        """(k,) potential values; same formula as the scalar `potential`."""
+        """(k,) potential values.
+
+        Half the sum of pairwise co-channel weight products, plus each local
+        user's weight times its clamped beneficiality threshold; it strictly
+        decreases on every improving unilateral move.
+        """
         batch = self._as_batch(profiles)
         pair = np.zeros(batch.shape[0])
         for m in range(1, self.channels + 1):
@@ -275,3 +202,26 @@ class ProfileEvaluator:
             pair += 0.5 * (total * total - total_sq)
         local = (batch == 0) @ (self.weights * self._phi_thresholds)
         return pair + local
+
+
+def user_overhead(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> float:
+    """Cost user n pays under profile a: local cost if a[n]=0, cloud cost otherwise."""
+    if not 0 <= n < len(users):
+        raise IndexError(f"user index {n} out of range 0..{len(users) - 1}")
+    return float(ProfileEvaluator(env, users).overheads([a])[0, n])
+
+
+def is_nash(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> bool:
+    """True when no user can strictly reduce its own cost by deviating alone."""
+    return bool(ProfileEvaluator(env, users).nash_mask([a])[0])
+
+
+def count_beneficial(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> int:
+    """Number of users that offload and are no worse off than computing locally."""
+    return int(ProfileEvaluator(env, users).beneficial_counts([a])[0])
+
+
+def system_overhead(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> float:
+    """Total cost across all users under profile a."""
+    # summed in user order, not by numpy's row sum, so the bench's recorded poa digest holds
+    return sum(ProfileEvaluator(env, users).overheads([a])[0].tolist())

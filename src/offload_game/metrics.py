@@ -12,19 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .baselines import DEFAULT_PROFILE_CAP, Objective, enumerate_nash, exhaustive_optimize
 from .errors import ContentionUnsupported
-from .game import count_beneficial, system_overhead
-from .model import (
-    AccessModel,
-    ChannelEnv,
-    UserProfile,
-    access_weight,
-    beneficial_threshold,
-    cloud_cost_at_rate,
-    local_overhead,
-    rate_at,
-)
+from .game import ProfileEvaluator, count_beneficial, system_overhead
+from .model import AccessModel, ChannelEnv, UserProfile, local_overhead
 from .scenario import Scenario
 
 __all__ = ["PoaReport", "poa_beneficial", "poa_overhead", "k_cloud_extremes"]
@@ -50,8 +43,8 @@ class PoaReport:
 
 
 def _instance_extremes(env: ChannelEnv, users: Sequence[UserProfile]):
-    weights = [access_weight(env, u) for u in users]
-    thresholds = [beneficial_threshold(env, u) for u in users]
+    evaluator = ProfileEvaluator(env, users)
+    weights, thresholds = evaluator.weights.tolist(), evaluator.thresholds.tolist()
     if not all(math.isfinite(t) for t in thresholds):
         t_max = t_min = None
     else:
@@ -93,8 +86,10 @@ def poa_beneficial(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -
 def poa_overhead(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> PoaReport:
     """Ratio of the costliest equilibrium's total cost to the minimum total cost.
 
-    Always >= 1.  The analytic upper bound exists only under the
-    interference model.
+    At least 1 up to rounding: the worst equilibrium is summed user by user
+    and the optimum by numpy's row sum, so the ratio can fall a rounding step
+    or two below 1 until both come from one sum.  The analytic upper bound
+    exists only under the interference model.
     """
     env = scenario.channel_env
     users = scenario.user_profiles
@@ -136,8 +131,7 @@ def k_cloud_extremes(env: ChannelEnv, users: Sequence[UserProfile], n: int) -> t
     """
     if env.access is not AccessModel.INTERFERENCE:
         raise ContentionUnsupported("cloud-cost extremes are defined for the interference model")
-    u = users[n]
-    others = sum(access_weight(env, users[i]) for i in range(len(users)) if i != n)
-    rate_best = rate_at(env, u, 0.0)
-    rate_worst = rate_at(env, u, others / env.channels)
-    return cloud_cost_at_rate(u, rate_best), cloud_cost_at_rate(u, rate_worst)
+    evaluator = ProfileEvaluator(env, users)
+    others = sum(w for i, w in enumerate(evaluator.weights.tolist()) if i != n)
+    best, worst = evaluator._cloud_costs(np.array([n, n]), np.array([0.0, others / env.channels]))
+    return float(best), float(worst)

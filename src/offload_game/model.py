@@ -5,7 +5,8 @@ joules, hertz, milliwatts.  Unit conversion from user-facing documents
 (KB, Megacycles, GHz, dBm) happens at the scenario boundary, never here.
 
 A decision profile is a plain tuple of ints: entry n is 0 when user n
-computes locally, or a channel index in 1..M when it offloads.
+computes locally, or a channel index in 1..M when it offloads.  Rates and
+per-profile costs are computed in one place, `game.ProfileEvaluator`.
 """
 
 from __future__ import annotations
@@ -13,20 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 __all__ = [
     "AccessModel",
     "UserProfile",
     "ChannelEnv",
-    "validate_profile",
     "access_weight",
-    "uplink_rate",
     "local_overhead",
-    "cloud_overhead",
-    "user_overhead",
     "beneficial_threshold",
-    "is_beneficial",
 ]
 
 LOCAL = 0  # decision value for on-device computing
@@ -99,59 +94,11 @@ class ChannelEnv:
             raise ValueError("noise power must be > 0 under the interference model")
 
 
-def validate_profile(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> tuple:
-    """Check a decision profile against the instance and return it as a tuple."""
-    if len(a) != len(users):
-        raise ValueError(f"profile length {len(a)} != user count {len(users)}")
-    for n, decision in enumerate(a):
-        if not isinstance(decision, int) or isinstance(decision, bool):
-            raise ValueError(f"profile entry {n} is not an int: {decision!r}")
-        if not 0 <= decision <= env.channels:
-            raise ValueError(f"profile entry {n} out of range 0..{env.channels}: {decision}")
-    return tuple(a)
-
-
-def _check_cloud_decision(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]):
-    if not 0 <= n < len(users):
-        raise IndexError(f"user index {n} out of range")
-    if len(a) != len(users):
-        raise ValueError(f"profile length {len(a)} != user count {len(users)}")
-    if a[n] == LOCAL:
-        raise ValueError(f"user {n} computes locally; no uplink quantity is defined")
-    if not 1 <= a[n] <= env.channels:
-        raise ValueError(f"channel {a[n]} out of range 1..{env.channels}")
-
-
 def access_weight(env: ChannelEnv, u: UserProfile) -> float:
     """The user's footprint on a shared channel, in the model's weight units."""
     if env.access is AccessModel.INTERFERENCE:
         return u.transmit_power_mw * u.channel_gain
     return u.contention_weight
-
-
-def rate_at(env: ChannelEnv, u: UserProfile, received: float) -> float:
-    """Uplink rate (bits/s) of user u facing co-channel access weight `received`.
-
-    Interference model: bandwidth * log2(1 + own power-gain over noise plus
-    the received power-gain).  Contention model: the peak rate scaled by the
-    user's share of the co-channel contention weights.
-    """
-    own = access_weight(env, u)
-    if env.access is AccessModel.INTERFERENCE:
-        return env.bandwidth_hz * math.log2(1.0 + own / (env.noise_mw + received))
-    if u.peak_rate_bps <= 0:
-        raise ValueError("contention peak rate must be > 0 under the contention model")
-    return u.peak_rate_bps * own / (own + received)
-
-
-def uplink_rate(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> float:
-    """Uplink data rate (bits/s) of user n on its chosen channel a[n] > 0."""
-    _check_cloud_decision(env, users, n, a)
-    received = 0.0
-    for i, other in enumerate(users):
-        if i != n and a[i] == a[n]:
-            received += access_weight(env, other)
-    return rate_at(env, users[n], received)
 
 
 def local_overhead(u: UserProfile) -> float:
@@ -170,26 +117,6 @@ def _cloud_cost_coefficients(u: UserProfile) -> tuple:
     coeff = (u.time_weight + u.energy_weight * u.transmit_power_mw) * u.input_bits
     fixed = u.energy_weight * u.tail_energy_j + u.time_weight * u.task_cycles / u.cloud_rate_hz
     return coeff, fixed
-
-
-def cloud_cost_at_rate(u: UserProfile, rate: float) -> float:
-    """Cloud-computing cost for a given uplink rate (bits/s)."""
-    coeff, fixed = _cloud_cost_coefficients(u)
-    if coeff == 0.0:
-        return fixed
-    return coeff / rate + fixed
-
-
-def cloud_overhead(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> float:
-    """Weighted time+energy cost of offloading: upload, tail energy, cloud execution."""
-    return cloud_cost_at_rate(users[n], uplink_rate(env, users, n, a))
-
-
-def user_overhead(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> float:
-    """Cost user n pays under profile a: local cost if a[n]=0, cloud cost otherwise."""
-    if a[n] == LOCAL:
-        return local_overhead(users[n])
-    return cloud_overhead(env, users, n, a)
 
 
 def beneficial_threshold(env: ChannelEnv, u: UserProfile):
@@ -221,12 +148,3 @@ def beneficial_threshold(env: ChannelEnv, u: UserProfile):
     if coeff == 0.0:
         return math.inf
     return (headroom * u.peak_rate_bps / coeff - 1.0) * u.contention_weight
-
-
-def is_beneficial(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> bool:
-    """True when offloading under profile a costs user n no more than computing locally.
-
-    Only defined for users that actually offload (a[n] > 0); ties count as
-    beneficial.
-    """
-    return cloud_overhead(env, users, n, a) <= local_overhead(users[n])

@@ -1,0 +1,186 @@
+"""Plain-loop oracle for the cost model and the game layer.
+
+The package computes rates, costs, channel loads and the potential in one
+vectorized place, `offload_game.game.ProfileEvaluator`.  The functions here
+are the scalar formulas written out user by user and channel by channel with
+`math`, so a test that checks the evaluator, or one of its single-profile
+views, against them compares two independent implementations.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+from offload_game.game import _best_responses, _clamped
+from offload_game.model import (
+    LOCAL,
+    AccessModel,
+    ChannelEnv,
+    UserProfile,
+    _cloud_cost_coefficients,
+    access_weight,
+    beneficial_threshold,
+    local_overhead,
+)
+
+# cost model, one user at a time
+
+
+def validate_profile(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> tuple:
+    """Check a decision profile against the instance and return it as a tuple."""
+    if len(a) != len(users):
+        raise ValueError(f"profile length {len(a)} != user count {len(users)}")
+    for n, decision in enumerate(a):
+        if not isinstance(decision, int) or isinstance(decision, bool):
+            raise ValueError(f"profile entry {n} is not an int: {decision!r}")
+        if not 0 <= decision <= env.channels:
+            raise ValueError(f"profile entry {n} out of range 0..{env.channels}: {decision}")
+    return tuple(a)
+
+
+def _check_cloud_decision(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]):
+    if not 0 <= n < len(users):
+        raise IndexError(f"user index {n} out of range")
+    if len(a) != len(users):
+        raise ValueError(f"profile length {len(a)} != user count {len(users)}")
+    if a[n] == LOCAL:
+        raise ValueError(f"user {n} computes locally; no uplink quantity is defined")
+    if not 1 <= a[n] <= env.channels:
+        raise ValueError(f"channel {a[n]} out of range 1..{env.channels}")
+
+
+def rate_at(env: ChannelEnv, u: UserProfile, received: float) -> float:
+    """Uplink rate (bits/s) of user u facing co-channel access weight `received`.
+
+    Interference model: bandwidth * log2(1 + own power-gain over noise plus
+    the received power-gain).  Contention model: the peak rate scaled by the
+    user's share of the co-channel contention weights.
+    """
+    own = access_weight(env, u)
+    if env.access is AccessModel.INTERFERENCE:
+        return env.bandwidth_hz * math.log2(1.0 + own / (env.noise_mw + received))
+    if u.peak_rate_bps <= 0:
+        raise ValueError("contention peak rate must be > 0 under the contention model")
+    return u.peak_rate_bps * own / (own + received)
+
+
+def uplink_rate(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> float:
+    """Uplink data rate (bits/s) of user n on its chosen channel a[n] > 0."""
+    _check_cloud_decision(env, users, n, a)
+    received = 0.0
+    for i, other in enumerate(users):
+        if i != n and a[i] == a[n]:
+            received += access_weight(env, other)
+    return rate_at(env, users[n], received)
+
+
+def cloud_cost_at_rate(u: UserProfile, rate: float) -> float:
+    """Cloud-computing cost for a given uplink rate (bits/s)."""
+    coeff, fixed = _cloud_cost_coefficients(u)
+    if coeff == 0.0:
+        return fixed
+    return coeff / rate + fixed
+
+
+def cloud_overhead(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> float:
+    """Weighted time+energy cost of offloading: upload, tail energy, cloud execution."""
+    return cloud_cost_at_rate(users[n], uplink_rate(env, users, n, a))
+
+
+def user_overhead(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> float:
+    """Cost user n pays under profile a: local cost if a[n]=0, cloud cost otherwise."""
+    if a[n] == LOCAL:
+        return local_overhead(users[n])
+    return cloud_overhead(env, users, n, a)
+
+
+def is_beneficial(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> bool:
+    """True when offloading under profile a costs user n no more than computing locally.
+
+    Only defined for users that actually offload (a[n] > 0); ties count as
+    beneficial.
+    """
+    return cloud_overhead(env, users, n, a) <= local_overhead(users[n])
+
+
+# game layer
+
+
+def channel_load(env: ChannelEnv, users: Sequence[UserProfile], m: int, a: Sequence[int]) -> float:
+    """Total access weight currently on channel m (what the base-station measures)."""
+    if not 1 <= m <= env.channels:
+        raise ValueError(f"channel {m} out of range 1..{env.channels}")
+    return sum(access_weight(env, users[i]) for i in range(len(users)) if a[i] == m)
+
+
+def received_interference(
+    env: ChannelEnv, users: Sequence[UserProfile], n: int, m: int, a: Sequence[int]
+) -> float:
+    """Co-channel weight user n would see on channel m, excluding itself.
+
+    Follows the measurement rule: the total load on m, minus the user's own
+    weight when it is currently transmitting there.
+    """
+    load = channel_load(env, users, m, a)
+    if a[n] == m:
+        return load - access_weight(env, users[n])
+    return load
+
+
+def potential(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> float:
+    """Scalar function that strictly decreases on every improving unilateral move.
+
+    Half the sum of pairwise co-channel weight products, plus each local
+    user's weight times its beneficiality threshold.
+    """
+    weights = [access_weight(env, u) for u in users]
+    thresholds = _clamped([beneficial_threshold(env, u) for u in users], weights)
+    pair_term = 0.0
+    for m in range(1, env.channels + 1):
+        total = 0.0
+        total_sq = 0.0
+        for i in range(len(users)):
+            if a[i] == m:
+                total += weights[i]
+                total_sq += weights[i] * weights[i]
+        pair_term += 0.5 * (total * total - total_sq)
+    local_term = 0.0
+    for i in range(len(users)):
+        if a[i] == LOCAL:
+            local_term += weights[i] * thresholds[i]
+    return pair_term + local_term
+
+
+def best_response_set(
+    env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]
+) -> frozenset:
+    """Decisions that strictly beat user n's current cost, restricted to the argmin.
+
+    Empty when no strict improvement exists.  Candidates within
+    BEST_RESPONSE_ATOL of the best value are all reported, so symmetric
+    channels appear together.
+    """
+    candidates = []
+    scratch = list(a)
+    for decision in range(env.channels + 1):
+        scratch[n] = decision
+        candidates.append(user_overhead(env, users, n, scratch))
+    return frozenset(_best_responses(candidates, candidates[a[n]]))
+
+
+def is_nash(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> bool:
+    """True when no user can strictly reduce its own cost by deviating alone."""
+    return all(not best_response_set(env, users, n, a) for n in range(len(users)))
+
+
+def count_beneficial(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> int:
+    """Number of users that offload and are no worse off than computing locally."""
+    return sum(
+        1 for n in range(len(users)) if a[n] != LOCAL and is_beneficial(env, users, n, a)
+    )
+
+
+def system_overhead(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> float:
+    """Total cost across all users under profile a."""
+    return sum(user_overhead(env, users, n, a) for n in range(len(users)))

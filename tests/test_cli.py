@@ -9,11 +9,12 @@ from dataclasses import fields
 import pytest
 
 from offload_game import (
-    GenParams, SlotRecord, generate, is_nash, load_scenario, run_dco, write_scenario,
+    GenParams, SlotRecord, generate, load_scenario, run_dco, write_scenario,
 )
 from offload_game import cli
 from offload_game.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOO_LARGE, _worker_count, main
 from offload_game.model import AccessModel
+import reference
 
 
 def read_csv(path):
@@ -126,7 +127,7 @@ class TestTrace:
         scenario = load_scenario(json.loads((out / "scenario.json").read_text()))
         doc = json.loads((out / "report.json").read_text())
         final = tuple(doc["result"]["final_profile"])
-        assert is_nash(scenario.channel_env, scenario.user_profiles, final)
+        assert reference.is_nash(scenario.channel_env, scenario.user_profiles, final)
         assert all(math.isfinite(slot["potential"]) for slot in doc["slots"])
 
     def test_slots_csv_layout(self, tmp_path):

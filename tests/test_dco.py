@@ -6,18 +6,15 @@ import pytest
 from offload_game import (
     BoundInapplicable,
     GenParams,
-    best_response_set,
-    count_beneficial,
     generate,
-    is_nash,
-    potential,
     run_dco,
     scenario_fingerprint,
     convergence_slot_bound,
 )
 from offload_game._version import __version__
-from offload_game.model import AccessModel, user_overhead
+from offload_game.model import AccessModel
 from offload_game.scenario import Scenario, ScenarioUser
+import reference
 from support import (
     contention_scenario_from_users,
     contention_user_with_threshold,
@@ -94,8 +91,10 @@ class TestRunDco:
             assert report.total_slots == len(report.slots) == report.update_slots + 1
             assert report.beneficial_count == last.beneficial_count
             assert report.system_overhead == last.system_overhead
-            assert is_nash(env, users, report.final_profile)
-            assert report.beneficial_count == count_beneficial(env, users, report.final_profile)
+            assert reference.is_nash(env, users, report.final_profile)
+            assert report.beneficial_count == reference.count_beneficial(
+                env, users, report.final_profile
+            )
             assert report.beneficial_count == sum(1 for d in report.final_profile if d > 0)
 
     def test_updater_always_a_request_sender(self):
@@ -110,7 +109,7 @@ class TestRunDco:
         assert report.scenario_fingerprint == scenario_fingerprint(scenario)
         assert report.seed == 2
         assert report.total_slots == report.update_slots + 1
-        assert is_nash(scenario.channel_env, scenario.user_profiles, report.final_profile)
+        assert reference.is_nash(scenario.channel_env, scenario.user_profiles, report.final_profile)
 
 
 def _generated(access, weight_choices=(1.0,)):
@@ -140,12 +139,13 @@ class TestSlotStatistics:
             report = run_dco(scenario, seed)
             for rec in report.slots:
                 a = rec.profile
-                assert rec.potential == pytest.approx(potential(env, users, a), rel=1e-9, abs=1e-18)
-                assert rec.beneficial_count == count_beneficial(env, users, a)
-                expected = [user_overhead(env, users, n, a) for n in range(len(users))]
+                phi = reference.potential(env, users, a)
+                assert rec.potential == pytest.approx(phi, rel=1e-9, abs=1e-18)
+                assert rec.beneficial_count == reference.count_beneficial(env, users, a)
+                expected = [reference.user_overhead(env, users, n, a) for n in range(len(users))]
                 assert list(rec.overheads) == pytest.approx(expected, rel=1e-9)
                 assert rec.system_overhead == pytest.approx(sum(expected), rel=1e-9)
-                responses = [best_response_set(env, users, n, a) for n in range(len(users))]
+                responses = [reference.best_response_set(env, users, n, a) for n in range(len(users))]
                 assert rec.rtu_senders == tuple(n for n, r in enumerate(responses) if r)
                 if rec.updater is not None:
                     assert rec.new_decision == min(responses[rec.updater])

@@ -10,18 +10,14 @@ from offload_game import (
     ProfileEvaluator,
     access_weight,
     beneficial_threshold,
-    best_response_set,
-    channel_load,
     count_beneficial,
-    is_beneficial,
     is_nash,
-    potential,
-    received_interference,
     system_overhead,
     user_overhead,
 )
 from offload_game.game import BEST_RESPONSE_ATOL
 from offload_game.model import AccessModel, ChannelEnv
+import reference
 from support import (
     integer_contention_scenario,
     never_beneficial_user,
@@ -38,14 +34,14 @@ def find_improving_deviation(rng, env, users, a):
     """(user, new decision) with strictly lower cost, or None at an equilibrium."""
     for n in rng.permutation(len(users)):
         n = int(n)
-        current = user_overhead(env, users, n, a)
+        current = reference.user_overhead(env, users, n, a)
         for d in rng.permutation(env.channels + 1):
             d = int(d)
             if d == a[n]:
                 continue
             b = list(a)
             b[n] = d
-            if user_overhead(env, users, n, tuple(b)) < current:
+            if reference.user_overhead(env, users, n, tuple(b)) < current:
                 return n, d
     return None
 
@@ -68,13 +64,13 @@ class TestInterferenceAndLoad:
     def test_empty_channel(self):
         env = simple_env(channels=2)
         users = [simple_user(), simple_user()]
-        assert received_interference(env, users, 0, 2, (1, 1)) == 0.0
-        assert channel_load(env, users, 2, (1, 1)) == 0.0
+        assert reference.received_interference(env, users, 0, 2, (1, 1)) == 0.0
+        assert reference.channel_load(env, users, 2, (1, 1)) == 0.0
 
     def test_two_cochannel_users(self):
         env = simple_env()
         users = [simple_user(), simple_user(channel_gain=1.0), simple_user(channel_gain=2.0)]
-        assert received_interference(env, users, 0, 1, (1, 1, 1)) == 3.0
+        assert reference.received_interference(env, users, 0, 1, (1, 1, 1)) == 3.0
 
     def test_measurement_subtraction_identity(self):
         rng = np.random.default_rng(11)
@@ -84,8 +80,8 @@ class TestInterferenceAndLoad:
             for n in range(len(users)):
                 if a[n] == 0:
                     continue
-                assert received_interference(env, users, n, a[n], a) == (
-                    channel_load(env, users, a[n], a) - access_weight(env, users[n])
+                assert reference.received_interference(env, users, n, a[n], a) == (
+                    reference.channel_load(env, users, a[n], a) - access_weight(env, users[n])
                 )
 
     def test_loads_partition_offloading_weight(self):
@@ -93,7 +89,7 @@ class TestInterferenceAndLoad:
         for _ in range(100):
             env, users = random_instance(rng)
             a = random_profile(rng, env, users)
-            total = sum(channel_load(env, users, m, a) for m in range(1, env.channels + 1))
+            total = sum(reference.channel_load(env, users, m, a) for m in range(1, env.channels + 1))
             offloading = sum(access_weight(env, users[n]) for n in range(len(users)) if a[n] > 0)
             assert total == pytest.approx(offloading, rel=1e-12, abs=1e-15)
 
@@ -106,13 +102,13 @@ class TestPotential:
         expected = sum(
             access_weight(env, u) * beneficial_threshold(env, u) for u in users
         )
-        assert potential(env, users, a) == pytest.approx(expected, rel=1e-12)
+        assert reference.potential(env, users, a) == pytest.approx(expected, rel=1e-12)
 
     def test_two_unit_users_sharing_a_channel(self):
         env = simple_env(channels=2)
         users = [simple_user(), simple_user()]
-        assert potential(env, users, (1, 1)) == 1.0
-        assert potential(env, users, (1, 2)) == 0.0
+        assert reference.potential(env, users, (1, 1)) == 1.0
+        assert reference.potential(env, users, (1, 2)) == 0.0
 
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_improving_deviation_strictly_decreases_potential(self, access):
@@ -127,7 +123,7 @@ class TestPotential:
             n, d = move
             b = list(a)
             b[n] = d
-            assert potential(env, users, tuple(b)) < potential(env, users, a)
+            assert reference.potential(env, users, tuple(b)) < reference.potential(env, users, a)
             done += 1
 
     @pytest.mark.parametrize("access", list(AccessModel))
@@ -146,7 +142,7 @@ class TestPotential:
             mu_old = evaluator.co_channel_weight(np.array([a]), n, a[n])
             mu_new = evaluator.co_channel_weight(np.array([a]), n, d)
             assert mu_new < mu_old
-            phi_a, phi_b = potential(env, users, a), potential(env, users, tuple(b))
+            phi_a, phi_b = reference.potential(env, users, a), reference.potential(env, users, tuple(b))
             assert evaluator.weights[n] * (mu_new - mu_old) == pytest.approx(
                 phi_b - phi_a, rel=1e-9, abs=1e-12 * (abs(phi_a) + abs(phi_b))
             )
@@ -198,7 +194,7 @@ class TestPotential:
         profiles = list(itertools.product(range(env.channels + 1), repeat=len(users)))
         batch = ProfileEvaluator(env, users).potential(profiles)
         assert np.all(np.isfinite(batch))
-        assert batch.tolist() == [potential(env, users, a) for a in profiles]
+        assert batch.tolist() == [reference.potential(env, users, a) for a in profiles]
 
     def test_integer_instances_drop_by_at_least_minimum_weight(self):
         rng = np.random.default_rng(15)
@@ -214,7 +210,7 @@ class TestPotential:
             n, d = move
             b = list(a)
             b[n] = d
-            drop = potential(env, users, a) - potential(env, users, tuple(b))
+            drop = reference.potential(env, users, a) - reference.potential(env, users, tuple(b))
             assert drop >= q_min - 1e-9
             done += 1
 
@@ -230,7 +226,7 @@ class TestPotential:
             upper = 0.5 * q_max * q_max * n * n + q_max * t_max * n
             for _ in range(20):
                 a = random_profile(rng, env, users)
-                assert 0.0 <= potential(env, users, a) <= upper
+                assert 0.0 <= reference.potential(env, users, a) <= upper
 
 
 class TestBestResponse:
@@ -239,20 +235,20 @@ class TestBestResponse:
         user = simple_user(transmit_power_mw=30.0, channel_gain=1.0, input_bits=6.0,
                            task_cycles=2.0, device_rate_hz=1.0, cloud_rate_hz=4.0)
         assert beneficial_threshold(env, user) > 0
-        assert best_response_set(env, [user], 0, (0,)) == {1, 2}
+        assert reference.best_response_set(env, [user], 0, (0,)) == {1, 2}
 
     def test_empty_at_unique_minimum(self):
         env = simple_env(channels=1)
         u = simple_user(cloud_rate_hz=100.0, input_bits=0.5, transmit_power_mw=30.0)
         a = min(
-            ((d,) for d in (0, 1)), key=lambda p: user_overhead(env, [u], 0, p)
+            ((d,) for d in (0, 1)), key=lambda p: reference.user_overhead(env, [u], 0, p)
         )
-        assert best_response_set(env, [u], 0, a) == frozenset()
+        assert reference.best_response_set(env, [u], 0, a) == frozenset()
 
     def test_never_beneficial_user_returns_local(self):
         env = simple_env(channels=2)
         users = [never_beneficial_user(), simple_user()]
-        assert best_response_set(env, users, 0, (1, 1)) == {0}
+        assert reference.best_response_set(env, users, 0, (1, 1)) == {0}
 
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_members_are_equal_cost_strict_improvements(self, access):
@@ -261,15 +257,15 @@ class TestBestResponse:
             env, users = random_instance(rng, access=access)
             a = random_profile(rng, env, users)
             for n in range(len(users)):
-                delta = best_response_set(env, users, n, a)
+                delta = reference.best_response_set(env, users, n, a)
                 if not delta:
                     continue
-                current = user_overhead(env, users, n, a)
+                current = reference.user_overhead(env, users, n, a)
                 costs = []
                 for d in delta:
                     b = list(a)
                     b[n] = d
-                    costs.append(user_overhead(env, users, n, tuple(b)))
+                    costs.append(reference.user_overhead(env, users, n, tuple(b)))
                 assert all(c < current for c in costs)
                 assert max(costs) - min(costs) <= BEST_RESPONSE_ATOL
 
@@ -292,13 +288,14 @@ class TestNashAndCounting:
         rng = np.random.default_rng(18)
         env, users = random_instance(rng)
         a = random_profile(rng, env, users)
-        expected = sum(user_overhead(env, users, n, a) for n in range(len(users)))
+        expected = sum(reference.user_overhead(env, users, n, a) for n in range(len(users)))
         assert system_overhead(env, users, a) == pytest.approx(expected, rel=1e-15)
 
 
 class TestProfileEvaluator:
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_matches_scalar_functions(self, access):
+        """The batch methods and their single-profile views against the plain-loop oracle."""
         rng = np.random.default_rng(19)
         for _ in range(30):
             env, users = random_instance(rng, access=access)
@@ -311,12 +308,17 @@ class TestProfileEvaluator:
             phis = evaluator.potential(batch)
             for k, a in enumerate(profiles):
                 for n in range(len(users)):
-                    assert costs[k, n] == pytest.approx(
-                        user_overhead(env, users, n, a), rel=1e-12
-                    )
-                assert bool(nash[k]) == is_nash(env, users, a)
-                assert counts[k] == count_beneficial(env, users, a)
-                assert phis[k] == pytest.approx(potential(env, users, a), rel=1e-12, abs=1e-15)
+                    expected = reference.user_overhead(env, users, n, a)
+                    assert costs[k, n] == pytest.approx(expected, rel=1e-12)
+                    assert user_overhead(env, users, n, a) == pytest.approx(expected, rel=1e-12)
+                assert system_overhead(env, users, a) == pytest.approx(
+                    reference.system_overhead(env, users, a), rel=1e-12
+                )
+                assert bool(nash[k]) == is_nash(env, users, a) == reference.is_nash(env, users, a)
+                assert counts[k] == count_beneficial(env, users, a) == reference.count_beneficial(
+                    env, users, a
+                )
+                assert phis[k] == pytest.approx(reference.potential(env, users, a), rel=1e-12, abs=1e-15)
 
     def test_candidate_costs_match_unilateral_rewrites(self):
         rng = np.random.default_rng(20)
@@ -329,7 +331,7 @@ class TestProfileEvaluator:
                 b = list(a)
                 b[n] = d
                 assert cand[n, d] == pytest.approx(
-                    user_overhead(env, users, n, tuple(b)), rel=1e-12
+                    reference.user_overhead(env, users, n, tuple(b)), rel=1e-12
                 )
 
     def test_repair_sends_exactly_the_losing_offloaders_local(self):
@@ -342,16 +344,30 @@ class TestProfileEvaluator:
             for n in range(len(users)):
                 if a[n] == 0:
                     assert repaired[n] == 0
-                elif is_beneficial(env, users, n, a):
+                elif reference.is_beneficial(env, users, n, a):
                     assert repaired[n] == a[n]
                 else:
                     assert repaired[n] == 0
             # everyone still offloading is beneficial afterwards
             for n in range(len(users)):
                 if repaired[n] > 0:
-                    assert is_beneficial(env, users, n, repaired)
+                    assert reference.is_beneficial(env, users, n, repaired)
 
     def test_rejects_wrong_width(self):
         env, users = random_instance(np.random.default_rng(22))
         with pytest.raises(ValueError, match="width"):
             ProfileEvaluator(env, users).overheads([(0,) * (len(users) + 1)])
+        # profiles no method can score: a negative, a fractional and a too-high decision
+        env, users = simple_env(channels=2), [simple_user()] * 3
+        evaluator = ProfileEvaluator(env, users)
+        methods = (evaluator.overheads, evaluator.potential, evaluator.nash_mask,
+                   evaluator.candidate_overheads, evaluator.beneficial_mask, evaluator.channel_loads)
+        for bad in ([[-1, 0, 0]], [[1.7, 0, 0]], [[3, 0, 0]]):
+            for method in methods:
+                with pytest.raises(ValueError, match="profile entries"):
+                    method(bad)
+            with pytest.raises(ValueError, match="profile entries"):
+                is_nash(env, users, bad[0])
+        for n in (-1, 3):
+            with pytest.raises(IndexError):
+                user_overhead(env, users, n, (0, 0, 0))

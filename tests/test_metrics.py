@@ -9,18 +9,15 @@ from offload_game import (
     ContentionUnsupported,
     Objective,
     access_weight,
-    cloud_overhead,
-    count_beneficial,
     enumerate_nash,
     exhaustive_optimize,
     k_cloud_extremes,
     local_overhead,
     poa_beneficial,
     poa_overhead,
-    received_interference,
-    system_overhead,
 )
 from offload_game.metrics import BENEFICIAL_USERS, SYSTEM_OVERHEAD
+import reference
 from support import (
     contention_scenario_from_users,
     contention_user_with_threshold,
@@ -72,8 +69,8 @@ class TestPoaBeneficial:
         for a in enumerate_nash(scenario):
             # every offloader at an equilibrium is beneficial, so the count
             # collapses to the number of offloaders
-            assert count_beneficial(env, users, a) == sum(1 for d in a if d > 0)
-            counts.append(count_beneficial(env, users, a))
+            assert reference.count_beneficial(env, users, a) == sum(1 for d in a if d > 0)
+            counts.append(reference.count_beneficial(env, users, a))
         assert report.worst_equilibrium == min(counts)
 
 
@@ -131,7 +128,7 @@ class TestCloudCostExtremes:
             k_min, _ = k_cloud_extremes(env, users, n)
             for a in itertools.product(range(env.channels + 1), repeat=len(users)):
                 if a[n] > 0:
-                    assert cloud_overhead(env, users, n, a) >= k_min - 1e-12
+                    assert reference.cloud_overhead(env, users, n, a) >= k_min - 1e-12
 
     def test_equilibrium_interference_and_cost_caps(self):
         rng = np.random.default_rng(43)
@@ -147,11 +144,11 @@ class TestCloudCostExtremes:
                     spread = sum(
                         access_weight(env, users[i2]) for i2 in range(len(users)) if i2 != n
                     ) / env.channels
-                    mu = received_interference(env, users, n, a[n], a)
+                    mu = reference.received_interference(env, users, n, a[n], a)
                     assert mu <= spread + 1e-12
                     _, k_max = k_cloud_extremes(env, users, n)
                     cap = min(local_overhead(users[n]), k_max)
-                    assert cloud_overhead(env, users, n, a) <= cap + 1e-9 * cap
+                    assert reference.cloud_overhead(env, users, n, a) <= cap + 1e-9 * cap
 
     def test_contention_unsupported(self):
         users = (contention_user_with_threshold(2, 1),)
@@ -170,6 +167,6 @@ class TestReportConsistency:
         )
         overhead = poa_overhead(scenario)
         _, optimum = exhaustive_optimize(scenario, Objective.MIN_OVERHEAD)
-        worst = max(system_overhead(env, users, a) for a in enumerate_nash(scenario))
+        worst = max(reference.system_overhead(env, users, a) for a in enumerate_nash(scenario))
         assert overhead.optimum == pytest.approx(optimum, rel=1e-15)
         assert overhead.worst_equilibrium == pytest.approx(worst, rel=1e-15)

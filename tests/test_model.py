@@ -1,46 +1,44 @@
-"""Unit tests for the per-user cost model."""
+"""Unit tests for the per-user cost model.
+
+Rates, cloud costs and the profile check are the plain-loop oracle's
+(`reference`); hand values pin them, so the tests that compare the package
+against that oracle rest on checked formulas.  `user_overhead` is the
+package's single-profile view of `ProfileEvaluator`.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from offload_game import (
-    beneficial_threshold,
-    cloud_overhead,
-    is_beneficial,
-    local_overhead,
-    received_interference,
-    uplink_rate,
-    user_overhead,
-    validate_profile,
-)
-from offload_game.model import AccessModel, ChannelEnv, cloud_cost_at_rate
+from offload_game import beneficial_threshold, local_overhead, user_overhead
+from offload_game.model import AccessModel, ChannelEnv
+import reference
 from support import never_beneficial_user, random_instance, random_profile, simple_env, simple_user
 
 
 class TestUplinkRate:
     def test_interference_alone_unit_parameters(self):
         env = simple_env(bandwidth_hz=1.0, noise_mw=1.0)
-        rate = uplink_rate(env, [simple_user()], 0, (1,))
+        rate = reference.uplink_rate(env, [simple_user()], 0, (1,))
         assert rate == 1.0  # log2(1 + 1/1)
 
     def test_interference_one_cochannel_interferer(self):
         env = simple_env(bandwidth_hz=1.0, noise_mw=1.0)
         users = [simple_user(), simple_user()]
-        rate = uplink_rate(env, users, 0, (1, 1))
+        rate = reference.uplink_rate(env, users, 0, (1, 1))
         assert rate == pytest.approx(math.log2(1.5), rel=1e-15)
 
     def test_contention_proportional_share(self):
         env = simple_env(channels=1, access=AccessModel.CONTENTION)
         users = [simple_user(peak_rate_bps=10.0), simple_user(), simple_user()]
-        rate = uplink_rate(env, users, 0, (1, 1, 1))
+        rate = reference.uplink_rate(env, users, 0, (1, 1, 1))
         assert rate == pytest.approx(10.0 / 3.0, rel=1e-15)
 
     def test_local_decision_rejected(self):
         env = simple_env()
         with pytest.raises(ValueError):
-            uplink_rate(env, [simple_user()], 0, (0,))
+            reference.uplink_rate(env, [simple_user()], 0, (0,))
 
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_rate_weakly_decreases_when_channel_fills(self, access):
@@ -51,9 +49,9 @@ class TestUplinkRate:
             a[0] = 1
             newcomer = int(rng.integers(1, len(users)))
             a[newcomer] = 0
-            before = uplink_rate(env, users, 0, tuple(a))
+            before = reference.uplink_rate(env, users, 0, tuple(a))
             a[newcomer] = 1
-            after = uplink_rate(env, users, 0, tuple(a))
+            after = reference.uplink_rate(env, users, 0, tuple(a))
             assert after < before  # generator draws strictly positive weights
 
     def test_contention_shares_on_a_channel_sum_to_one(self):
@@ -66,7 +64,7 @@ class TestUplinkRate:
                 if not on:
                     continue
                 shares = sum(
-                    uplink_rate(env, users, n, a) / users[n].peak_rate_bps for n in on
+                    reference.uplink_rate(env, users, n, a) / users[n].peak_rate_bps for n in on
                 )
                 assert shares == pytest.approx(1.0, rel=1e-12)
 
@@ -93,7 +91,7 @@ class TestCloudOverhead:
         env = simple_env(bandwidth_hz=1.0, noise_mw=1.0)
         u = simple_user(input_bits=1.0, task_cycles=1.0, cloud_rate_hz=2.0)
         # alone on the channel the rate is exactly 1, so cost = 1/1 + 0.5
-        assert cloud_overhead(env, [u], 0, (1,)) == 1.5
+        assert reference.cloud_overhead(env, [u], 0, (1,)) == 1.5
 
     def test_energy_only_transmit_plus_tail(self):
         env = simple_env(bandwidth_hz=1.0, noise_mw=1.0)
@@ -102,12 +100,12 @@ class TestCloudOverhead:
             time_weight=0.0, energy_weight=1.0, tail_energy_j=1.0,
         )
         # signal 2*0.5 = 1 over noise 1 gives rate 1; cost = 2*3/1 + 1
-        assert cloud_overhead(env, [u], 0, (1,)) == 7.0
+        assert reference.cloud_overhead(env, [u], 0, (1,)) == 7.0
 
     def test_tail_energy_ignored_at_zero_energy_weight(self):
         env = simple_env(bandwidth_hz=1.0, noise_mw=1.0)
         costs = {
-            cloud_overhead(env, [simple_user(tail_energy_j=tail)], 0, (1,))
+            reference.cloud_overhead(env, [simple_user(tail_energy_j=tail)], 0, (1,))
             for tail in (0.0, 1.0, 123.0)
         }
         assert len(costs) == 1
@@ -115,12 +113,12 @@ class TestCloudOverhead:
     def test_strictly_decreasing_in_rate(self):
         u = simple_user()
         rates = np.linspace(0.2, 10.0, 50)
-        costs = [cloud_cost_at_rate(u, r) for r in rates]
+        costs = [reference.cloud_cost_at_rate(u, r) for r in rates]
         assert all(b < a for a, b in zip(costs, costs[1:]))
 
     def test_local_decision_rejected(self):
         with pytest.raises(ValueError):
-            cloud_overhead(simple_env(), [simple_user()], 0, (0,))
+            reference.cloud_overhead(simple_env(), [simple_user()], 0, (0,))
 
 
 class TestUserOverhead:
@@ -133,7 +131,7 @@ class TestUserOverhead:
         env = simple_env(channels=2)
         users = [simple_user(), simple_user()]
         a = (2, 2)
-        assert user_overhead(env, users, 0, a) == cloud_overhead(env, users, 0, a)
+        assert user_overhead(env, users, 0, a) == reference.cloud_overhead(env, users, 0, a)
 
     def test_all_local_costs_sum_of_local(self):
         rng = np.random.default_rng(7)
@@ -183,8 +181,8 @@ class TestBeneficialThreshold:
             else:
                 other = simple_user(contention_weight=t, peak_rate_bps=1.0)
             pair = [user, other]
-            assert received_interference(env, pair, 0, 1, (1, 1)) == pytest.approx(t, rel=1e-12)
-            assert cloud_overhead(env, pair, 0, (1, 1)) == pytest.approx(
+            assert reference.received_interference(env, pair, 0, 1, (1, 1)) == pytest.approx(t, rel=1e-12)
+            assert reference.cloud_overhead(env, pair, 0, (1, 1)) == pytest.approx(
                 local_overhead(user), rel=1e-9
             )
             checked += 1
@@ -209,25 +207,25 @@ class TestIsBeneficial:
     def test_alone_with_nonnegative_threshold(self):
         env, user = self.exact_boundary_instance()
         assert beneficial_threshold(env, user) == 1.0
-        assert is_beneficial(env, [user], 0, (1,))
+        assert reference.is_beneficial(env, [user], 0, (1,))
 
     def test_never_beneficial_user_on_any_profile(self):
         env = simple_env(channels=2)
         users = [never_beneficial_user(), simple_user()]
         for mine in (1, 2):
             for other in (0, 1, 2):
-                assert not is_beneficial(env, users, 0, (mine, other))
+                assert not reference.is_beneficial(env, users, 0, (mine, other))
 
     def test_boundary_interference_counts_as_beneficial(self):
         env, user = self.exact_boundary_instance()
         pair = [user, simple_user()]  # co-channel weight exactly 1.0 = threshold
-        assert received_interference(env, pair, 0, 1, (1, 1)) == 1.0
-        assert cloud_overhead(env, pair, 0, (1, 1)) == local_overhead(user) == 2.0
-        assert is_beneficial(env, pair, 0, (1, 1))
+        assert reference.received_interference(env, pair, 0, 1, (1, 1)) == 1.0
+        assert reference.cloud_overhead(env, pair, 0, (1, 1)) == local_overhead(user) == 2.0
+        assert reference.is_beneficial(env, pair, 0, (1, 1))
 
     def test_local_decision_rejected(self):
         with pytest.raises(ValueError):
-            is_beneficial(simple_env(), [simple_user()], 0, (0,))
+            reference.is_beneficial(simple_env(), [simple_user()], 0, (0,))
 
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_matches_threshold_test_on_random_instances(self, access):
@@ -240,26 +238,26 @@ class TestIsBeneficial:
             if a[n] == 0:
                 continue
             t = beneficial_threshold(env, users[n])
-            mu = received_interference(env, users, n, a[n], a)
-            assert is_beneficial(env, users, n, a) == (mu <= t + 1e-9 * abs(t))
+            mu = reference.received_interference(env, users, n, a[n], a)
+            assert reference.is_beneficial(env, users, n, a) == (mu <= t + 1e-9 * abs(t))
             checked += 1
 
 
 class TestValidation:
     def test_profile_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            validate_profile(simple_env(), [simple_user()], (0, 1))
+            reference.validate_profile(simple_env(), [simple_user()], (0, 1))
 
     def test_profile_entry_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            validate_profile(simple_env(channels=2), [simple_user()], (3,))
+            reference.validate_profile(simple_env(channels=2), [simple_user()], (3,))
 
     def test_profile_entry_not_int(self):
         with pytest.raises(ValueError, match="not an int"):
-            validate_profile(simple_env(), [simple_user()], (True,))
+            reference.validate_profile(simple_env(), [simple_user()], (True,))
 
     def test_profile_ok(self):
-        assert validate_profile(simple_env(channels=2), [simple_user()] * 3, [0, 1, 2]) == (0, 1, 2)
+        assert reference.validate_profile(simple_env(channels=2), [simple_user()] * 3, [0, 1, 2]) == (0, 1, 2)
 
     def test_user_invariants(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,14 @@
-"""The package namespace is the union of its modules' `__all__` lists."""
+"""The package namespace is the union of its modules' `__all__` lists, and it
+keeps every name the traced benchmark patches."""
 
 import importlib
+import importlib.util
 import pkgutil
+import sys
+from pathlib import Path
 
 import offload_game
+from offload_game.game import ProfileEvaluator
 
 
 def public_modules():
@@ -28,3 +33,26 @@ def test_package_exports_are_unique_and_bound():
     assert len(offload_game.__all__) == len(set(offload_game.__all__))
     for name in offload_game.__all__:
         assert hasattr(offload_game, name), name
+
+
+def bench_span_targets():
+    """The FUNCTIONS and METHODS lists of bench/spans.py, loaded without the bench's runner."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations through sys.modules
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.FUNCTIONS, module.METHODS
+
+
+def test_every_name_the_traced_bench_patches_exists():
+    """A renamed name would otherwise show up only as a missing layer of a traced bench run."""
+    functions, methods = bench_span_targets()
+    assert functions and methods
+    for _, module, name, _ in functions:
+        assert name in vars(importlib.import_module(module)), f"{module}.{name}"
+    for _, name, _ in methods:
+        assert name in vars(ProfileEvaluator), f"ProfileEvaluator.{name}"
