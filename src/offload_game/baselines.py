@@ -16,7 +16,6 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InstanceTooLarge
-from .game import ProfileEvaluator
 from .scenario import Scenario
 
 __all__ = [
@@ -79,7 +78,7 @@ def exhaustive_optimize(
     smallest profile, which the scan order provides for free.
     """
     total = _check_cap(scenario, profile_cap)
-    evaluator = ProfileEvaluator(scenario.channel_env, scenario.user_profiles)
+    evaluator = scenario.evaluator
     maximize = objective is Objective.MAX_BENEFICIAL
     best_profile = None
     best_value = None
@@ -103,7 +102,7 @@ def exhaustive_optimize(
 def enumerate_nash(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> list:
     """All Nash equilibria, in lexicographic order.  Never empty."""
     total = _check_cap(scenario, profile_cap)
-    evaluator = ProfileEvaluator(scenario.channel_env, scenario.user_profiles)
+    evaluator = scenario.evaluator
     found = []
     for chunk in _profile_chunks(scenario.n_users, scenario.channels, total):
         for row in chunk[evaluator.nash_mask(chunk)]:
@@ -147,7 +146,7 @@ def cross_entropy_optimize(
     Deterministic per (scenario, params, seed).
     """
     params = params or CrossEntropyParams()
-    evaluator = ProfileEvaluator(scenario.channel_env, scenario.user_profiles)
+    evaluator = scenario.evaluator
     n_users, n_decisions = scenario.n_users, scenario.channels + 1
     maximize = objective is Objective.MAX_BENEFICIAL
     rng = np.random.default_rng(seed)

@@ -27,17 +27,14 @@ from .baselines import (
     all_local,
     cross_entropy_optimize,
 )
-from .dco import RunReport, run_dco
+from .dco import SEED_LIMIT, RunReport, run_dco
 from .errors import InstanceTooLarge, OffloadGameError, SchemaError
-from .game import ProfileEvaluator
 from .metrics import poa_beneficial, poa_overhead
 from .scenario import GenParams, generate, read_scenario, write_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOO_LARGE = 3
-
-SEED_LIMIT = 2**128  # run_dco keys a Philox stream with the seed
 
 TOOL_META = {"tool": "offload-game", "version": __version__}  # heads config.json and report.json
 
@@ -208,7 +205,7 @@ def cmd_trace(args: argparse.Namespace, out: Path):
 def _sweep_cell(cell) -> dict:
     params, seed = cell
     scenario = generate(params, seed)
-    evaluator = ProfileEvaluator(scenario.channel_env, scenario.user_profiles)
+    evaluator = scenario.evaluator
     report = run_dco(scenario, seed)
     local_cost = float(evaluator.system_overheads([all_local(scenario)])[0])
     random_profile = all_cloud_random(scenario, seed)

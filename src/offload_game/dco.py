@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundInapplicable
-from .game import ProfileEvaluator, _best_responses
+from .errors import BoundInapplicable, SchemaError
+from .game import _best_responses
 from .scenario import Scenario, scenario_fingerprint
 
 __all__ = ["SlotRecord", "RunReport", "run_dco", "convergence_slot_bound"]
+
+SEED_LIMIT = 2**128  # the seed keys a Philox stream, whose key is 128 bits
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,12 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
 
     Deterministic given (scenario, seed): the only randomness is the choice
     among simultaneous update requesters, drawn from a stream keyed by
-    (seed, slot).
+    (seed, slot).  A seed that is not an int in [0, 2**128) raises SchemaError.
     """
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_LIMIT:
+        raise SchemaError("seed", f"expected an integer in [0, 2**128), got {seed!r}")
     n_users = scenario.n_users
-    evaluator = ProfileEvaluator(scenario.channel_env, scenario.user_profiles)
+    evaluator = scenario.evaluator
     profile = np.zeros((1, n_users), dtype=np.int64)
     potential_now = float(evaluator.potential(profile)[0])
     records = []
@@ -132,8 +136,7 @@ def convergence_slot_bound(scenario: Scenario) -> float:
     beneficiality threshold to be a nonnegative integer; otherwise the
     quadratic guarantee does not apply and BoundInapplicable is raised.
     """
-    evaluator = ProfileEvaluator(scenario.channel_env, scenario.user_profiles)
-    weights, thresholds = evaluator.weights.tolist(), evaluator.thresholds.tolist()
+    weights, thresholds = scenario.evaluator.weights.tolist(), scenario.evaluator.thresholds.tolist()
     for name, values in (("weight", weights), ("threshold", thresholds)):
         for i, v in enumerate(values):
             if v < 0 or not float(v).is_integer():

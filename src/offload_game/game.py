@@ -4,8 +4,10 @@ Both access models reduce to the same structure through a per-user access
 weight: transmit power times channel gain under interference, the contention
 weight otherwise.  ProfileEvaluator is the one place rates, costs, channel
 loads and the potential are computed: it precomputes per-user constants so
-that batches of decision profiles can be scored with numpy.  The module-level
-functions are single-profile views of it.
+that batches of decision profiles can be scored with numpy; its cost kernel
+takes co-channel weights with the user axis last.  A scenario builds its
+evaluator once, as `Scenario.evaluator`; the module-level functions are
+single-profile views of it.
 """
 
 from __future__ import annotations
@@ -108,28 +110,24 @@ class ProfileEvaluator:
             loads[:, m - 1] = (batch == m) @ self.weights
         return loads
 
-    def _rates(self, idx: np.ndarray, received: np.ndarray) -> np.ndarray:
-        """Uplink rates for users idx (broadcastable) at the given co-channel weight."""
-        w = self.weights[idx]
-        if self.env.access is AccessModel.INTERFERENCE:
-            return self.env.bandwidth_hz * np.log2(1.0 + w / (self.env.noise_mw + received))
-        return self._peaks[idx] * w / (w + received)
-
-    def _cloud_costs(self, idx: np.ndarray, received: np.ndarray) -> np.ndarray:
-        coeff = self.rate_coeffs[idx]
-        fixed = self.fixed_cloud_costs[idx]
+    def _cloud_costs(self, received: np.ndarray) -> np.ndarray:
+        """Cloud costs at co-channel weights `received`, whose last axis is the user axis."""
+        w, coeff, fixed = self.weights, self.rate_coeffs, self.fixed_cloud_costs
+        # entries a caller discards may be a log2 of a negative number or a 0/0
         with np.errstate(divide="ignore", invalid="ignore"):
-            upload = coeff / self._rates(idx, received)
+            if self.env.access is AccessModel.INTERFERENCE:
+                rates = self.env.bandwidth_hz * np.log2(1.0 + w / (self.env.noise_mw + received))
+            else:
+                rates = self._peaks * w / (w + received)
+            upload = coeff / rates
         return np.where(coeff == 0.0, fixed, upload + fixed)
 
     def overheads(self, profiles) -> np.ndarray:
         """(k, n_users) per-user costs under each profile."""
         batch = self._as_batch(profiles)
         loads = self.channel_loads(batch)
-        cloud = batch > 0
         mu = np.take_along_axis(loads, np.maximum(batch - 1, 0), axis=1) - self.weights
-        idx = np.broadcast_to(np.arange(self.n_users), batch.shape)
-        return np.where(cloud, self._cloud_costs(idx, mu), self.local_costs)
+        return np.where(batch > 0, self._cloud_costs(mu), self.local_costs)
 
     def system_overheads(self, profiles) -> np.ndarray:
         return self.overheads(profiles).sum(axis=1)
@@ -156,13 +154,11 @@ class ProfileEvaluator:
     def candidate_overheads(self, profiles) -> np.ndarray:
         """(k, n_users, channels+1) cost of every unilateral decision per user."""
         batch = self._as_batch(profiles)
-        k = batch.shape[0]
         loads = self.channel_loads(batch)
-        own = batch[:, :, np.newaxis] == np.arange(1, self.channels + 1)
-        mu = loads[:, np.newaxis, :] - self.weights[np.newaxis, :, np.newaxis] * own
-        idx = np.broadcast_to(np.arange(self.n_users)[:, np.newaxis], mu.shape[1:])
-        cloud_costs = self._cloud_costs(np.broadcast_to(idx, mu.shape), mu)
-        out = np.empty((k, self.n_users, self.channels + 1))  # after the temporaries are freed
+        own = batch[:, np.newaxis, :] == np.arange(1, self.channels + 1)[:, np.newaxis]
+        mu = loads[:, :, np.newaxis] - self.weights * own  # (k, channels, n_users)
+        cloud_costs = self._cloud_costs(mu).transpose(0, 2, 1)
+        out = np.empty((len(batch), self.n_users, self.channels + 1))  # once temporaries are freed
         out[:, :, 0] = self.local_costs
         out[:, :, 1:] = cloud_costs
         return out
@@ -204,10 +200,15 @@ class ProfileEvaluator:
         return pair + local
 
 
-def user_overhead(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> float:
-    """Cost user n pays under profile a: local cost if a[n]=0, cloud cost otherwise."""
+def _check_user(users: Sequence[UserProfile], n: int):
+    """Reject a user index outside 0..N-1 rather than let a negative one wrap."""
     if not 0 <= n < len(users):
         raise IndexError(f"user index {n} out of range 0..{len(users) - 1}")
+
+
+def user_overhead(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> float:
+    """Cost user n pays under profile a: local cost if a[n]=0, cloud cost otherwise."""
+    _check_user(users, n)
     return float(ProfileEvaluator(env, users).overheads([a])[0, n])
 
 

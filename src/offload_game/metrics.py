@@ -16,7 +16,7 @@ import numpy as np
 
 from .baselines import DEFAULT_PROFILE_CAP, Objective, enumerate_nash, exhaustive_optimize
 from .errors import ContentionUnsupported
-from .game import ProfileEvaluator, count_beneficial, system_overhead
+from .game import ProfileEvaluator, _check_user, count_beneficial, system_overhead
 from .model import AccessModel, ChannelEnv, UserProfile, local_overhead
 from .scenario import Scenario
 
@@ -42,9 +42,8 @@ class PoaReport:
     threshold_min: float | None
 
 
-def _instance_extremes(env: ChannelEnv, users: Sequence[UserProfile]):
-    evaluator = ProfileEvaluator(env, users)
-    weights, thresholds = evaluator.weights.tolist(), evaluator.thresholds.tolist()
+def _instance_extremes(scenario: Scenario):
+    weights, thresholds = scenario.evaluator.weights.tolist(), scenario.evaluator.thresholds.tolist()
     if not all(math.isfinite(t) for t in thresholds):
         t_max = t_min = None
     else:
@@ -65,7 +64,7 @@ def poa_beneficial(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -
     worst = min(count_beneficial(env, users, a) for a in equilibria)
     _, optimum = exhaustive_optimize(scenario, Objective.MAX_BENEFICIAL, profile_cap)
     ratio = 1.0 if optimum == 0 else worst / optimum
-    q_max, q_min, t_max, t_min = _instance_extremes(env, users)
+    q_max, q_min, t_max, t_min = _instance_extremes(scenario)
     bound_low = None
     if t_min is not None and t_min >= 0.0 and q_min > 0.0:
         bound_low = math.floor(t_min / q_max) / (math.floor(t_max / q_min) + 1.0)
@@ -107,7 +106,7 @@ def poa_overhead(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> 
             numerator += min(k_local, k_max)
             denominator += min(k_local, k_min)
         bound_high = numerator / denominator if denominator > 0 else None
-    q_max, q_min, t_max, t_min = _instance_extremes(env, users)
+    q_max, q_min, t_max, t_min = _instance_extremes(scenario)
     return PoaReport(
         metric=SYSTEM_OVERHEAD,
         worst_equilibrium=worst,
@@ -131,7 +130,8 @@ def k_cloud_extremes(env: ChannelEnv, users: Sequence[UserProfile], n: int) -> t
     """
     if env.access is not AccessModel.INTERFERENCE:
         raise ContentionUnsupported("cloud-cost extremes are defined for the interference model")
+    _check_user(users, n)
     evaluator = ProfileEvaluator(env, users)
     others = sum(w for i, w in enumerate(evaluator.weights.tolist()) if i != n)
-    best, worst = evaluator._cloud_costs(np.array([n, n]), np.array([0.0, others / env.channels]))
+    best, worst = evaluator._cloud_costs(np.array([[0.0], [others / env.channels]]))[:, n]
     return float(best), float(worst)

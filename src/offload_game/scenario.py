@@ -2,9 +2,9 @@
 
 A scenario document keeps the user-facing units (KB, Megacycles, GHz, dBm)
 and is the source of truth; conversion to the internal model units happens
-once in `Scenario.user_profiles` / `Scenario.channel_env`.  Loading a
-document and saving it back reproduces it bit-exactly, so fingerprints of
-stored scenarios are stable.
+once in `Scenario.user_profiles` / `Scenario.channel_env`, and its cost
+evaluator is built once, in `Scenario.evaluator`.  Loading a document and
+saving it back reproduces it bit-exactly, so fingerprints are stable.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import SchemaError
+from .game import ProfileEvaluator
 from .model import AccessModel, ChannelEnv, UserProfile, access_weight
 
 __all__ = [
@@ -152,6 +153,11 @@ class Scenario:
     @cached_property
     def user_profiles(self) -> tuple:
         return tuple(self._user_profile(u, f"users[{i}]") for i, u in enumerate(self.users))
+
+    @cached_property
+    def evaluator(self) -> ProfileEvaluator:
+        """Built once and shared: the evaluator is read-only and the scenario frozen."""
+        return ProfileEvaluator(self.channel_env, self.user_profiles)
 
     def _user_profile(self, u: ScenarioUser, path: str) -> UserProfile:
         if self.access_model is AccessModel.CONTENTION and not u.R_bps > 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from offload_game.game import _best_responses, _clamped
+from offload_game.game import BEST_RESPONSE_ATOL
 from offload_game.model import (
     LOCAL,
     AccessModel,
@@ -107,6 +107,26 @@ def is_beneficial(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequ
 # game layer
 
 
+def clamped_thresholds(env: ChannelEnv, users: Sequence[UserProfile]) -> list:
+    """The beneficiality thresholds with the finite stand-ins the potential uses.
+
+    -inf (never beneficial) becomes 0 and +inf becomes twice the total access
+    weight of the instance.
+    """
+    total = 0.0
+    for u in users:
+        total += access_weight(env, u)
+    out = []
+    for u in users:
+        t = beneficial_threshold(env, u)
+        if t == -math.inf:
+            t = 0.0
+        elif t == math.inf:
+            t = 2.0 * total
+        out.append(t)
+    return out
+
+
 def channel_load(env: ChannelEnv, users: Sequence[UserProfile], m: int, a: Sequence[int]) -> float:
     """Total access weight currently on channel m (what the base-station measures)."""
     if not 1 <= m <= env.channels:
@@ -135,7 +155,7 @@ def potential(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -
     user's weight times its beneficiality threshold.
     """
     weights = [access_weight(env, u) for u in users]
-    thresholds = _clamped([beneficial_threshold(env, u) for u in users], weights)
+    thresholds = clamped_thresholds(env, users)
     pair_term = 0.0
     for m in range(1, env.channels + 1):
         total = 0.0
@@ -166,7 +186,14 @@ def best_response_set(
     for decision in range(env.channels + 1):
         scratch[n] = decision
         candidates.append(user_overhead(env, users, n, scratch))
-    return frozenset(_best_responses(candidates, candidates[a[n]]))
+    best = candidates[0]
+    for cost in candidates:
+        if cost < best:
+            best = cost
+    current = candidates[a[n]]
+    return frozenset(
+        d for d, cost in enumerate(candidates) if cost - best <= BEST_RESPONSE_ATOL and cost < current
+    )
 
 
 def is_nash(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from offload_game import (
     BoundInapplicable,
     GenParams,
+    SchemaError,
     generate,
     run_dco,
     scenario_fingerprint,
@@ -59,6 +60,19 @@ class TestRunDco:
         assert first.profile == (0,) and first.updater == 0 and first.new_decision == 1
         assert last.profile == (1,) and last.rtu_senders == ()
         assert report.beneficial_count == 1
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, 2**128, None])
+    def test_bad_seed_rejected_before_slot_0(self, seed):
+        """On a scenario where nobody moves as well as on one where somebody does."""
+        moves = small_paper_scenario(1, 1, seed=3, time_only=True)
+        for scenario in (all_never_beneficial_scenario(), moves):
+            with pytest.raises(SchemaError) as excinfo:
+                run_dco(scenario, seed)
+            assert excinfo.value.path == "seed"
+
+    def test_largest_seed_runs(self):
+        report = run_dco(small_paper_scenario(1, 1, seed=3, time_only=True), 2**128 - 1)
+        assert report.seed == 2**128 - 1 and report.update_slots == 1
 
     def test_replay_is_bit_identical(self):
         scenario = small_paper_scenario(8, 3, seed=21)

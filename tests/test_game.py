@@ -321,18 +321,36 @@ class TestProfileEvaluator:
                 assert phis[k] == pytest.approx(reference.potential(env, users, a), rel=1e-12, abs=1e-15)
 
     def test_candidate_costs_match_unilateral_rewrites(self):
+        """Entry (k, n, d) is user n's cost once profile k is rewritten to a[n] = d.
+
+        Batches of several profiles with N != M under both access models, so
+        a swapped axis cannot pass.  The entries for staying put share the
+        batch's channel loads with `overheads` and match it exactly.  A
+        rewritten profile's loads are summed afresh, and (load + w) - w can
+        round differently, so the other entries match within rounding.
+        """
         rng = np.random.default_rng(20)
-        env, users = random_instance(rng)
-        evaluator = ProfileEvaluator(env, users)
-        a = random_profile(rng, env, users)
-        cand = evaluator.candidate_overheads([a])[0]
-        for n in range(len(users)):
-            for d in range(env.channels + 1):
-                b = list(a)
-                b[n] = d
-                assert cand[n, d] == pytest.approx(
-                    reference.user_overhead(env, users, n, tuple(b)), rel=1e-12
-                )
+        for access, _ in itertools.product(AccessModel, range(20)):
+            env, users = random_instance(rng, access=access, n_range=(5, 8), m_range=(1, 5))
+            if access is AccessModel.CONTENTION:  # a user whose upload costs nothing
+                users[0] = replace(users[0], time_weight=0.0, energy_weight=0.5, transmit_power_mw=0.0)
+            evaluator = ProfileEvaluator(env, users)
+            batch = np.array([random_profile(rng, env, users) for _ in range(3)])
+            cand = evaluator.candidate_overheads(batch)
+            assert cand.shape == (3, len(users), env.channels + 1)
+            current = np.take_along_axis(cand, batch[:, :, np.newaxis], axis=2)[:, :, 0]
+            assert current.tolist() == evaluator.overheads(batch).tolist()
+            for k, a in enumerate(batch.tolist()):
+                for n in range(len(users)):
+                    for d in range(env.channels + 1):
+                        b = list(a)
+                        b[n] = d
+                        assert cand[k, n, d] == pytest.approx(
+                            evaluator.overheads([b])[0, n], rel=1e-12
+                        )
+                        assert cand[k, n, d] == pytest.approx(
+                            reference.user_overhead(env, users, n, tuple(b)), rel=1e-12
+                        )
 
     def test_repair_sends_exactly_the_losing_offloaders_local(self):
         rng = np.random.default_rng(21)

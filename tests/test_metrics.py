@@ -7,10 +7,12 @@ import pytest
 
 from offload_game import (
     ContentionUnsupported,
+    GenParams,
     Objective,
     access_weight,
     enumerate_nash,
     exhaustive_optimize,
+    generate,
     k_cloud_extremes,
     local_overhead,
     poa_beneficial,
@@ -149,6 +151,14 @@ class TestCloudCostExtremes:
                     _, k_max = k_cloud_extremes(env, users, n)
                     cap = min(local_overhead(users[n]), k_max)
                     assert reference.cloud_overhead(env, users, n, a) <= cap + 1e-9 * cap
+
+    def test_rejects_user_index_out_of_range(self):
+        """-1 must not wrap to the last user, whose own weight would stay in the others' sum."""
+        scenario = generate(GenParams(n_users=4, channels=2), 1)
+        env, users = scenario.channel_env, scenario.user_profiles
+        for n in (-1, len(users)):
+            with pytest.raises(IndexError):
+                k_cloud_extremes(env, users, n)
 
     def test_contention_unsupported(self):
         users = (contention_user_with_threshold(2, 1),)

@@ -6,18 +6,27 @@ import numpy as np
 import pytest
 
 from offload_game import (
+    CrossEntropyParams,
     GenParams,
+    Objective,
+    ProfileEvaluator,
     SchemaError,
     access_weight,
+    convergence_slot_bound,
+    cross_entropy_optimize,
+    enumerate_nash,
+    exhaustive_optimize,
     generate,
     load_scenario,
     read_scenario,
+    run_dco,
     save_scenario,
     scenario_fingerprint,
     write_scenario,
 )
 from offload_game.model import AccessModel
 from offload_game.scenario import dbm_to_mw
+from support import integer_contention_scenario
 
 
 def minimal_doc():
@@ -197,6 +206,26 @@ class TestDocuments:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(SchemaError):
             read_scenario(path)
+
+
+def test_scenario_builds_one_evaluator(monkeypatch):
+    """The simulation, the bound and every baseline share `Scenario.evaluator`."""
+    built = []
+    init = ProfileEvaluator.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(ProfileEvaluator, "__init__", counting_init)
+    scenario = integer_contention_scenario(5, 2, seed=1)
+    run_dco(scenario, 0)
+    convergence_slot_bound(scenario)
+    enumerate_nash(scenario)
+    for objective in Objective:
+        exhaustive_optimize(scenario, objective)
+    cross_entropy_optimize(scenario, Objective.MIN_OVERHEAD, CrossEntropyParams(iterations=2))
+    assert built == [scenario.evaluator]
 
 
 class TestDistanceGainExample:
