@@ -16,7 +16,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InstanceTooLarge
-from .scenario import Scenario
+from .model import _check_count
+from .scenario import Scenario, _check_seed
 
 __all__ = [
     "Objective",
@@ -45,6 +46,7 @@ def all_local(scenario: Scenario) -> tuple:
 
 def all_cloud_random(scenario: Scenario, seed: int) -> tuple:
     """Everyone offloads via an independently, uniformly drawn channel."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     return tuple(int(c) for c in rng.integers(1, scenario.channels + 1, scenario.n_users))
 
@@ -120,6 +122,8 @@ class CrossEntropyParams:
     iterations: int = 100
 
     def __post_init__(self):
+        _check_count("samples", self.samples)
+        _check_count("iterations", self.iterations)
         if self.samples < 1 or self.iterations < 1:
             raise ValueError("samples and iterations must be >= 1")
         if not 0.0 < self.elite_fraction <= 1.0:
@@ -143,8 +147,10 @@ def cross_entropy_optimize(
     MAX_BENEFICIAL samples feasible; for MIN_OVERHEAD it is a strict
     point-wise improvement (a losing offloader's own cost drops and its
     co-channel users only gain), so no optimum is ever repaired away.
-    Deterministic per (scenario, params, seed).
+    Deterministic per (scenario, params, seed); a seed that is not an int in
+    [0, 2**128) raises SchemaError.
     """
+    _check_seed(seed)
     params = params or CrossEntropyParams()
     evaluator = scenario.evaluator
     n_users, n_decisions = scenario.n_users, scenario.channels + 1

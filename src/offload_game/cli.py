@@ -27,21 +27,16 @@ from .baselines import (
     all_local,
     cross_entropy_optimize,
 )
-from .dco import SEED_LIMIT, RunReport, run_dco
+from .dco import RunReport, run_dco
 from .errors import InstanceTooLarge, OffloadGameError, SchemaError
 from .metrics import poa_beneficial, poa_overhead
-from .scenario import GenParams, generate, read_scenario, write_scenario
+from .scenario import SEED_LIMIT, GenParams, generate, read_scenario, write_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOO_LARGE = 3
 
 TOOL_META = {"tool": "offload-game", "version": __version__}  # heads config.json and report.json
-
-_OBJECTIVES = {
-    "max-beneficial": Objective.MAX_BENEFICIAL,
-    "min-overhead": Objective.MIN_OVERHEAD,
-}
 
 
 def _float_list(text: str) -> tuple:
@@ -315,7 +310,7 @@ def cmd_poa(args: argparse.Namespace, out: Path):
 
 def cmd_ce(args: argparse.Namespace, out: Path):
     scenario = read_scenario(args.scenario)
-    objective = _OBJECTIVES[args.objective]
+    objective = Objective(args.objective.replace("-", "_"))
     ce_params = _from_fields(args, CrossEntropyParams, "ce flags", prefix="ce_")
     profile, value = cross_entropy_optimize(scenario, objective, ce_params, args.seed)
     write_scenario(out / "scenario.json", scenario)
@@ -381,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ce = sub.add_parser("ce", help="cross-entropy optimization of one scenario")
     ce.add_argument("--scenario", type=Path, required=True)
-    ce.add_argument("--objective", choices=sorted(_OBJECTIVES), required=True)
+    objectives = [o.value.replace("_", "-") for o in Objective]
+    ce.add_argument("--objective", choices=objectives, required=True)
     ce.add_argument("--seed", type=_seed, default=0)
     _add_fields(ce, CrossEntropyParams, prefix="ce_")
     ce.add_argument("--out", type=Path, default=None)

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundInapplicable, SchemaError
+from .errors import BoundInapplicable
 from .game import _best_responses
-from .scenario import Scenario, scenario_fingerprint
+from .scenario import Scenario, _check_seed, scenario_fingerprint
 
 __all__ = ["SlotRecord", "RunReport", "run_dco", "convergence_slot_bound"]
-
-SEED_LIMIT = 2**128  # the seed keys a Philox stream, whose key is 128 bits
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,7 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
     among simultaneous update requesters, drawn from a stream keyed by
     (seed, slot).  A seed that is not an int in [0, 2**128) raises SchemaError.
     """
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_LIMIT:
-        raise SchemaError("seed", f"expected an integer in [0, 2**128), got {seed!r}")
+    _check_seed(seed)
     n_users = scenario.n_users
     evaluator = scenario.evaluator
     profile = np.zeros((1, n_users), dtype=np.int64)

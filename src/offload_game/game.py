@@ -5,9 +5,10 @@ weight: transmit power times channel gain under interference, the contention
 weight otherwise.  ProfileEvaluator is the one place rates, costs, channel
 loads and the potential are computed: it precomputes per-user constants so
 that batches of decision profiles can be scored with numpy; its cost kernel
-takes co-channel weights with the user axis last.  A scenario builds its
-evaluator once, as `Scenario.evaluator`; the module-level functions are
-single-profile views of it.
+takes co-channel weights with the user axis last, and it also gives each
+user's best- and worst-case cloud cost for the price-of-anarchy overhead
+bound.  A scenario builds its evaluator once, as `Scenario.evaluator`; the
+module-level functions are single-profile views of it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ContentionUnsupported
 from .model import (
     LOCAL,
     AccessModel,
@@ -122,6 +124,20 @@ class ProfileEvaluator:
             upload = coeff / rates
         return np.where(coeff == 0.0, fixed, upload + fixed)
 
+    def cloud_cost_extremes(self) -> np.ndarray:
+        """(2, n_users) best- and worst-case cloud cost per user, interference model only.
+
+        Row 0: the user has its channel to itself.  Row 1: it faces the
+        average co-channel weight, the total weight of everyone else spread
+        over the channel count, which no equilibrium exceeds.
+        """
+        if self.env.access is not AccessModel.INTERFERENCE:
+            raise ContentionUnsupported("cloud-cost extremes are defined for the interference model")
+        weights = self.weights.tolist()
+        # everyone else summed in user order, not total - w_n, which rounds differently
+        others = [sum(w for i, w in enumerate(weights) if i != n) for n in range(self.n_users)]
+        return self._cloud_costs(np.stack([np.zeros(self.n_users), np.array(others) / self.channels]))
+
     def overheads(self, profiles) -> np.ndarray:
         """(k, n_users) per-user costs under each profile."""
         batch = self._as_batch(profiles)
@@ -200,15 +216,10 @@ class ProfileEvaluator:
         return pair + local
 
 
-def _check_user(users: Sequence[UserProfile], n: int):
-    """Reject a user index outside 0..N-1 rather than let a negative one wrap."""
-    if not 0 <= n < len(users):
-        raise IndexError(f"user index {n} out of range 0..{len(users) - 1}")
-
-
 def user_overhead(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> float:
     """Cost user n pays under profile a: local cost if a[n]=0, cloud cost otherwise."""
-    _check_user(users, n)
+    if not 0 <= n < len(users):  # a negative index would wrap
+        raise IndexError(f"user index {n} out of range 0..{len(users) - 1}")
     return float(ProfileEvaluator(env, users).overheads([a])[0, n])
 
 

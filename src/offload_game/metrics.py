@@ -3,24 +3,22 @@
 Both ratios come from full Nash enumeration against the exhaustive optimum,
 so they are only computed on instances small enough to enumerate.  The
 analytic bounds attach when their preconditions hold and are reported as
-None otherwise; the measured ratio is always reported.
+None otherwise; the measured ratio is always reported.  The bounds read
+their per-user weights, thresholds, local costs and cloud-cost extremes from
+`Scenario.evaluator`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from .baselines import DEFAULT_PROFILE_CAP, Objective, enumerate_nash, exhaustive_optimize
-from .errors import ContentionUnsupported
-from .game import ProfileEvaluator, _check_user, count_beneficial, system_overhead
-from .model import AccessModel, ChannelEnv, UserProfile, local_overhead
+from .game import count_beneficial, system_overhead
+from .model import AccessModel
 from .scenario import Scenario
 
-__all__ = ["PoaReport", "poa_beneficial", "poa_overhead", "k_cloud_extremes"]
+__all__ = ["PoaReport", "poa_beneficial", "poa_overhead"]
 
 BENEFICIAL_USERS = "beneficial_users"
 SYSTEM_OVERHEAD = "system_overhead"
@@ -98,13 +96,10 @@ def poa_overhead(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> 
     ratio = 1.0 if worst == optimum else worst / optimum
     bound_high = None
     if env.access is AccessModel.INTERFERENCE:
-        numerator = 0.0
-        denominator = 0.0
-        for n, u in enumerate(users):
-            k_min, k_max = k_cloud_extremes(env, users, n)
-            k_local = local_overhead(u)
-            numerator += min(k_local, k_max)
-            denominator += min(k_local, k_min)
+        k_min, k_max = scenario.evaluator.cloud_cost_extremes().tolist()
+        local = scenario.evaluator.local_costs.tolist()
+        numerator = sum(min(k_local, k) for k_local, k in zip(local, k_max))
+        denominator = sum(min(k_local, k) for k_local, k in zip(local, k_min))
         bound_high = numerator / denominator if denominator > 0 else None
     q_max, q_min, t_max, t_min = _instance_extremes(scenario)
     return PoaReport(
@@ -119,19 +114,3 @@ def poa_overhead(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> 
         threshold_max=t_max,
         threshold_min=t_min,
     )
-
-
-def k_cloud_extremes(env: ChannelEnv, users: Sequence[UserProfile], n: int) -> tuple:
-    """Best- and worst-case offloading cost for user n over all profiles.
-
-    Best case: the user has its channel to itself.  Worst case: it faces the
-    average co-channel weight, total weight of everyone else spread over the
-    channel count, which no equilibrium exceeds.  Interference model only.
-    """
-    if env.access is not AccessModel.INTERFERENCE:
-        raise ContentionUnsupported("cloud-cost extremes are defined for the interference model")
-    _check_user(users, n)
-    evaluator = ProfileEvaluator(env, users)
-    others = sum(w for i, w in enumerate(evaluator.weights.tolist()) if i != n)
-    best, worst = evaluator._cloud_costs(np.array([[0.0], [others / env.channels]]))[:, n]
-    return float(best), float(worst)

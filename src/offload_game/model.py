@@ -27,6 +27,12 @@ __all__ = [
 LOCAL = 0  # decision value for on-device computing
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an int; a bool or an integral float is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class AccessModel(Enum):
     """How co-channel users degrade each other's uplink."""
 
@@ -86,8 +92,11 @@ class ChannelEnv:
     access: AccessModel = AccessModel.INTERFERENCE
 
     def __post_init__(self):
+        _check_count("channel count", self.channels)
         if self.channels < 1:
             raise ValueError("channel count must be >= 1")
+        if not isinstance(self.access, AccessModel):
+            raise ValueError(f"access must be an AccessModel, got {self.access!r}")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth must be > 0")
         if self.access is AccessModel.INTERFERENCE and self.noise_mw <= 0:

@@ -21,7 +21,7 @@ import numpy as np
 from ._version import __version__
 from .errors import SchemaError
 from .game import ProfileEvaluator
-from .model import AccessModel, ChannelEnv, UserProfile, access_weight
+from .model import AccessModel, ChannelEnv, UserProfile, _check_count, access_weight
 
 __all__ = [
     "GenParams",
@@ -39,6 +39,8 @@ BITS_PER_KB = 8e3
 CYCLES_PER_MEGACYCLE = 1e6
 HZ_PER_GHZ = 1e9
 
+SEED_LIMIT = 2**128  # seeds key numpy streams; run_dco's Philox key is 128 bits
+
 # Users are never placed closer than this to the base-station; an exact hit
 # would make the path-gain model blow up.
 MIN_DISTANCE_M = 1.0
@@ -46,6 +48,12 @@ MIN_DISTANCE_M = 1.0
 
 def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
+
+
+def _check_seed(seed) -> None:
+    """The seed rule of every seeded entry point: an int (not a bool) in [0, 2**128)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_LIMIT:
+        raise SchemaError("seed", f"expected an integer in [0, 2**128), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,10 @@ class GenParams:
     contention_peak_rate_bps: float = 100e6
 
     def __post_init__(self):
+        _check_count("n_users", self.n_users)
+        _check_count("channels", self.channels)
+        if not isinstance(self.access_model, AccessModel):
+            raise ValueError(f"access_model must be an AccessModel, got {self.access_model!r}")
         if self.n_users < 1 or self.channels < 1:
             raise ValueError("need at least one user and one channel")
         if self.cell_radius_m <= 0 or self.path_loss_exponent <= 0:
@@ -202,8 +214,10 @@ def generate(params: GenParams, seed: int) -> Scenario:
 
     Placement only matters through the distance to the base-station, so the
     radial coordinate is sampled directly with the sqrt transform that makes
-    the placement uniform over the disk.  Deterministic per (params, seed).
+    the placement uniform over the disk.  Deterministic per (params, seed); a
+    seed that is not an int in [0, 2**128) raises SchemaError.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     n = params.n_users
     distances = np.maximum(MIN_DISTANCE_M, params.cell_radius_m * np.sqrt(rng.random(n)))

@@ -197,3 +197,13 @@ class TestCrossEntropy:
             CrossEntropyParams(elite_fraction=0.0)
         with pytest.raises(ValueError):
             CrossEntropyParams(smoothing=1.5)
+
+    @pytest.mark.parametrize("overrides", [
+        {"samples": 2.5},
+        {"samples": True},
+        {"iterations": 3.0},
+        {"iterations": True},
+    ])
+    def test_rejects_non_integer_counts(self, overrides):
+        with pytest.raises(ValueError):
+            CrossEntropyParams(**overrides)

@@ -7,13 +7,11 @@ import pytest
 
 from offload_game import (
     ContentionUnsupported,
-    GenParams,
     Objective,
+    ProfileEvaluator,
     access_weight,
     enumerate_nash,
     exhaustive_optimize,
-    generate,
-    k_cloud_extremes,
     local_overhead,
     poa_beneficial,
     poa_overhead,
@@ -23,6 +21,7 @@ import reference
 from support import (
     contention_scenario_from_users,
     contention_user_with_threshold,
+    random_instance,
     simple_env,
     simple_user,
     small_paper_scenario,
@@ -98,12 +97,12 @@ class TestPoaOverhead:
         k_maxes = []
         for m in (1, 2, 4, 8, 10**9):
             env = simple_env(channels=m, bandwidth_hz=1.0, noise_mw=0.25)
-            k_min, k_max = k_cloud_extremes(env, users, 0)
+            k_min, k_max = ProfileEvaluator(env, users).cloud_cost_extremes()[:, 0]
             k_maxes.append(k_max)
             assert k_max >= k_min
         assert all(b < a for a, b in zip(k_maxes, k_maxes[1:]))
         env = simple_env(channels=10**9, bandwidth_hz=1.0, noise_mw=0.25)
-        k_min, k_max = k_cloud_extremes(env, users, 0)
+        k_min, k_max = ProfileEvaluator(env, users).cloud_cost_extremes()[:, 0]
         assert k_max == pytest.approx(k_min, rel=1e-6)
 
     def test_no_bound_under_contention(self):
@@ -120,17 +119,32 @@ class TestCloudCostExtremes:
     def test_single_user_extremes_coincide(self):
         scenario = small_paper_scenario(1, 3, seed=4)
         env, users = scenario.channel_env, scenario.user_profiles
-        k_min, k_max = k_cloud_extremes(env, users, 0)
+        k_min, k_max = ProfileEvaluator(env, users).cloud_cost_extremes()[:, 0]
         assert k_min == k_max
+
+    def test_rows_match_the_oracle_on_random_interference_instances(self):
+        rng = np.random.default_rng(44)
+        for _ in range(40):
+            env, users = random_instance(rng, n_range=(1, 9), m_range=(1, 5))
+            extremes = ProfileEvaluator(env, users).cloud_cost_extremes()
+            assert extremes.shape == (2, len(users))
+            for n, u in enumerate(users):
+                others = 0.0
+                for i, other in enumerate(users):
+                    if i != n:
+                        others += access_weight(env, other)
+                for row, mu in enumerate((0.0, others / env.channels)):
+                    expected = reference.cloud_cost_at_rate(u, reference.rate_at(env, u, mu))
+                    assert extremes[row, n] == pytest.approx(expected, rel=1e-12)
 
     def test_lower_envelope_of_all_profiles(self):
         scenario = small_paper_scenario(4, 2, seed=13)
         env, users = scenario.channel_env, scenario.user_profiles
+        k_min = ProfileEvaluator(env, users).cloud_cost_extremes()[0]
         for n in range(len(users)):
-            k_min, _ = k_cloud_extremes(env, users, n)
             for a in itertools.product(range(env.channels + 1), repeat=len(users)):
                 if a[n] > 0:
-                    assert reference.cloud_overhead(env, users, n, a) >= k_min - 1e-12
+                    assert reference.cloud_overhead(env, users, n, a) >= k_min[n] - 1e-12
 
     def test_equilibrium_interference_and_cost_caps(self):
         rng = np.random.default_rng(43)
@@ -139,6 +153,7 @@ class TestCloudCostExtremes:
                 int(rng.integers(2, 6)), int(rng.integers(1, 4)), seed=260 + i
             )
             env, users = scenario.channel_env, scenario.user_profiles
+            k_max = ProfileEvaluator(env, users).cloud_cost_extremes()[1]
             for a in enumerate_nash(scenario):
                 for n in range(len(users)):
                     if a[n] == 0:
@@ -148,23 +163,14 @@ class TestCloudCostExtremes:
                     ) / env.channels
                     mu = reference.received_interference(env, users, n, a[n], a)
                     assert mu <= spread + 1e-12
-                    _, k_max = k_cloud_extremes(env, users, n)
-                    cap = min(local_overhead(users[n]), k_max)
+                    cap = min(local_overhead(users[n]), k_max[n])
                     assert reference.cloud_overhead(env, users, n, a) <= cap + 1e-9 * cap
-
-    def test_rejects_user_index_out_of_range(self):
-        """-1 must not wrap to the last user, whose own weight would stay in the others' sum."""
-        scenario = generate(GenParams(n_users=4, channels=2), 1)
-        env, users = scenario.channel_env, scenario.user_profiles
-        for n in (-1, len(users)):
-            with pytest.raises(IndexError):
-                k_cloud_extremes(env, users, n)
 
     def test_contention_unsupported(self):
         users = (contention_user_with_threshold(2, 1),)
         scenario = contention_scenario_from_users(users, channels=1)
         with pytest.raises(ContentionUnsupported):
-            k_cloud_extremes(scenario.channel_env, scenario.user_profiles, 0)
+            ProfileEvaluator(scenario.channel_env, scenario.user_profiles).cloud_cost_extremes()
 
 
 class TestReportConsistency:

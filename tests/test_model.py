@@ -276,3 +276,13 @@ class TestValidation:
             ChannelEnv(channels=1, bandwidth_hz=1.0, noise_mw=0.0)
         # the noise floor only matters under the interference model
         ChannelEnv(channels=1, bandwidth_hz=1.0, noise_mw=0.0, access=AccessModel.CONTENTION)
+
+    @pytest.mark.parametrize("overrides", [
+        {"channels": 2.0},
+        {"channels": True},
+        {"access": "interference"},
+        {"access": "contention"},
+    ])
+    def test_env_rejects_mistyped_fields(self, overrides):
+        with pytest.raises(ValueError):
+            ChannelEnv(**{"channels": 2, "bandwidth_hz": 1.0, **overrides})

@@ -1,5 +1,6 @@
 """Scenario generation and document round-trip tests."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -114,6 +115,19 @@ class TestGenerate:
         with pytest.raises(ValueError, match="finite"):
             GenParams(**overrides)
 
+    @pytest.mark.parametrize("overrides", [
+        {"access_model": "interference"},
+        {"access_model": "contention"},
+        {"channels": 2.0},
+        {"channels": True},
+        {"n_users": True},
+        {"n_users": 3.0},
+    ])
+    def test_mistyped_params_rejected(self, overrides):
+        """A string access model would get the contention formulas; a float count a new fingerprint."""
+        with pytest.raises(ValueError):
+            GenParams(**overrides)
+
 
 class TestDocuments:
     def test_round_trip_from_generated(self):
@@ -187,6 +201,17 @@ class TestDocuments:
             with pytest.raises(SchemaError) as info:
                 load_scenario(doc)
             assert info.value.path == path
+
+    @pytest.mark.parametrize("overrides", [
+        {"access_model": "interference"},
+        {"access_model": "contention"},
+        {"channels": 2.0},
+        {"channels": True},
+    ])
+    def test_mistyped_env_fields_are_schema_errors(self, overrides):
+        with pytest.raises(SchemaError) as info:
+            dataclasses.replace(load_scenario(minimal_doc()), **overrides)
+        assert info.value.path == "env"
 
     def test_fingerprint_stable_and_content_sensitive(self):
         scenario = generate(GenParams(n_users=3), 2)
