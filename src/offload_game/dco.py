@@ -7,6 +7,12 @@ a strictly improving decision request an update, the coordinator grants it
 to exactly one of them at random, and that user adopts its best response.
 The run ends on the first slot with no update requests, which is exactly a
 Nash equilibrium of the underlying game.
+
+As in the paper's protocol, one user moves per slot, so the simulation keeps
+the per-channel loads and potential terms between slots and refreshes only
+the two channels a move touches; each user is costed on its own channel and
+on the least-loaded one.  A slot then costs O(N + M), and every SlotRecord
+has the bits a full rescoring of the profile would give.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundInapplicable
-from .game import _best_responses
+from .game import ProfileEvaluator, _best_responses
 from .scenario import Scenario, _check_seed, scenario_fingerprint
 
 __all__ = ["SlotRecord", "RunReport", "run_dco", "convergence_slot_bound"]
@@ -72,36 +78,66 @@ def _slot_rng(seed: int, slot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=slot))
 
 
+def _slot_costs(evaluator: ProfileEvaluator, decisions: np.ndarray, loads: np.ndarray) -> tuple:
+    """(current, best): each user's cost and its cheapest unilateral cost, as (n_users,) arrays.
+
+    `decisions` is the profile and `loads` its (channels,) channel loads.  A
+    cloud cost never decreases as μ grows, so besides local a user's cheapest
+    decision is its own channel (μ = load − w) or the least-loaded channel
+    (μ = load): two cloud costs per user, not one per channel.  For a user on
+    the least-loaded channel, or on the only one, the second is its own
+    channel at μ = load, which never costs less than staying, so it never
+    wins; every other channel is at least as loaded.
+    """
+    own_cost = evaluator._cloud_costs(loads[decisions - 1] - evaluator.weights)
+    current = np.where(decisions > 0, own_cost, evaluator.local_costs)
+    lightest_cost = evaluator._cloud_costs(loads.min())
+    return current, np.minimum(np.minimum(evaluator.local_costs, current), lightest_cost)
+
+
+def _cost_row(evaluator: ProfileEvaluator, decisions: np.ndarray, loads: np.ndarray, user: int) -> list:
+    """`user`'s cost at every decision 0..channels, the others' decisions held fixed."""
+    mu = loads.copy()
+    if decisions[user] > 0:
+        mu[decisions[user] - 1] -= evaluator.weights[user]
+    return [float(evaluator.local_costs[user])] + evaluator._cloud_costs(mu, user).tolist()
+
+
 def run_dco(scenario: Scenario, seed: int) -> RunReport:
     """Run the slotted update process from the all-local profile to equilibrium.
 
     Deterministic given (scenario, seed): the only randomness is the choice
     among simultaneous update requesters, drawn from a stream keyed by
     (seed, slot).  A seed that is not an int in [0, 2**128) raises SchemaError.
+
+    The per-channel loads and potential pair terms are kept between slots and
+    recomputed only for the two channels a move touches, so a slot costs
+    O(N + M) rather than O(N·M), with the same bits as scoring the whole
+    profile afresh.
     """
     _check_seed(seed)
-    n_users = scenario.n_users
     evaluator = scenario.evaluator
-    profile = np.zeros((1, n_users), dtype=np.int64)
-    potential_now = float(evaluator.potential(profile)[0])
+    profile = np.zeros((1, scenario.n_users), dtype=np.int64)
+    decisions = profile[0]
+    loads, pair_terms = evaluator._channel_terms(profile, range(1, evaluator.channels + 1))
+    load = loads[:, 0]  # a view, so it follows every refresh of `loads`
     records = []
     for slot in itertools.count():
-        candidates = evaluator.candidate_overheads(profile)[0]
-        current = candidates[np.arange(n_users), profile[0]]
-        best = candidates.min(axis=1)
-        senders = tuple(int(n) for n in np.flatnonzero(best < current))
+        current, best = _slot_costs(evaluator, decisions, load)
+        senders = tuple(np.flatnonzero(best < current).tolist())
         pick = new_decision = None
         if senders:
             pick = senders[int(_slot_rng(seed, slot).integers(len(senders)))]
-            new_decision = _best_responses(candidates[pick].tolist(), float(current[pick]))[0]
+            row = _cost_row(evaluator, decisions, load, pick)
+            new_decision = _best_responses(row, float(current[pick]))[0]
         records.append(
             SlotRecord(
                 slot=slot,
-                profile=tuple(int(d) for d in profile[0]),
-                potential=potential_now,
+                profile=tuple(decisions.tolist()),
+                potential=float(evaluator._phi(pair_terms, profile)[0]),
                 system_overhead=float(current.sum()),
                 beneficial_count=int(evaluator.beneficial_mask(profile, current).sum()),
-                overheads=tuple(float(z) for z in current),
+                overheads=tuple(current.tolist()),
                 rtu_senders=senders,
                 updater=pick,
                 new_decision=new_decision,
@@ -111,15 +147,19 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
             break
         # the move changes φ by w·(μ_new - μ_old) exactly, and w > 0 (Scenario
         # checks it), so the sign test holds where two rounded φ sums can tie
-        mu_old = evaluator.co_channel_weight(profile, pick, int(profile[0, pick]))
-        mu_new = evaluator.co_channel_weight(profile, pick, new_decision)
+        old_decision = int(decisions[pick])
+        at_local = float(evaluator._phi_thresholds[pick])
+        mu_old = float(load[old_decision - 1] - evaluator.weights[pick]) if old_decision else at_local
+        mu_new = float(load[new_decision - 1]) if new_decision else at_local
         if not mu_new < mu_old:
             raise RuntimeError(
                 f"potential failed to decrease at slot {slot}: user {pick} moves from "
                 f"co-channel weight {mu_old!r} to {mu_new!r}; improvement path broken"
             )
-        profile[0, pick] = new_decision
-        potential_now = float(evaluator.potential(profile)[0])
+        decisions[pick] = new_decision
+        moved = [d for d in (old_decision, new_decision) if d > 0]
+        rows = [d - 1 for d in moved]
+        loads[rows], pair_terms[rows] = evaluator._channel_terms(profile, moved)
 
     return RunReport(
         scenario_fingerprint=scenario_fingerprint(scenario), seed=seed, slots=tuple(records)

@@ -5,10 +5,13 @@ weight: transmit power times channel gain under interference, the contention
 weight otherwise.  ProfileEvaluator is the one place rates, costs, channel
 loads and the potential are computed: it precomputes per-user constants so
 that batches of decision profiles can be scored with numpy; its cost kernel
-takes co-channel weights with the user axis last, and it also gives each
-user's best- and worst-case cloud cost for the price-of-anarchy overhead
-bound.  A scenario builds its evaluator once, as `Scenario.evaluator`; the
-module-level functions are single-profile views of it.
+takes co-channel weights with the user axis last (or any shape for one
+selected user), and it also gives each user's best- and worst-case cloud cost
+for the price-of-anarchy overhead bound.  The potential is assembled from
+per-channel terms, so `dco.run_dco` can keep those terms between slots and
+refresh only the channels a move touches.  A scenario builds its evaluator
+once, as `Scenario.evaluator`; the module-level functions are single-profile
+views of it.
 """
 
 from __future__ import annotations
@@ -88,6 +91,8 @@ class ProfileEvaluator:
         self.fixed_cloud_costs = np.array([cf[1] for cf in coeff_fixed])
         self.thresholds = np.array([beneficial_threshold(env, u) for u in users])
         self._phi_thresholds = np.array(_clamped(self.thresholds, self.weights))
+        self._squared_weights = self.weights * self.weights
+        self._local_phi_weights = self.weights * self._phi_thresholds
         # > 0 under contention: beneficial_threshold above raises otherwise
         self._peaks = np.array([u.peak_rate_bps for u in users])
 
@@ -112,15 +117,20 @@ class ProfileEvaluator:
             loads[:, m - 1] = (batch == m) @ self.weights
         return loads
 
-    def _cloud_costs(self, received: np.ndarray) -> np.ndarray:
-        """Cloud costs at co-channel weights `received`, whose last axis is the user axis."""
-        w, coeff, fixed = self.weights, self.rate_coeffs, self.fixed_cloud_costs
+    def _cloud_costs(self, received: np.ndarray, users=slice(None)) -> np.ndarray:
+        """Cloud costs of the selected users (default: all) at co-channel weights `received`.
+
+        `received` broadcasts against the selection: for all users its last
+        axis is the user axis; for one user index it holds that user's μ
+        values in any shape.
+        """
+        w, coeff, fixed = self.weights[users], self.rate_coeffs[users], self.fixed_cloud_costs[users]
         # entries a caller discards may be a log2 of a negative number or a 0/0
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.env.access is AccessModel.INTERFERENCE:
                 rates = self.env.bandwidth_hz * np.log2(1.0 + w / (self.env.noise_mw + received))
             else:
-                rates = self._peaks * w / (w + received)
+                rates = self._peaks[users] * w / (w + received)
             upload = coeff / rates
         return np.where(coeff == 0.0, fixed, upload + fixed)
 
@@ -186,34 +196,39 @@ class ProfileEvaluator:
         current = np.take_along_axis(cand, batch[:, :, np.newaxis], axis=2)[:, :, 0]
         return ~np.any(cand.min(axis=2) < current, axis=1)
 
-    def co_channel_weight(self, profile: np.ndarray, user: int, decision: int) -> float:
-        """μ: the co-channel weight `user` faces at `decision` under the (1, n_users) `profile`.
+    def _channel_terms(self, batch: np.ndarray, channels) -> tuple:
+        """Loads t and pair terms ½(t² − Σw²) of `channels` under `batch`, each (len(channels), k).
 
-        Computed as candidate_overheads computes it; at local, μ is the
-        user's potential threshold.  Moving the user from decision a to b
-        changes the potential by exactly weights[user] * (μ_b - μ_a).
+        One (k, n_users) product with the weights and one with their squares
+        per channel, so a channel's terms have the same bits whichever other
+        channels are asked for.
         """
-        if decision == LOCAL:
-            return float(self._phi_thresholds[user])
-        load = float(((profile == decision) @ self.weights)[0])
-        return float(load - self.weights[user]) if profile[0, user] == decision else load
+        loads = np.empty((len(channels), len(batch)))
+        pair_terms = np.empty_like(loads)
+        for i, m in enumerate(channels):
+            on = batch == m
+            total = on @ self.weights
+            loads[i] = total
+            pair_terms[i] = 0.5 * (total * total - on @ self._squared_weights)
+        return loads, pair_terms
+
+    def _phi(self, pair_terms: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        """(k,) potential from every channel's pair terms, summed in channel order, plus the local term."""
+        return np.add.accumulate(pair_terms)[-1] + (batch == LOCAL) @ self._local_phi_weights
 
     def potential(self, profiles) -> np.ndarray:
         """(k,) potential values.
 
         Half the sum of pairwise co-channel weight products, plus each local
         user's weight times its clamped beneficiality threshold; it strictly
-        decreases on every improving unilateral move.
+        decreases on every improving unilateral move.  Moving a user of
+        weight w from a decision where it faces co-channel weight μ_a to one
+        where it faces μ_b changes it by exactly w·(μ_b − μ_a), where μ at
+        local is the user's clamped threshold.
         """
         batch = self._as_batch(profiles)
-        pair = np.zeros(batch.shape[0])
-        for m in range(1, self.channels + 1):
-            on = batch == m
-            total = on @ self.weights
-            total_sq = on @ (self.weights * self.weights)
-            pair += 0.5 * (total * total - total_sq)
-        local = (batch == 0) @ (self.weights * self._phi_thresholds)
-        return pair + local
+        _, pair_terms = self._channel_terms(batch, range(1, self.channels + 1))
+        return self._phi(pair_terms, batch)
 
 
 def user_overhead(env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]) -> float:

@@ -33,6 +33,12 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    """Reject a number that is not an int or a float; a bool or a numeric string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 class AccessModel(Enum):
     """How co-channel users degrade each other's uplink."""
 

@@ -21,7 +21,7 @@ import numpy as np
 from ._version import __version__
 from .errors import SchemaError
 from .game import ProfileEvaluator
-from .model import AccessModel, ChannelEnv, UserProfile, _check_count, access_weight
+from .model import AccessModel, ChannelEnv, UserProfile, _check_count, _check_real, access_weight
 
 __all__ = [
     "GenParams",
@@ -89,6 +89,17 @@ class GenParams:
         _check_count("channels", self.channels)
         if not isinstance(self.access_model, AccessModel):
             raise ValueError(f"access_model must be an AccessModel, got {self.access_model!r}")
+        for f in fields(self):
+            if not isinstance(f.default, (float, tuple)):  # the counts and the access model
+                continue
+            value = getattr(self, f.name)
+            numbers = value if isinstance(f.default, tuple) else (value,)  # choice sets
+            if not numbers:
+                raise ValueError(f"{f.name} must be a nonempty choice set")
+            for x in numbers:
+                _check_real(f.name, x)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.n_users < 1 or self.channels < 1:
             raise ValueError("need at least one user and one channel")
         if self.cell_radius_m <= 0 or self.path_loss_exponent <= 0:
@@ -97,13 +108,6 @@ class GenParams:
             raise ValueError("bandwidth must be > 0 and transmit power >= 0")
         if self.input_kb <= 0 or self.task_megacycles <= 0 or self.cloud_rate_ghz <= 0:
             raise ValueError("task size, cycle count and cloud rate must be > 0")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            numbers = value if isinstance(f.default, tuple) else (value,)  # choice sets
-            if not numbers:
-                raise ValueError(f"{f.name} must be a nonempty choice set")
-            if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,22 @@ vectorized place, `offload_game.game.ProfileEvaluator`.  The functions here
 are the scalar formulas written out user by user and channel by channel with
 `math`, so a test that checks the evaluator, or one of its single-profile
 views, against them compares two independent implementations.
+
+`run_dco_dense` is the exception: the slot loop `run_dco` replaced, which
+rescores every user on every channel each slot with the evaluator's batch
+kernels.  It is the bit-exact oracle for the incremental slot engine.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
-from offload_game.game import BEST_RESPONSE_ATOL
+import numpy as np
+
+from offload_game.dco import RunReport, SlotRecord, _slot_rng
+from offload_game.game import BEST_RESPONSE_ATOL, _best_responses
 from offload_game.model import (
     LOCAL,
     AccessModel,
@@ -23,6 +31,7 @@ from offload_game.model import (
     beneficial_threshold,
     local_overhead,
 )
+from offload_game.scenario import scenario_fingerprint
 
 # cost model, one user at a time
 
@@ -148,6 +157,19 @@ def received_interference(
     return load
 
 
+def co_channel_weight(
+    env: ChannelEnv, users: Sequence[UserProfile], n: int, d: int, a: Sequence[int]
+) -> float:
+    """μ: the co-channel weight user n faces at decision d under profile a.
+
+    At local it is the user's clamped threshold.  Moving user n from decision
+    a[n] to d changes the potential by exactly w_n * (μ_d - μ_{a[n]}).
+    """
+    if d == LOCAL:
+        return clamped_thresholds(env, users)[n]
+    return received_interference(env, users, n, d, a)
+
+
 def potential(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> float:
     """Scalar function that strictly decreases on every improving unilateral move.
 
@@ -211,3 +233,54 @@ def count_beneficial(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[
 def system_overhead(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> float:
     """Total cost across all users under profile a."""
     return sum(user_overhead(env, users, n, a) for n in range(len(users)))
+
+
+# the dense slot loop
+
+
+def run_dco_dense(scenario, seed: int) -> RunReport:
+    """`run_dco` as it was before the incremental engine: every candidate cost each slot."""
+    evaluator = scenario.evaluator
+    weights, phi_thresholds = evaluator.weights, evaluator._phi_thresholds
+
+    def mu(profile, user, decision):
+        if decision == LOCAL:
+            return float(phi_thresholds[user])
+        load = float(((profile == decision) @ weights)[0])
+        return float(load - weights[user]) if profile[0, user] == decision else load
+
+    n_users = scenario.n_users
+    profile = np.zeros((1, n_users), dtype=np.int64)
+    potential_now = float(evaluator.potential(profile)[0])
+    records = []
+    for slot in itertools.count():
+        candidates = evaluator.candidate_overheads(profile)[0]
+        current = candidates[np.arange(n_users), profile[0]]
+        best = candidates.min(axis=1)
+        senders = tuple(int(n) for n in np.flatnonzero(best < current))
+        pick = new_decision = None
+        if senders:
+            pick = senders[int(_slot_rng(seed, slot).integers(len(senders)))]
+            new_decision = _best_responses(candidates[pick].tolist(), float(current[pick]))[0]
+        records.append(
+            SlotRecord(
+                slot=slot,
+                profile=tuple(int(d) for d in profile[0]),
+                potential=potential_now,
+                system_overhead=float(current.sum()),
+                beneficial_count=int(evaluator.beneficial_mask(profile, current).sum()),
+                overheads=tuple(float(z) for z in current),
+                rtu_senders=senders,
+                updater=pick,
+                new_decision=new_decision,
+            )
+        )
+        if not senders:
+            break
+        if not mu(profile, pick, new_decision) < mu(profile, pick, int(profile[0, pick])):
+            raise RuntimeError(f"potential failed to decrease at slot {slot}")
+        profile[0, pick] = new_decision
+        potential_now = float(evaluator.potential(profile)[0])
+    return RunReport(
+        scenario_fingerprint=scenario_fingerprint(scenario), seed=seed, slots=tuple(records)
+    )

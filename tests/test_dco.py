@@ -1,5 +1,7 @@
 """Tests for the slotted simulation and its convergence bound."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from offload_game import (
     convergence_slot_bound,
 )
 from offload_game._version import __version__
+from offload_game.dco import _cost_row, _slot_costs
 from offload_game.model import AccessModel
 from offload_game.scenario import Scenario, ScenarioUser
 import reference
@@ -163,6 +166,91 @@ class TestSlotStatistics:
                 assert rec.rtu_senders == tuple(n for n, r in enumerate(responses) if r)
                 if rec.updater is not None:
                     assert rec.new_decision == min(responses[rec.updater])
+
+
+# (N, M) shapes for the differential test: one channel, two, fewer users than
+# channels, and many users on few channels
+SHAPES = [(1, 1), (6, 1), (12, 1), (3, 2), (9, 2), (40, 2), (2, 5), (3, 8), (8, 3), (25, 4)]
+
+
+class TestIncrementalEngine:
+    """run_dco keeps per-channel state between slots; the dense loop rescores everything."""
+
+    @pytest.mark.parametrize("access, weight_choices, energy_choices", [
+        (AccessModel.INTERFERENCE, (1.0,), (1.0, 0.5, 0.0)),
+        (AccessModel.INTERFERENCE, (1.0,), (0.0,)),  # time-only weights
+        (AccessModel.CONTENTION, (1.0,), (1.0, 0.5, 0.0)),  # unit weights: exact ties
+        (AccessModel.CONTENTION, (1.0, 2.0, 3.0), (0.0,)),
+    ], ids=["interference", "interference-time-only", "contention-unit", "contention-weighted"])
+    def test_reports_equal_the_dense_loop(self, access, weight_choices, energy_choices):
+        for seed in range(520):
+            n, m = SHAPES[seed % len(SHAPES)]
+            params = GenParams(n_users=n, channels=m, access_model=access,
+                               contention_weight_choices=weight_choices,
+                               energy_weight_choices=energy_choices)
+            scenario = generate(params, 7000 + seed)
+            assert run_dco(scenario, seed) == reference.run_dco_dense(scenario, seed), (n, m, seed)
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_large_report_equals_the_dense_loop(self, access):
+        scenario = generate(GenParams(n_users=300, channels=50, access_model=access), 11)
+        report = run_dco(scenario, 3)
+        assert report.update_slots > 50
+        assert report == reference.run_dco_dense(scenario, 3)
+
+
+def assert_two_candidates_match(scenario, profile):
+    """_slot_costs and _cost_row against every candidate cost of the profile, bit for bit."""
+    evaluator = scenario.evaluator
+    decisions = np.array(profile, dtype=np.int64)
+    loads = evaluator.channel_loads([decisions])[0]
+    candidates = evaluator.candidate_overheads([decisions])[0]
+    current, best = _slot_costs(evaluator, decisions, loads)
+    assert current.tolist() == candidates[np.arange(len(decisions)), decisions].tolist()
+    assert best.tolist() == candidates.min(axis=1).tolist()
+    for n in range(len(decisions)):
+        assert _cost_row(evaluator, decisions, loads, n) == candidates[n].tolist()
+
+
+class TestTwoCandidates:
+    """A user's cheapest channel is its own or the least-loaded one."""
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_user_on_the_least_loaded_channel(self, access):
+        """The lightest user alone on channel 1; the other six share channels 2 and 3."""
+        scenario = generate(GenParams(n_users=7, channels=3, access_model=access,
+                                      contention_weight_choices=(1.0, 2.0, 3.0)), 4)
+        by_weight = np.argsort(scenario.evaluator.weights)
+        profile = np.empty(7, dtype=np.int64)
+        profile[by_weight] = [1, 2, 3, 2, 3, 2, 3]
+        loads = scenario.evaluator.channel_loads([profile])[0]
+        assert loads[0] < loads[1:].min()
+        assert_two_candidates_match(scenario, tuple(profile.tolist()))
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_two_channels_tied_for_least_load(self, access):
+        """Seven copies of one user: channels 1 and 2 carry one each, 3 and 4 two each."""
+        base = generate(GenParams(n_users=1, channels=4, access_model=access), 2)
+        scenario = replace(base, users=base.users * 7)
+        profile = (1, 2, 3, 3, 4, 4, 0)
+        loads = scenario.evaluator.channel_loads([profile])[0].tolist()
+        assert loads[0] == loads[1] < loads[2] == loads[3]
+        assert_two_candidates_match(scenario, profile)
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_single_channel(self, access):
+        scenario = generate(GenParams(n_users=5, channels=1, access_model=access), 6)
+        for profile in [(0,) * 5, (1, 0, 1, 0, 0), (1,) * 5]:
+            assert_two_candidates_match(scenario, profile)
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_random_profiles(self, access):
+        rng = np.random.default_rng(40)
+        for seed in range(60):
+            n, m = SHAPES[seed % len(SHAPES)]
+            scenario = generate(GenParams(n_users=n, channels=m, access_model=access,
+                                          contention_weight_choices=(1.0, 2.0)), 900 + seed)
+            assert_two_candidates_match(scenario, tuple(rng.integers(0, m + 1, n).tolist()))
 
 
 class TestConvergenceBound:

@@ -5,12 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offload_game import (
+    GenParams,
     ProfileEvaluator,
     access_weight,
     beneficial_threshold,
     count_beneficial,
+    generate,
     is_nash,
     system_overhead,
     user_overhead,
@@ -138,12 +142,11 @@ class TestPotential:
         def check(env, users, a, n, d):
             b = list(a)
             b[n] = d
-            evaluator = ProfileEvaluator(env, users)
-            mu_old = evaluator.co_channel_weight(np.array([a]), n, a[n])
-            mu_new = evaluator.co_channel_weight(np.array([a]), n, d)
+            mu_old = reference.co_channel_weight(env, users, n, a[n], a)
+            mu_new = reference.co_channel_weight(env, users, n, d, a)
             assert mu_new < mu_old
             phi_a, phi_b = reference.potential(env, users, a), reference.potential(env, users, tuple(b))
-            assert evaluator.weights[n] * (mu_new - mu_old) == pytest.approx(
+            assert access_weight(env, users[n]) * (mu_new - mu_old) == pytest.approx(
                 phi_b - phi_a, rel=1e-9, abs=1e-12 * (abs(phi_a) + abs(phi_b))
             )
             return phi_a, phi_b
@@ -352,6 +355,24 @@ class TestProfileEvaluator:
                             reference.user_overhead(env, users, n, tuple(b)), rel=1e-12
                         )
 
+    def test_potential_adds_channel_terms_in_channel_order(self):
+        """φ of one profile is its pair terms added one channel after another.
+
+        run_dco adds its cached per-channel terms the same way, so a pairwise
+        or reordered sum would move recorded potentials in the last bits.
+        Every user offloads here, so the local term is an exact 0.
+        """
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            env, users = random_instance(rng, n_range=(100, 200), m_range=(20, 60))
+            evaluator = ProfileEvaluator(env, users)
+            a = rng.integers(1, env.channels + 1, len(users))
+            _, pair_terms = evaluator._channel_terms(a[np.newaxis, :], range(1, env.channels + 1))
+            in_order = 0.0
+            for term in pair_terms[:, 0].tolist():
+                in_order += term
+            assert evaluator.potential([a])[0] == in_order
+
     def test_repair_sends_exactly_the_losing_offloaders_local(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
@@ -389,3 +410,31 @@ class TestProfileEvaluator:
         for n in (-1, 3):
             with pytest.raises(IndexError):
                 user_overhead(env, users, n, (0, 0, 0))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    access=st.sampled_from(list(AccessModel)),
+    generated=st.booleans(),
+    cell_radius_m=st.floats(1.0, 2000.0),
+    instance_seed=st.integers(0, 2**32 - 1),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=40),
+)
+def test_cloud_cost_never_decreases_as_mu_grows(access, generated, cell_radius_m, instance_seed,
+                                                fractions):
+    """What run_dco's two-candidate shortcut rests on, down to adjacent floats.
+
+    Each user is costed along one sorted μ vector from 0 to 10**6 times the
+    instance's largest access weight; the cost must never fall along it.
+    """
+    if generated:
+        params = GenParams(n_users=6, channels=2, access_model=access, cell_radius_m=cell_radius_m,
+                           contention_weight_choices=(0.5, 1.0, 3.0))
+        evaluator = generate(params, instance_seed).evaluator
+    else:
+        evaluator = ProfileEvaluator(*random_instance(np.random.default_rng(instance_seed), access=access))
+    top = 1e6 * evaluator.weights.max()
+    mu = np.array([0.0, top] + [f * top for f in fractions])
+    mu = np.sort(np.concatenate([mu, np.nextafter(mu, np.inf)]))
+    costs = evaluator._cloud_costs(mu[:, np.newaxis])  # (len(mu), n_users)
+    assert np.all(costs[1:] >= costs[:-1])

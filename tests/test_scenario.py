@@ -122,6 +122,9 @@ class TestGenerate:
         {"channels": True},
         {"n_users": True},
         {"n_users": 3.0},
+        {"cell_radius_m": True},  # would build the users of 1.0 under another fingerprint
+        {"bandwidth_hz": "5e6"},  # failed a comparison with TypeError
+        {"energy_weight_choices": (0.0, False)},
     ])
     def test_mistyped_params_rejected(self, overrides):
         """A string access model would get the contention formulas; a float count a new fingerprint."""
