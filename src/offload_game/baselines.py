@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InstanceTooLarge
-from .model import _check_count
+from .model import _check_count, _check_real
 from .scenario import Scenario, _check_seed
 
 __all__ = [
@@ -124,6 +124,8 @@ class CrossEntropyParams:
     def __post_init__(self):
         _check_count("samples", self.samples)
         _check_count("iterations", self.iterations)
+        _check_real("elite_fraction", self.elite_fraction)
+        _check_real("smoothing", self.smoothing)
         if self.samples < 1 or self.iterations < 1:
             raise ValueError("samples and iterations must be >= 1")
         if not 0.0 < self.elite_fraction <= 1.0:

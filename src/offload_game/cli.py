@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +29,7 @@ from .baselines import (
 from .dco import RunReport, run_dco
 from .errors import InstanceTooLarge, OffloadGameError, SchemaError
 from .metrics import poa_beneficial, poa_overhead
-from .scenario import SEED_LIMIT, GenParams, generate, read_scenario, write_scenario
+from .scenario import SEED_LIMIT, GenParams, _dumps_indented, generate, read_scenario, write_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,7 +129,7 @@ def _map_cells(func, cells, requested_workers: int) -> list:
 
 
 def _write_json(path: Path, payload):
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path.write_text(_dumps_indented(payload) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, rows: list):

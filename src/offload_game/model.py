@@ -69,6 +69,10 @@ class UserProfile:
     peak_rate_bps: float = 0.0  # uncontended rate under contention (bits/s)
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:  # not vars(self): that slows every later field read
+            value = getattr(self, name)
+            if type(value) is not float:  # the common case skips the call
+                _check_real(name, value)
         if self.transmit_power_mw < 0 or self.channel_gain < 0:
             raise ValueError("transmit power and channel gain must be >= 0")
         if self.input_bits <= 0 or self.task_cycles <= 0:
@@ -103,6 +107,8 @@ class ChannelEnv:
             raise ValueError("channel count must be >= 1")
         if not isinstance(self.access, AccessModel):
             raise ValueError(f"access must be an AccessModel, got {self.access!r}")
+        _check_real("bandwidth_hz", self.bandwidth_hz)
+        _check_real("noise_mw", self.noise_mw)
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth must be > 0")
         if self.access is AccessModel.INTERFERENCE and self.noise_mw <= 0:

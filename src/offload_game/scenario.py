@@ -93,13 +93,19 @@ class GenParams:
             if not isinstance(f.default, (float, tuple)):  # the counts and the access model
                 continue
             value = getattr(self, f.name)
-            numbers = value if isinstance(f.default, tuple) else (value,)  # choice sets
+            choice_set = isinstance(f.default, tuple)
+            numbers = value if choice_set else (value,)
             if not numbers:
                 raise ValueError(f"{f.name} must be a nonempty choice set")
             for x in numbers:
                 _check_real(f.name, x)
-            if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
+            try:  # an int is kept as its float, so 50 and 50.0 give one fingerprint
+                numbers = tuple(map(float, numbers))
+            except OverflowError:
+                raise ValueError(f"{f.name} must be finite, got {value!r}") from None
+            if not all(map(math.isfinite, numbers)):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
+            object.__setattr__(self, f.name, numbers if choice_set else numbers[0])
         if self.n_users < 1 or self.channels < 1:
             raise ValueError("need at least one user and one channel")
         if self.cell_radius_m <= 0 or self.path_loss_exponent <= 0:
@@ -205,7 +211,7 @@ def _json_native(value):
     """A GenParams value in JSON form: choice sets as lists, the access model by value."""
     if isinstance(value, AccessModel):
         return value.value
-    return list(value) if isinstance(value, (tuple, list)) else value
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _generator_doc(params: GenParams) -> dict:
@@ -359,7 +365,34 @@ def read_scenario(path) -> Scenario:
     return load_scenario(doc)
 
 
+_PLAIN = frozenset({str, int, float, bool, type(None)})  # what json's C encoder writes as a leaf
+
+
+def _dumps_indented(value, indent: str = "\n") -> str:
+    """Exactly `json.dumps(value, indent=2)`, at `indent` (a newline plus the current margin).
+
+    Any `indent` sends `json` to its pure-Python encoder.  So a nonempty list,
+    tuple or str-keyed dict of plain scalars goes to the C encoder with the
+    line break and margin as its item separator; one that holds containers
+    recurses.  Anything else is json's own indented text with its line breaks
+    moved right, which is exact because a string's newline is always escaped.
+    """
+    inner = indent + "  "
+    kind = type(value)
+    if kind is dict and value and {str}.issuperset(map(type, value)):
+        brackets, leaves = "{}", value.values()
+        items = (json.dumps(k) + ": " + _dumps_indented(v, inner) for k, v in value.items())
+    elif (kind is list or kind is tuple) and value:
+        brackets, leaves = "[]", value
+        items = (_dumps_indented(v, inner) for v in value)
+    else:
+        return json.dumps(value, indent=2).replace("\n", indent)
+    if _PLAIN.issuperset(map(type, leaves)):
+        flat = json.dumps(value, separators=("," + inner, ": "))
+        return brackets[0] + inner + flat[1:-1] + indent + brackets[1]
+    # the joined body stays a temporary; a local would keep one more report-sized copy alive
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def write_scenario(path, scenario: Scenario):
-    Path(path).write_text(
-        json.dumps(save_scenario(scenario), indent=2) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(_dumps_indented(save_scenario(scenario)) + "\n", encoding="utf-8")

@@ -207,3 +207,12 @@ class TestCrossEntropy:
     def test_rejects_non_integer_counts(self, overrides):
         with pytest.raises(ValueError):
             CrossEntropyParams(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"smoothing": True},  # was accepted as 1.0
+        {"elite_fraction": "0.1"},  # failed a comparison with TypeError
+        {"smoothing": None},
+    ])
+    def test_rejects_non_number_fractions(self, overrides):
+        with pytest.raises(ValueError, match="must be a number"):
+            CrossEntropyParams(**overrides)

@@ -9,7 +9,7 @@ from dataclasses import fields
 import pytest
 
 from offload_game import (
-    GenParams, SlotRecord, generate, load_scenario, run_dco, write_scenario,
+    GenParams, SlotRecord, generate, load_scenario, run_dco, save_scenario, write_scenario,
 )
 from offload_game import cli
 from offload_game.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOO_LARGE, _worker_count, main
@@ -112,6 +112,19 @@ class TestTrace:
         assert len(doc["slots"]) == report.total_slots
         names = [f.name for f in fields(SlotRecord)]
         assert all(list(slot) == names for slot in doc["slots"])
+
+    def test_artifacts_are_stdlib_indented_json(self, tmp_path):
+        """report.json, scenario.json and config.json keep json.dumps(doc, indent=2)'s bytes."""
+        code, out = self.run_trace(tmp_path)
+        assert code == EXIT_OK
+        scenario = load_scenario(json.loads((out / "scenario.json").read_text()))
+        config = json.loads((out / "config.json").read_text())
+        for name, doc in [
+            ("report.json", cli.report_document(run_dco(scenario, 7))),
+            ("scenario.json", save_scenario(scenario)),
+            ("config.json", config),
+        ]:
+            assert (out / name).read_bytes() == (json.dumps(doc, indent=2) + "\n").encode(), name
 
     @pytest.mark.parametrize("seed, flags", [
         (475, ["--cell-radius-m", "300"]),  # slot 0 lowers φ by less than one ulp of φ

@@ -412,7 +412,7 @@ class TestProfileEvaluator:
                 user_overhead(env, users, n, (0, 0, 0))
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(
     access=st.sampled_from(list(AccessModel)),
     generated=st.booleans(),

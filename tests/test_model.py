@@ -7,12 +7,13 @@ package's single-profile view of `ProfileEvaluator`.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from offload_game import beneficial_threshold, local_overhead, user_overhead
-from offload_game.model import AccessModel, ChannelEnv
+from offload_game.model import AccessModel, ChannelEnv, UserProfile
 import reference
 from support import never_beneficial_user, random_instance, random_profile, simple_env, simple_user
 
@@ -286,3 +287,23 @@ class TestValidation:
     def test_env_rejects_mistyped_fields(self, overrides):
         with pytest.raises(ValueError):
             ChannelEnv(**{"channels": 2, "bandwidth_hz": 1.0, **overrides})
+
+    @pytest.mark.parametrize("overrides", [
+        {"bandwidth_hz": True},  # was accepted as 1 Hz
+        {"bandwidth_hz": "5e6"},  # failed a comparison with TypeError
+        {"noise_mw": False, "access": AccessModel.CONTENTION},
+        {"noise_mw": np.int64(1)},
+    ])
+    def test_env_rejects_non_numbers(self, overrides):
+        with pytest.raises(ValueError, match="must be a number"):
+            ChannelEnv(**{"channels": 2, "bandwidth_hz": 1.0, **overrides})
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(UserProfile)])
+    @pytest.mark.parametrize("value", [True, "1.0", None], ids=["bool", "str", "None"])
+    def test_user_rejects_non_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            simple_user(**{field: value})
+
+    def test_user_accepts_ints_and_float_subclasses(self):
+        user = simple_user(input_bits=8, task_cycles=np.float64(2.0))
+        assert user.input_bits == 8 and user.task_cycles == 2.0

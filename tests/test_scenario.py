@@ -131,6 +131,23 @@ class TestGenerate:
         with pytest.raises(ValueError):
             GenParams(**overrides)
 
+    @pytest.mark.parametrize("as_int, as_float", [
+        ({"cell_radius_m": 50}, {"cell_radius_m": 50.0}),
+        ({"energy_weight_choices": (1, 0)}, {"energy_weight_choices": (1.0, 0.0)}),
+        ({"contention_weight_choices": [2, 1.5]}, {"contention_weight_choices": (2.0, 1.5)}),
+    ])
+    def test_int_in_a_float_field_is_stored_as_its_float(self, as_int, as_float):
+        """One instance, one fingerprint: an int given for a float is kept as that float."""
+        params = GenParams(n_users=3, **as_int)
+        assert params == GenParams(n_users=3, **as_float)
+        a, b = generate(params, 1), generate(GenParams(n_users=3, **as_float), 1)
+        assert json.dumps(a.generator) == json.dumps(b.generator)
+        assert scenario_fingerprint(a) == scenario_fingerprint(b)
+
+    def test_int_too_large_for_a_float_field_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            GenParams(cell_radius_m=10**400)
+
 
 class TestDocuments:
     def test_round_trip_from_generated(self):
@@ -210,11 +227,21 @@ class TestDocuments:
         {"access_model": "contention"},
         {"channels": 2.0},
         {"channels": True},
+        {"bandwidth_hz": True},
+        {"bandwidth_hz": "5e6"},
     ])
     def test_mistyped_env_fields_are_schema_errors(self, overrides):
         with pytest.raises(SchemaError) as info:
             dataclasses.replace(load_scenario(minimal_doc()), **overrides)
         assert info.value.path == "env"
+
+    @pytest.mark.parametrize("key, value", [("lambda_e", True), ("g", "1e-4"), ("W", None)])
+    def test_mistyped_user_fields_are_schema_errors(self, key, value):
+        scenario = load_scenario(minimal_doc())
+        users = (scenario.users[0], dataclasses.replace(scenario.users[1], **{key: value}))
+        with pytest.raises(SchemaError, match="must be a number") as info:
+            dataclasses.replace(scenario, users=users)
+        assert info.value.path == "users[1]"
 
     def test_fingerprint_stable_and_content_sensitive(self):
         scenario = generate(GenParams(n_users=3), 2)

@@ -46,7 +46,7 @@ def test_largest_seed_accepted(entry):
     ENTRY_POINTS[entry](2**128 - 1)
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(
     entry=st.sampled_from(sorted(ENTRY_POINTS)),
     seed=st.one_of(
