@@ -11,8 +11,9 @@ Nash equilibrium of the underlying game.
 As in the paper's protocol, one user moves per slot, so the simulation keeps
 the per-channel loads and potential terms between slots and refreshes only
 the two channels a move touches; each user is costed on its own channel and
-on the least-loaded one.  A slot then costs O(N + M), and every SlotRecord
-has the bits a full rescoring of the profile would give.
+on the least-loaded one, by the best-response rule the Nash test also uses
+(`ProfileEvaluator._current_and_best`).  A slot then costs O(N + M), and
+every SlotRecord has the bits a full rescoring of the profile would give.
 """
 
 from __future__ import annotations
@@ -78,23 +79,6 @@ def _slot_rng(seed: int, slot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=slot))
 
 
-def _slot_costs(evaluator: ProfileEvaluator, decisions: np.ndarray, loads: np.ndarray) -> tuple:
-    """(current, best): each user's cost and its cheapest unilateral cost, as (n_users,) arrays.
-
-    `decisions` is the profile and `loads` its (channels,) channel loads.  A
-    cloud cost never decreases as μ grows, so besides local a user's cheapest
-    decision is its own channel (μ = load − w) or the least-loaded channel
-    (μ = load): two cloud costs per user, not one per channel.  For a user on
-    the least-loaded channel, or on the only one, the second is its own
-    channel at μ = load, which never costs less than staying, so it never
-    wins; every other channel is at least as loaded.
-    """
-    own_cost = evaluator._cloud_costs(loads[decisions - 1] - evaluator.weights)
-    current = np.where(decisions > 0, own_cost, evaluator.local_costs)
-    lightest_cost = evaluator._cloud_costs(loads.min())
-    return current, np.minimum(np.minimum(evaluator.local_costs, current), lightest_cost)
-
-
 def _cost_row(evaluator: ProfileEvaluator, decisions: np.ndarray, loads: np.ndarray, user: int) -> list:
     """`user`'s cost at every decision 0..channels, the others' decisions held fixed."""
     mu = loads.copy()
@@ -123,7 +107,8 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
     load = loads[:, 0]  # a view, so it follows every refresh of `loads`
     records = []
     for slot in itertools.count():
-        current, best = _slot_costs(evaluator, decisions, load)
+        own_mu = load[decisions - 1] - evaluator.weights  # a local user's entry is discarded
+        current, best = evaluator._current_and_best(decisions, own_mu, load.min())
         senders = tuple(np.flatnonzero(best < current).tolist())
         pick = new_decision = None
         if senders:

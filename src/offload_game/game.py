@@ -9,9 +9,10 @@ takes co-channel weights with the user axis last (or any shape for one
 selected user), and it also gives each user's best- and worst-case cloud cost
 for the price-of-anarchy overhead bound.  The potential is assembled from
 per-channel terms, so `dco.run_dco` can keep those terms between slots and
-refresh only the channels a move touches.  A scenario builds its evaluator
-once, as `Scenario.evaluator`; the module-level functions are single-profile
-views of it.
+refresh only the channels a move touches.  The Nash test and `run_dco` share
+one best-response rule that costs each user on its own channel and the
+least-loaded one only.  A scenario builds its evaluator once, as
+`Scenario.evaluator`; the module-level functions are single-profile views of it.
 """
 
 from __future__ import annotations
@@ -178,7 +179,12 @@ class ProfileEvaluator:
         return np.where(keep, batch, 0)
 
     def candidate_overheads(self, profiles) -> np.ndarray:
-        """(k, n_users, channels+1) cost of every unilateral decision per user."""
+        """(k, n_users, channels+1) cost of every unilateral decision per user.
+
+        No `src/` caller is left, since the Nash test and the slot engine need
+        two candidates per user.  It stays for the dense test oracles, which
+        call it, and the benchmark's tracer, which wraps it.
+        """
         batch = self._as_batch(profiles)
         loads = self.channel_loads(batch)
         own = batch[:, np.newaxis, :] == np.arange(1, self.channels + 1)[:, np.newaxis]
@@ -189,12 +195,33 @@ class ProfileEvaluator:
         out[:, :, 1:] = cloud_costs
         return out
 
+    def _current_and_best(self, decisions: np.ndarray, own_mu: np.ndarray, least_load) -> tuple:
+        """(current, best): each user's cost and its cheapest unilateral cost, shaped like `decisions`.
+
+        `own_mu` is each user's co-channel weight on its own channel (load − w)
+        and `least_load` the least channel load, one per profile (a scalar, or
+        a (k, 1) column).  A cloud cost never decreases as μ grows, so besides
+        local a user's cheapest decision is its own channel or the
+        least-loaded one: two cloud costs per user, not one per channel.  For
+        a user on the least-loaded channel, or on the only one, the second is
+        its own channel at μ = load, which never costs less than staying, so
+        it never wins; every other channel is at least as loaded.
+        """
+        current = np.where(decisions > 0, self._cloud_costs(own_mu), self.local_costs)
+        lightest_cost = self._cloud_costs(least_load)
+        return current, np.minimum(np.minimum(self.local_costs, current), lightest_cost)
+
     def nash_mask(self, profiles) -> np.ndarray:
-        """(k,) True where no user has a strictly improving unilateral deviation."""
+        """(k,) True where no user has a strictly improving unilateral deviation.
+
+        Two cloud costs per user by `run_dco`'s rule, `_current_and_best`; no
+        (k, n_users, channels+1) block is built.
+        """
         batch = self._as_batch(profiles)
-        cand = self.candidate_overheads(batch)
-        current = np.take_along_axis(cand, batch[:, :, np.newaxis], axis=2)[:, :, 0]
-        return ~np.any(cand.min(axis=2) < current, axis=1)
+        loads = self.channel_loads(batch)
+        own_mu = np.take_along_axis(loads, np.maximum(batch - 1, 0), axis=1) - self.weights
+        current, best = self._current_and_best(batch, own_mu, loads.min(axis=1, keepdims=True))
+        return ~np.any(best < current, axis=1)
 
     def _channel_terms(self, batch: np.ndarray, channels) -> tuple:
         """Loads t and pair terms ½(t² − Σw²) of `channels` under `batch`, each (len(channels), k).

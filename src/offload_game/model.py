@@ -34,9 +34,16 @@ def _check_count(name: str, value) -> None:
 
 
 def _check_real(name: str, value) -> None:
-    """Reject a number that is not an int or a float; a bool or a numeric string is not one."""
+    """Reject a number that is not an int or a float; a bool or a numeric string is not one.
+
+    An int too large for a float is rejected as not finite: every cost is a float.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
 
 
 class AccessModel(Enum):
@@ -73,6 +80,8 @@ class UserProfile:
             value = getattr(self, name)
             if type(value) is not float:  # the common case skips the call
                 _check_real(name, value)
+            if value - value:  # NaN or an infinity, which the range checks below let through
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.transmit_power_mw < 0 or self.channel_gain < 0:
             raise ValueError("transmit power and channel gain must be >= 0")
         if self.input_bits <= 0 or self.task_cycles <= 0:
@@ -107,8 +116,11 @@ class ChannelEnv:
             raise ValueError("channel count must be >= 1")
         if not isinstance(self.access, AccessModel):
             raise ValueError(f"access must be an AccessModel, got {self.access!r}")
-        _check_real("bandwidth_hz", self.bandwidth_hz)
-        _check_real("noise_mw", self.noise_mw)
+        for name in ("bandwidth_hz", "noise_mw"):
+            value = getattr(self, name)
+            _check_real(name, value)
+            if value - value:  # NaN or an infinity
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth must be > 0")
         if self.access is AccessModel.INTERFERENCE and self.noise_mw <= 0:

@@ -99,10 +99,7 @@ class GenParams:
                 raise ValueError(f"{f.name} must be a nonempty choice set")
             for x in numbers:
                 _check_real(f.name, x)
-            try:  # an int is kept as its float, so 50 and 50.0 give one fingerprint
-                numbers = tuple(map(float, numbers))
-            except OverflowError:
-                raise ValueError(f"{f.name} must be finite, got {value!r}") from None
+            numbers = tuple(map(float, numbers))  # so 50 and 50.0 give one fingerprint
             if not all(map(math.isfinite, numbers)):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
             object.__setattr__(self, f.name, numbers if choice_set else numbers[0])
@@ -131,6 +128,11 @@ class ScenarioUser:
     lambda_e: float  # energy priority in [0, 1]; time priority is 1 - lambda_e
     W: float  # contention weight
     R_bps: float  # contention peak rate (bits/s)
+
+
+# the ScenarioUser fields that unit conversion or a comparison reads before UserProfile checks
+# them, so a non-number among them would raise TypeError, not a SchemaError
+_ARITHMETIC_FIELDS = ("b_kb", "d_megacycles", "f_m_ghz", "f_c_ghz", "lambda_e", "R_bps")
 
 
 @dataclass(frozen=True)
@@ -182,9 +184,14 @@ class Scenario:
         return ProfileEvaluator(self.channel_env, self.user_profiles)
 
     def _user_profile(self, u: ScenarioUser, path: str) -> UserProfile:
-        if self.access_model is AccessModel.CONTENTION and not u.R_bps > 0:
-            raise SchemaError(path, "contention peak rate must be > 0 under the contention model")
         try:
+            # one chained test in the common case; the loop only names the culprit
+            if not (float is type(u.b_kb) is type(u.d_megacycles) is type(u.f_m_ghz)
+                    is type(u.f_c_ghz) is type(u.lambda_e) is type(u.R_bps)):
+                for name in _ARITHMETIC_FIELDS:
+                    _check_real(name, getattr(u, name))
+            if self.access_model is AccessModel.CONTENTION and not u.R_bps > 0:
+                raise ValueError("contention peak rate must be > 0 under the contention model")
             profile = UserProfile(
                 transmit_power_mw=u.q_mw,
                 channel_gain=u.g,

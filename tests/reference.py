@@ -6,9 +6,10 @@ are the scalar formulas written out user by user and channel by channel with
 `math`, so a test that checks the evaluator, or one of its single-profile
 views, against them compares two independent implementations.
 
-`run_dco_dense` is the exception: the slot loop `run_dco` replaced, which
-rescores every user on every channel each slot with the evaluator's batch
-kernels.  It is the bit-exact oracle for the incremental slot engine.
+`nash_mask_dense` and `run_dco_dense` are the exceptions: the Nash test and
+the slot loop as they were before the two-candidate rule, scoring every user
+on every channel with the evaluator's `candidate_overheads` block.  They are
+the bit-exact oracles for `ProfileEvaluator.nash_mask` and `run_dco`.
 """
 
 from __future__ import annotations
@@ -235,7 +236,15 @@ def system_overhead(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[i
     return sum(user_overhead(env, users, n, a) for n in range(len(users)))
 
 
-# the dense slot loop
+# the dense candidate block
+
+
+def nash_mask_dense(evaluator, profiles) -> np.ndarray:
+    """`ProfileEvaluator.nash_mask` as it was: every user's cost at every decision."""
+    batch = np.asarray(profiles, dtype=np.int64)
+    cand = evaluator.candidate_overheads(batch)
+    current = np.take_along_axis(cand, batch[:, :, np.newaxis], axis=2)[:, :, 0]
+    return ~np.any(cand.min(axis=2) < current, axis=1)
 
 
 def run_dco_dense(scenario, seed: int) -> RunReport:

@@ -15,7 +15,7 @@ from offload_game import (
     convergence_slot_bound,
 )
 from offload_game._version import __version__
-from offload_game.dco import _cost_row, _slot_costs
+from offload_game.dco import _cost_row
 from offload_game.model import AccessModel
 from offload_game.scenario import Scenario, ScenarioUser
 import reference
@@ -200,12 +200,13 @@ class TestIncrementalEngine:
 
 
 def assert_two_candidates_match(scenario, profile):
-    """_slot_costs and _cost_row against every candidate cost of the profile, bit for bit."""
+    """The slot engine's (current, best) and _cost_row against every candidate cost, bit for bit."""
     evaluator = scenario.evaluator
     decisions = np.array(profile, dtype=np.int64)
     loads = evaluator.channel_loads([decisions])[0]
     candidates = evaluator.candidate_overheads([decisions])[0]
-    current, best = _slot_costs(evaluator, decisions, loads)
+    own_mu = loads[decisions - 1] - evaluator.weights
+    current, best = evaluator._current_and_best(decisions, own_mu, loads.min())
     assert current.tolist() == candidates[np.arange(len(decisions)), decisions].tolist()
     assert best.tolist() == candidates.min(axis=1).tolist()
     for n in range(len(decisions)):

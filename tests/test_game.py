@@ -14,11 +14,15 @@ from offload_game import (
     access_weight,
     beneficial_threshold,
     count_beneficial,
+    enumerate_nash,
     generate,
     is_nash,
+    poa_beneficial,
+    poa_overhead,
     system_overhead,
     user_overhead,
 )
+from offload_game.baselines import _profile_chunks
 from offload_game.game import BEST_RESPONSE_ATOL
 from offload_game.model import AccessModel, ChannelEnv
 import reference
@@ -412,6 +416,68 @@ class TestProfileEvaluator:
                 user_overhead(env, users, n, (0, 0, 0))
 
 
+class TestTwoCandidateNashMask:
+    """`nash_mask` against the dense mask over every candidate decision, bit for bit."""
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_every_profile_of_seeded_instances(self, access):
+        for seed in range(3):
+            params = GenParams(n_users=8, channels=3, access_model=access,
+                               contention_weight_choices=(1.0, 2.0, 3.0))
+            evaluator = generate(params, 60 + seed).evaluator
+            (chunk,) = _profile_chunks(8, 3, 4**8)
+            mask = evaluator.nash_mask(chunk)
+            assert mask.any() and not mask.all()
+            assert np.array_equal(mask, reference.nash_mask_dense(evaluator, chunk)), seed
+
+    @staticmethod
+    def corner_instances(access):
+        """(label, env, users) triples, each with one corner of the two-candidate rule."""
+        rng = np.random.default_rng(70)
+        env, users = random_instance(rng, access=access, n_range=(5, 6), m_range=(1, 2))
+        yield "one channel: the least-loaded channel is every offloader's own", env, users
+        env, users = random_instance(rng, access=access, n_range=(4, 5), m_range=(3, 4))
+        yield "never beneficial", env, [never_beneficial_user()] + users[1:]
+        if access is AccessModel.CONTENTION:
+            env, users = random_instance(rng, access=access, n_range=(4, 5), m_range=(2, 4))
+            flat = replace(users[0], time_weight=0.0, energy_weight=0.5, transmit_power_mw=0.0)
+            yield "zero upload coefficient: a flat cost", env, [flat] + users[1:]
+            yield "equal weights: exact load ties", env, [replace(u, contention_weight=1.0) for u in users]
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_corner_cases_in_three_row_batches(self, access):
+        for label, env, users in self.corner_instances(access):
+            evaluator = ProfileEvaluator(env, users)
+            n, m = len(users), env.channels
+            if label.startswith("never"):
+                assert evaluator.thresholds[0] == -np.inf
+            if label.startswith("zero"):
+                assert evaluator.rate_coeffs[0] == 0.0
+            (profiles,) = _profile_chunks(n, m, (m + 1) ** n)
+            if label.startswith("equal"):
+                loads = evaluator.channel_loads(profiles)
+                assert np.any(loads.min(axis=1) == np.sort(loads, axis=1)[:, 1])
+            masks = [evaluator.nash_mask(profiles[i:i + 3]) for i in range(0, len(profiles), 3)]
+            dense = [reference.nash_mask_dense(evaluator, profiles[i:i + 3])
+                     for i in range(0, len(profiles), 3)]
+            assert np.concatenate(masks).any(), label
+            assert [mask.tolist() for mask in masks] == [mask.tolist() for mask in dense], label
+
+
+def test_nash_path_builds_no_candidate_block(monkeypatch):
+    """Nash enumeration, the single-profile test and both PoA metrics use the two-candidate rule."""
+
+    def refuse(self, profiles):
+        raise AssertionError("the Nash path built the dense candidate block")
+
+    monkeypatch.setattr(ProfileEvaluator, "candidate_overheads", refuse)
+    for scenario in (small_paper_scenario(5, 2, 3), integer_contention_scenario(5, 2, seed=1)):
+        equilibria = enumerate_nash(scenario)
+        assert is_nash(scenario.channel_env, scenario.user_profiles, equilibria[0])
+        poa_beneficial(scenario)
+        poa_overhead(scenario)
+
+
 @settings(max_examples=300)
 @given(
     access=st.sampled_from(list(AccessModel)),
@@ -422,7 +488,7 @@ class TestProfileEvaluator:
 )
 def test_cloud_cost_never_decreases_as_mu_grows(access, generated, cell_radius_m, instance_seed,
                                                 fractions):
-    """What run_dco's two-candidate shortcut rests on, down to adjacent floats.
+    """What the two-candidate rule of run_dco and nash_mask rests on, down to adjacent floats.
 
     Each user is costed along one sorted μ vector from 0 to 10**6 times the
     instance's largest access weight; the cost must never fall along it.

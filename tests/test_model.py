@@ -304,6 +304,21 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be a number"):
             simple_user(**{field: value})
 
+    @pytest.mark.parametrize("field", [f.name for f in fields(UserProfile)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
+    def test_user_rejects_non_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            simple_user(**{field: value})
+
+    @pytest.mark.parametrize("field", ["bandwidth_hz", "noise_mw"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_env_rejects_non_finite_numbers(self, field, value, access):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ChannelEnv(**{"channels": 2, "bandwidth_hz": 1.0, "access": access, field: value})
+
     def test_user_accepts_ints_and_float_subclasses(self):
         user = simple_user(input_bits=8, task_cycles=np.float64(2.0))
         assert user.input_bits == 8 and user.task_cycles == 2.0

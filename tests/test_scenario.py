@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from offload_game import (
     write_scenario,
 )
 from offload_game.model import AccessModel
-from offload_game.scenario import dbm_to_mw
+from offload_game.scenario import ScenarioUser, dbm_to_mw
 from support import integer_contention_scenario
 
 
@@ -235,13 +236,42 @@ class TestDocuments:
             dataclasses.replace(load_scenario(minimal_doc()), **overrides)
         assert info.value.path == "env"
 
-    @pytest.mark.parametrize("key, value", [("lambda_e", True), ("g", "1e-4"), ("W", None)])
+    @pytest.mark.parametrize("key, value", [
+        ("lambda_e", True), ("g", "1e-4"), ("W", None),
+        # unit-converted fields, which raised TypeError from the arithmetic
+        ("b_kb", "5000"), ("d_megacycles", "1000"), ("f_m_ghz", [1.0]), ("f_c_ghz", None),
+        ("lambda_e", "0.5"),
+    ])
     def test_mistyped_user_fields_are_schema_errors(self, key, value):
         scenario = load_scenario(minimal_doc())
         users = (scenario.users[0], dataclasses.replace(scenario.users[1], **{key: value}))
         with pytest.raises(SchemaError, match="must be a number") as info:
             dataclasses.replace(scenario, users=users)
         assert info.value.path == "users[1]"
+
+    def test_mistyped_peak_rate_under_contention_is_schema_error(self):
+        """The contention peak-rate check compared it before UserProfile could reject it."""
+        scenario = load_scenario(minimal_doc())
+        users = (scenario.users[0], dataclasses.replace(scenario.users[1], R_bps="1e8"))
+        with pytest.raises(SchemaError, match="R_bps must be a number") as info:
+            dataclasses.replace(scenario, access_model=AccessModel.CONTENTION, users=users)
+        assert info.value.path == "users[1]"
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ScenarioUser)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge-int"])
+    def test_non_finite_user_fields_are_schema_errors(self, key, value):
+        scenario = load_scenario(minimal_doc())
+        users = (scenario.users[0], dataclasses.replace(scenario.users[1], **{key: value}))
+        with pytest.raises(SchemaError, match="must be finite") as info:
+            dataclasses.replace(scenario, users=users)
+        assert info.value.path == "users[1]"
+
+    @pytest.mark.parametrize("key", ["bandwidth_hz", "noise_dbm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_env_fields_are_schema_errors(self, key, value):
+        with pytest.raises(SchemaError, match="must be finite") as info:
+            dataclasses.replace(load_scenario(minimal_doc()), **{key: value})
+        assert info.value.path == "env"
 
     def test_fingerprint_stable_and_content_sensitive(self):
         scenario = generate(GenParams(n_users=3), 2)
