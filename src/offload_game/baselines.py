@@ -3,7 +3,8 @@
 Two exhaustive oracles (maximize the number of users that gain from
 offloading; minimize total cost), full Nash-set enumeration, a categorical
 cross-entropy search for instances too large to enumerate, and the two naive
-policies everything is compared against.
+policies everything is compared against.  Nash enumeration and both exhaustive
+objectives read one cached profile scan per scenario (`ProfileEvaluator._scan`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
 
 DEFAULT_PROFILE_CAP = 10**7
 DEGENERATE_TOL = 1e-3  # CE stops once every row has mass 1-tol on one decision
-_CHUNK = 1 << 16
 
 
 class Objective(Enum):
@@ -51,23 +50,11 @@ def all_cloud_random(scenario: Scenario, seed: int) -> tuple:
     return tuple(int(c) for c in rng.integers(1, scenario.channels + 1, scenario.n_users))
 
 
-def _check_cap(scenario: Scenario, profile_cap: int) -> int:
+def _check_cap(scenario: Scenario, profile_cap: int) -> None:
     total = (scenario.channels + 1) ** scenario.n_users
     if total > profile_cap:
-        raise InstanceTooLarge(
-            f"{scenario.channels + 1}^{scenario.n_users} = {total} profiles "
-            f"exceeds the cap {profile_cap}"
-        )
-    return total
-
-
-def _profile_chunks(n_users: int, channels: int, total: int) -> Iterator[np.ndarray]:
-    """Yield all decision profiles in lexicographic order, (chunk, n_users) at a time."""
-    base = channels + 1
-    place = base ** np.arange(n_users - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        yield (indices[:, np.newaxis] // place) % base
+        raise InstanceTooLarge(f"{scenario.channels + 1}^{scenario.n_users} = {total} profiles "
+                               f"exceeds the cap {profile_cap}")
 
 
 def exhaustive_optimize(
@@ -79,37 +66,14 @@ def exhaustive_optimize(
     MIN_OVERHEAD is unconstrained.  Ties resolve to the lexicographically
     smallest profile, which the scan order provides for free.
     """
-    total = _check_cap(scenario, profile_cap)
-    evaluator = scenario.evaluator
-    maximize = objective is Objective.MAX_BENEFICIAL
-    best_profile = None
-    best_value = None
-    for chunk in _profile_chunks(scenario.n_users, scenario.channels, total):
-        if maximize:
-            offloading = chunk > 0
-            feasible = ~np.any(offloading & ~evaluator.beneficial_mask(chunk), axis=1)
-            values = np.where(feasible, offloading.sum(axis=1), -1)
-            pick = int(np.argmax(values))
-            better = best_value is None or values[pick] > best_value
-        else:
-            values = evaluator.system_overheads(chunk)
-            pick = int(np.argmin(values))
-            better = best_value is None or values[pick] < best_value
-        if better:
-            best_value = values[pick]
-            best_profile = tuple(int(d) for d in chunk[pick])
-    return best_profile, (int(best_value) if maximize else float(best_value))
+    _check_cap(scenario, profile_cap)
+    return getattr(scenario.evaluator._scan, objective.value)  # fields named by objective
 
 
 def enumerate_nash(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> list:
     """All Nash equilibria, in lexicographic order.  Never empty."""
-    total = _check_cap(scenario, profile_cap)
-    evaluator = scenario.evaluator
-    found = []
-    for chunk in _profile_chunks(scenario.n_users, scenario.channels, total):
-        for row in chunk[evaluator.nash_mask(chunk)]:
-            found.append(tuple(int(d) for d in row))
-    return found
+    _check_cap(scenario, profile_cap)
+    return list(scenario.evaluator._scan.equilibria)
 
 
 @dataclass(frozen=True)

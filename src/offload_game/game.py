@@ -12,13 +12,17 @@ per-channel terms, so `dco.run_dco` can keep those terms between slots and
 refresh only the channels a move touches.  The Nash test and `run_dco` share
 one best-response rule that costs each user on its own channel and the
 least-loaded one only.  A scenario builds its evaluator once, as
-`Scenario.evaluator`; the module-level functions are single-profile views of it.
+`Scenario.evaluator`, and it scans all profiles at most once: one cached pass
+gives the Nash set and both exhaustive optima.  The module-level functions are
+single-profile views of it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from functools import cached_property
+from operator import itemgetter
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,17 +38,12 @@ from .model import (
     local_overhead,
 )
 
-__all__ = [
-    "user_overhead",
-    "is_nash",
-    "count_beneficial",
-    "system_overhead",
-    "ProfileEvaluator",
-]
+__all__ = ["user_overhead", "is_nash", "count_beneficial", "system_overhead", "ProfileEvaluator"]
 
 # Two candidate decisions count as equally good when their costs are this close;
 # the improvement test against the status quo stays an exact float comparison.
 BEST_RESPONSE_ATOL = 1e-12
+_CHUNK = 1 << 16
 
 
 def _clamped(thresholds: Sequence[float], weights: Sequence[float]) -> list:
@@ -71,11 +70,31 @@ def _best_responses(costs: Sequence[float], current_cost: float) -> list:
     ]
 
 
+def _profile_chunks(n_users: int, channels: int, total: int) -> Iterator[np.ndarray]:
+    """Yield all decision profiles in lexicographic order, (chunk, n_users) at a time."""
+    places = [(channels + 1) ** p for p in range(n_users - 1, -1, -1)]
+    for start in range(0, total, _CHUNK):
+        indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        chunk = np.empty((len(indices), n_users), dtype=np.int64)
+        for column, place in enumerate(places):  # a scalar divisor divides fastest
+            chunk[:, column] = (indices // place) % (channels + 1)
+        yield chunk
+
+
+class _ProfileScan(NamedTuple):
+    """The Nash set and both exhaustive optima, from one pass over every profile."""
+
+    equilibria: tuple  # in lexicographic order
+    max_beneficial: tuple  # (profile, most offloaders with none losing out)
+    min_overhead: tuple  # (profile, least total cost)
+
+
 class ProfileEvaluator:
     """Vectorized scoring of decision-profile batches for one fixed instance.
 
     Profiles are passed as an int array of shape (k, n_users); every method
-    is read-only, so one evaluator can serve any number of threads.  The
+    is read-only and the cached scan has the same value whichever thread
+    stores it, so one evaluator can serve any number of threads.  The
     per-user interference is derived from channel loads by subtracting the
     user's own weight, mirroring the measurement feedback a running system
     would use.
@@ -151,10 +170,7 @@ class ProfileEvaluator:
 
     def overheads(self, profiles) -> np.ndarray:
         """(k, n_users) per-user costs under each profile."""
-        batch = self._as_batch(profiles)
-        loads = self.channel_loads(batch)
-        mu = np.take_along_axis(loads, np.maximum(batch - 1, 0), axis=1) - self.weights
-        return np.where(batch > 0, self._cloud_costs(mu), self.local_costs)
+        return self._batch_costs(self._as_batch(profiles))[0]
 
     def system_overheads(self, profiles) -> np.ndarray:
         return self.overheads(profiles).sum(axis=1)
@@ -195,33 +211,60 @@ class ProfileEvaluator:
         out[:, :, 1:] = cloud_costs
         return out
 
-    def _current_and_best(self, decisions: np.ndarray, own_mu: np.ndarray, least_load) -> tuple:
+    def _current_and_best(self, decisions: np.ndarray, own_mu: np.ndarray, least_load=None) -> tuple:
         """(current, best): each user's cost and its cheapest unilateral cost, shaped like `decisions`.
 
         `own_mu` is each user's co-channel weight on its own channel (load − w)
         and `least_load` the least channel load, one per profile (a scalar, or
-        a (k, 1) column).  A cloud cost never decreases as μ grows, so besides
-        local a user's cheapest decision is its own channel or the
-        least-loaded one: two cloud costs per user, not one per channel.  For
-        a user on the least-loaded channel, or on the only one, the second is
-        its own channel at μ = load, which never costs less than staying, so
-        it never wins; every other channel is at least as loaded.
+        a (k, 1) column; None leaves `best` None).  A cloud cost never
+        decreases as μ grows, so besides local a user's cheapest decision is
+        its own channel or the least-loaded one: two cloud costs per user.
+        For a user on the least-loaded channel, or on the only one, the second
+        is its own channel at μ = load, which never costs less than staying,
+        so it never wins; every other channel is at least as loaded.
         """
         current = np.where(decisions > 0, self._cloud_costs(own_mu), self.local_costs)
+        if least_load is None:
+            return current, None
         lightest_cost = self._cloud_costs(least_load)
         return current, np.minimum(np.minimum(self.local_costs, current), lightest_cost)
 
-    def nash_mask(self, profiles) -> np.ndarray:
-        """(k,) True where no user has a strictly improving unilateral deviation.
+    def _batch_costs(self, batch: np.ndarray, nash: bool = False) -> tuple:
+        """(current, nash) of a checked batch: per-user costs and, if asked, the Nash mask (else None).
 
-        Two cloud costs per user by `run_dco`'s rule, `_current_and_best`; no
-        (k, n_users, channels+1) block is built.
+        The one own-channel μ gather for batches; the mask follows `run_dco`'s
+        rule, `_current_and_best`, so no (k, n_users, channels+1) block is built.
         """
-        batch = self._as_batch(profiles)
         loads = self.channel_loads(batch)
         own_mu = np.take_along_axis(loads, np.maximum(batch - 1, 0), axis=1) - self.weights
-        current, best = self._current_and_best(batch, own_mu, loads.min(axis=1, keepdims=True))
-        return ~np.any(best < current, axis=1)
+        least_load = loads.min(axis=1, keepdims=True) if nash else None
+        current, best = self._current_and_best(batch, own_mu, least_load)
+        return current, None if best is None else ~np.any(best < current, axis=1)
+
+    def nash_mask(self, profiles) -> np.ndarray:
+        """(k,) True where no user has a strictly improving unilateral deviation."""
+        return self._batch_costs(self._as_batch(profiles), nash=True)[1]
+
+    @cached_property
+    def _scan(self) -> _ProfileScan:
+        """One pass over all (channels+1)^n_users profiles, cached; callers check the profile cap.
+
+        Per chunk, one `_batch_costs` call gives the Nash mask, the offloader
+        counts of rows where no offloader loses out and the row totals, with
+        the bits `beneficial_mask` and `system_overheads` give.  Ties go to the
+        lexicographically first profile: argmax/argmin and `max`/`min` keep the first.
+        """
+        equilibria, most, least = [], [], []  # most/least: (profile, value) per chunk
+        for chunk in _profile_chunks(self.n_users, self.channels, (self.channels + 1) ** self.n_users):
+            current, nash = self._batch_costs(chunk, nash=True)
+            equilibria.extend(map(tuple, chunk[nash].tolist()))
+            offloading = chunk > 0
+            feasible = ~np.any(offloading & ~(current <= self.local_costs), axis=1)
+            counts, totals = np.where(feasible, offloading.sum(axis=1), -1), current.sum(axis=1)
+            high, low = int(np.argmax(counts)), int(np.argmin(totals))
+            most.append((tuple(chunk[high].tolist()), int(counts[high])))
+            least.append((tuple(chunk[low].tolist()), float(totals[low])))
+        return _ProfileScan(tuple(equilibria), max(most, key=itemgetter(1)), min(least, key=itemgetter(1)))
 
     def _channel_terms(self, batch: np.ndarray, channels) -> tuple:
         """Loads t and pair terms ½(t² − Σw²) of `channels` under `batch`, each (len(channels), k).

@@ -1,11 +1,12 @@
 """Worst-case equilibrium efficiency (price of anarchy) and analytic bounds.
 
 Both ratios come from full Nash enumeration against the exhaustive optimum,
-so they are only computed on instances small enough to enumerate.  The
-analytic bounds attach when their preconditions hold and are reported as
-None otherwise; the measured ratio is always reported.  The bounds read
-their per-user weights, thresholds, local costs and cloud-cost extremes from
-`Scenario.evaluator`.
+so they are only computed on instances small enough to enumerate; both read
+one cached profile scan per scenario, so a scenario costs one pass over its
+profiles.  The analytic bounds attach when their preconditions hold and are
+reported as None otherwise; the measured ratio is always reported.  The
+bounds read their per-user weights, thresholds, local costs and cloud-cost
+extremes from `Scenario.evaluator`.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ class PoaReport:
     threshold_min: float | None
 
 
-def _instance_extremes(scenario: Scenario):
+def _instance_extremes(scenario: Scenario) -> dict:
+    """PoaReport's weight and threshold fields; the thresholds are None unless all are finite."""
     weights, thresholds = scenario.evaluator.weights.tolist(), scenario.evaluator.thresholds.tolist()
-    if not all(math.isfinite(t) for t in thresholds):
-        t_max = t_min = None
-    else:
-        t_max, t_min = max(thresholds), min(thresholds)
-    return max(weights), min(weights), t_max, t_min
+    finite = all(math.isfinite(t) for t in thresholds)
+    return {"weight_max": max(weights), "weight_min": min(weights),
+            "threshold_max": max(thresholds) if finite else None,
+            "threshold_min": min(thresholds) if finite else None}
 
 
 def poa_beneficial(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> PoaReport:
@@ -56,13 +57,11 @@ def poa_beneficial(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -
     ever benefit).  The analytic lower bound needs every threshold finite
     and nonnegative and every weight positive.
     """
-    env = scenario.channel_env
-    users = scenario.user_profiles
-    equilibria = enumerate_nash(scenario, profile_cap)
-    worst = min(count_beneficial(env, users, a) for a in equilibria)
+    env, users = scenario.channel_env, scenario.user_profiles
+    worst = min(count_beneficial(env, users, a) for a in enumerate_nash(scenario, profile_cap))
     _, optimum = exhaustive_optimize(scenario, Objective.MAX_BENEFICIAL, profile_cap)
-    ratio = 1.0 if optimum == 0 else worst / optimum
-    q_max, q_min, t_max, t_min = _instance_extremes(scenario)
+    extremes = _instance_extremes(scenario)
+    q_max, q_min, t_max, t_min = extremes.values()
     bound_low = None
     if t_min is not None and t_min >= 0.0 and q_min > 0.0:
         bound_low = math.floor(t_min / q_max) / (math.floor(t_max / q_min) + 1.0)
@@ -70,13 +69,10 @@ def poa_beneficial(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -
         metric=BENEFICIAL_USERS,
         worst_equilibrium=float(worst),
         optimum=float(optimum),
-        ratio=ratio,
+        ratio=1.0 if optimum == 0 else worst / optimum,
         bound_low=bound_low,
         bound_high=1.0,
-        weight_max=q_max,
-        weight_min=q_min,
-        threshold_max=t_max,
-        threshold_min=t_min,
+        **extremes,
     )
 
 
@@ -88,12 +84,9 @@ def poa_overhead(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> 
     or two below 1 until both come from one sum.  The analytic upper bound
     exists only under the interference model.
     """
-    env = scenario.channel_env
-    users = scenario.user_profiles
-    equilibria = enumerate_nash(scenario, profile_cap)
-    worst = max(system_overhead(env, users, a) for a in equilibria)
+    env, users = scenario.channel_env, scenario.user_profiles
+    worst = max(system_overhead(env, users, a) for a in enumerate_nash(scenario, profile_cap))
     _, optimum = exhaustive_optimize(scenario, Objective.MIN_OVERHEAD, profile_cap)
-    ratio = 1.0 if worst == optimum else worst / optimum
     bound_high = None
     if env.access is AccessModel.INTERFERENCE:
         k_min, k_max = scenario.evaluator.cloud_cost_extremes().tolist()
@@ -101,16 +94,12 @@ def poa_overhead(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> 
         numerator = sum(min(k_local, k) for k_local, k in zip(local, k_max))
         denominator = sum(min(k_local, k) for k_local, k in zip(local, k_min))
         bound_high = numerator / denominator if denominator > 0 else None
-    q_max, q_min, t_max, t_min = _instance_extremes(scenario)
     return PoaReport(
         metric=SYSTEM_OVERHEAD,
         worst_equilibrium=worst,
         optimum=optimum,
-        ratio=ratio,
+        ratio=1.0 if worst == optimum else worst / optimum,
         bound_low=1.0,
         bound_high=bound_high,
-        weight_max=q_max,
-        weight_min=q_min,
-        threshold_max=t_max,
-        threshold_min=t_min,
+        **_instance_extremes(scenario),
     )

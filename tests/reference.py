@@ -9,7 +9,10 @@ views, against them compares two independent implementations.
 `nash_mask_dense` and `run_dco_dense` are the exceptions: the Nash test and
 the slot loop as they were before the two-candidate rule, scoring every user
 on every channel with the evaluator's `candidate_overheads` block.  They are
-the bit-exact oracles for `ProfileEvaluator.nash_mask` and `run_dco`.
+the bit-exact oracles for `ProfileEvaluator.nash_mask` and `run_dco`.  So are
+`enumerate_nash_separate` and `exhaustive_optimize_separate`: one profile scan
+per call through the evaluator's public methods, as the enumerators were
+before they shared one cached scan per scenario.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
+from offload_game.baselines import DEFAULT_PROFILE_CAP, Objective, _check_cap
 from offload_game.dco import RunReport, SlotRecord, _slot_rng
-from offload_game.game import BEST_RESPONSE_ATOL, _best_responses
+from offload_game.game import BEST_RESPONSE_ATOL, _best_responses, _profile_chunks
 from offload_game.model import (
     LOCAL,
     AccessModel,
@@ -293,3 +297,45 @@ def run_dco_dense(scenario, seed: int) -> RunReport:
     return RunReport(
         scenario_fingerprint=scenario_fingerprint(scenario), seed=seed, slots=tuple(records)
     )
+
+
+# one profile scan per call
+
+
+def exhaustive_optimize_separate(
+    scenario, objective: Objective, profile_cap: int = DEFAULT_PROFILE_CAP
+) -> tuple:
+    """`baselines.exhaustive_optimize` as it was: its own scan on every call."""
+    _check_cap(scenario, profile_cap)
+    total = (scenario.channels + 1) ** scenario.n_users
+    evaluator = scenario.evaluator
+    maximize = objective is Objective.MAX_BENEFICIAL
+    best_profile = None
+    best_value = None
+    for chunk in _profile_chunks(scenario.n_users, scenario.channels, total):
+        if maximize:
+            offloading = chunk > 0
+            feasible = ~np.any(offloading & ~evaluator.beneficial_mask(chunk), axis=1)
+            values = np.where(feasible, offloading.sum(axis=1), -1)
+            pick = int(np.argmax(values))
+            better = best_value is None or values[pick] > best_value
+        else:
+            values = evaluator.system_overheads(chunk)
+            pick = int(np.argmin(values))
+            better = best_value is None or values[pick] < best_value
+        if better:
+            best_value = values[pick]
+            best_profile = tuple(int(d) for d in chunk[pick])
+    return best_profile, (int(best_value) if maximize else float(best_value))
+
+
+def enumerate_nash_separate(scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> list:
+    """`baselines.enumerate_nash` as it was: its own scan on every call."""
+    _check_cap(scenario, profile_cap)
+    total = (scenario.channels + 1) ** scenario.n_users
+    evaluator = scenario.evaluator
+    found = []
+    for chunk in _profile_chunks(scenario.n_users, scenario.channels, total):
+        for row in chunk[evaluator.nash_mask(chunk)]:
+            found.append(tuple(int(d) for d in row))
+    return found

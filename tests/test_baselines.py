@@ -1,24 +1,35 @@
 """Tests for the centralized baselines and the cross-entropy optimizer."""
 
 import itertools
+import math
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from offload_game import (
     CrossEntropyParams,
+    GenParams,
     InstanceTooLarge,
     Objective,
+    ProfileEvaluator,
     all_cloud_random,
     all_local,
     cross_entropy_optimize,
     enumerate_nash,
     exhaustive_optimize,
+    generate,
     local_overhead,
+    poa_beneficial,
+    poa_overhead,
     run_dco,
 )
+from offload_game import game, metrics
+from offload_game.model import AccessModel
 import reference
-from support import small_paper_scenario
+import test_game
+from support import integer_contention_scenario, small_paper_scenario
 from test_dco import all_never_beneficial_scenario
 
 
@@ -126,6 +137,103 @@ class TestEnumerateNash:
             equilibria = enumerate_nash(scenario)
             assert equilibria
             assert run_dco(scenario, seed=i).final_profile in equilibria
+
+
+def hand_built_scenario(env, users):
+    """What the enumerators and the PoA metrics read of a scenario, for an (env, users) pair."""
+    return SimpleNamespace(n_users=len(users), channels=env.channels, channel_env=env,
+                           user_profiles=tuple(users), evaluator=ProfileEvaluator(env, users))
+
+
+class TestSharedScan:
+    """The one cached scan against one separate scan per call, bit for bit."""
+
+    @staticmethod
+    def instances(access):
+        """(label, scenario, chunk count): seeded instances, then the two-candidate corner cases.
+
+        One multi-chunk size per access model bounds the test's run time: 4^9
+        (4 full chunks) under interference, 5^8 (the last of 6 partial) under
+        contention.
+        """
+        multi = (9, 3, 4) if access is AccessModel.INTERFERENCE else (8, 4, 6)
+        for n, m, chunks in ((8, 3, 1), multi):
+            params = GenParams(n_users=n, channels=m, access_model=access,
+                               contention_weight_choices=(1.0, 2.0, 3.0))
+            yield f"N={n}, M={m}", generate(params, 80 + n + m), chunks
+        for label, env, users in test_game.TestTwoCandidateNashMask.corner_instances(access):
+            yield label, hand_built_scenario(env, users), 1
+        if access is AccessModel.CONTENTION:  # offloaders whose cost equals their local cost
+            yield "exact ties with local", integer_contention_scenario(6, 2, seed=0), 1
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_equals_the_separate_scans(self, access, monkeypatch):
+        for label, scenario, chunks in self.instances(access):
+            assert math.ceil((scenario.channels + 1) ** scenario.n_users / game._CHUNK) == chunks
+            equilibria = reference.enumerate_nash_separate(scenario)
+            optima = {o: reference.exhaustive_optimize_separate(scenario, o) for o in Objective}
+            assert enumerate_nash(scenario) == equilibria, label
+            for objective, expected in optima.items():
+                assert exhaustive_optimize(scenario, objective) == expected, label
+            reports = asdict(poa_beneficial(scenario)), asdict(poa_overhead(scenario))
+            with monkeypatch.context() as patch:  # the PoA reports from the separate scans
+                patch.setattr(metrics, "enumerate_nash", lambda s, cap: list(equilibria))
+                patch.setattr(metrics, "exhaustive_optimize", lambda s, o, cap: optima[o])
+                assert reports == (asdict(poa_beneficial(scenario)),
+                                   asdict(poa_overhead(scenario))), label
+
+
+class TestScanCache:
+    """One scan per scenario object; every call still checks its own cap and gets its own list."""
+
+    def test_cap_is_checked_after_the_scan_is_cached(self):
+        scenario = small_paper_scenario(5, 2, seed=0)  # 3^5 = 243 profiles
+        enumerate_nash(scenario)
+        with pytest.raises(InstanceTooLarge):
+            enumerate_nash(scenario, profile_cap=100)
+        for objective in Objective:
+            exhaustive_optimize(scenario, objective)
+            with pytest.raises(InstanceTooLarge):
+                exhaustive_optimize(scenario, objective, profile_cap=100)
+
+    def test_returned_list_is_the_callers_own(self):
+        scenario = small_paper_scenario(5, 2, seed=0)
+        first = enumerate_nash(scenario)
+        expected = list(first)
+        first.append((9,) * 5)
+        first.pop(0)
+        assert enumerate_nash(scenario) == expected
+
+    @staticmethod
+    def count_scans(monkeypatch) -> list:
+        """Route `game._profile_chunks` through a recorder; one entry per scan."""
+        chunks, calls = game._profile_chunks, []
+
+        def counted(*args):
+            calls.append(args)
+            return chunks(*args)
+
+        monkeypatch.setattr(game, "_profile_chunks", counted)
+        return calls
+
+    def test_every_enumerator_shares_one_scan_per_scenario(self, monkeypatch):
+        calls = self.count_scans(monkeypatch)
+        scenario = small_paper_scenario(5, 2, seed=0)
+        poa_beneficial(scenario)
+        poa_overhead(scenario)
+        for objective in Objective:
+            exhaustive_optimize(scenario, objective)
+        enumerate_nash(scenario)
+        assert len(calls) == 1
+
+    def test_an_equal_new_scenario_scans_again(self, monkeypatch):
+        """The cache lives on the object, so repeated rounds of equal scenarios repeat the work."""
+        calls = self.count_scans(monkeypatch)
+        scenario = small_paper_scenario(5, 2, seed=0)
+        fresh = small_paper_scenario(5, 2, seed=0)
+        assert fresh == scenario and fresh is not scenario
+        assert enumerate_nash(fresh) == enumerate_nash(scenario)
+        assert len(calls) == 2
 
 
 class TestCrossEntropy:

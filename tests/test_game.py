@@ -22,8 +22,7 @@ from offload_game import (
     system_overhead,
     user_overhead,
 )
-from offload_game.baselines import _profile_chunks
-from offload_game.game import BEST_RESPONSE_ATOL
+from offload_game.game import BEST_RESPONSE_ATOL, _profile_chunks
 from offload_game.model import AccessModel, ChannelEnv
 import reference
 from support import (
@@ -462,6 +461,17 @@ class TestTwoCandidateNashMask:
                      for i in range(0, len(profiles), 3)]
             assert np.concatenate(masks).any(), label
             assert [mask.tolist() for mask in masks] == [mask.tolist() for mask in dense], label
+
+
+@pytest.mark.parametrize("n_users, channels, chunks", [(9, 3, 4), (8, 4, 6)])
+def test_profile_chunks_are_every_profile_in_lexicographic_order(n_users, channels, chunks):
+    """Across chunk boundaries, the last chunk partial at 5^8; C-ordered int64, as the scan sums rows."""
+    total = (channels + 1) ** n_users
+    parts = list(_profile_chunks(n_users, channels, total))
+    assert len(parts) == chunks and sum(map(len, parts)) == total
+    assert all(part.dtype == np.int64 and part.flags.c_contiguous for part in parts)
+    rows = map(tuple, np.concatenate(parts).tolist())
+    assert list(rows) == list(itertools.product(range(channels + 1), repeat=n_users))
 
 
 def test_nash_path_builds_no_candidate_block(monkeypatch):
