@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
+import json
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +29,7 @@ from .baselines import (
     all_local,
     cross_entropy_optimize,
 )
-from .dco import RunReport, run_dco
+from .dco import RunReport, SlotRecord, run_dco
 from .errors import InstanceTooLarge, OffloadGameError, SchemaError
 from .metrics import poa_beneficial, poa_overhead
 from .scenario import SEED_LIMIT, GenParams, _dumps_indented, generate, read_scenario, write_scenario
@@ -168,6 +171,47 @@ def report_document(report: RunReport) -> dict:
     }
 
 
+class _Column:
+    """One SlotRecord field across slots: a tuple of exact ints, or of exact nonzero floats,
+    keeps its entry texts and re-encodes only the entries unequal to the last such tuple's.
+
+    Equal entries then have equal text: `type(v) is` keeps 1, 1.0 and True apart, a
+    zero is excluded since -0.0 == 0.0, and NaN never compares equal.
+    """
+
+    prev = texts = None
+
+    def encode(self, values, indent: str) -> str:
+        kind = type(values[0]) if type(values) is tuple and values else None
+        if (kind not in (int, float) or not {kind}.issuperset(map(type, values))
+                or kind is float and 0.0 in values):
+            return _dumps_indented(values, indent)  # texts still match prev, which they encode
+        prev = self.prev
+        if prev is not None and type(prev[0]) is kind and len(prev) == len(values):
+            for i in itertools.compress(range(len(values)), map(operator.ne, prev, values)):
+                self.texts[i] = json.dumps(values[i])
+        else:
+            self.texts = json.dumps(values, separators=(",", ":"))[1:-1].split(",")
+        self.prev = values
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join(self.texts) + indent + "]"
+
+
+def write_report(path: Path, report: RunReport):
+    """`_write_json(path, report_document(report))`, streamed: each slot re-encodes only the
+    per-user entries that changed since the last, and no report-sized string is built."""
+    head = report_document(report)
+    del head["slots"]
+    columns = [(f.name, "\n      " + json.dumps(f.name) + ": ", _Column()) for f in fields(SlotRecord)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_dumps_indented(head)[:-2] + ',\n  "slots": [')
+        for i, rec in enumerate(report.slots):
+            body = ",".join([key + column.encode(getattr(rec, name), "\n      ")
+                             for name, key, column in columns])
+            fh.write((",\n    {" if i else "\n    {") + body + "\n    }")
+        fh.write("\n  ]\n}\n")
+
+
 def write_slots_csv(path: Path, report: RunReport):
     _write_csv(path, [
         {"slot": rec.slot, "phi": rec.potential, "system_overhead": rec.system_overhead,
@@ -187,7 +231,7 @@ def cmd_trace(args: argparse.Namespace, out: Path):
     scenario = read_scenario(args.scenario)
     report = run_dco(scenario, args.seed)
     write_scenario(out / "scenario.json", scenario)
-    _write_json(out / "report.json", report_document(report))
+    write_report(out / "report.json", report)
     write_slots_csv(out / "slots.csv", report)
     print(
         f"converged after {report.update_slots} update slots; "

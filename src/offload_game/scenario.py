@@ -275,7 +275,7 @@ _USER_FIELDS = tuple(f.name for f in fields(ScenarioUser))
 
 def _require(doc: dict, key: str, path: str):
     if not isinstance(doc, dict):
-        raise SchemaError(path, "expected an object")
+        raise SchemaError(path or "document", "expected an object")
     if key not in doc:
         raise SchemaError(f"{path}.{key}" if path else key, "missing")
     return doc[key]
@@ -367,7 +367,8 @@ def read_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # text that is not UTF-8, or nested past the parser's depth, is as invalid as bad syntax
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SchemaError(str(path), f"not valid JSON: {exc}") from exc
     return load_scenario(doc)
 
@@ -392,8 +393,8 @@ def _dumps_indented(value, indent: str = "\n") -> str:
     elif (kind is list or kind is tuple) and value:
         brackets, leaves = "[]", value
         items = (_dumps_indented(v, inner) for v in value)
-    else:
-        return json.dumps(value, indent=2).replace("\n", indent)
+    else:  # a plain leaf goes to the C encoder, whose text is the indented encoder's
+        return json.dumps(value, indent=None if kind in _PLAIN else 2).replace("\n", indent)
     if _PLAIN.issuperset(map(type, leaves)):
         flat = json.dumps(value, separators=("," + inner, ": "))
         return brackets[0] + inner + flat[1:-1] + indent + brackets[1]

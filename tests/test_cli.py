@@ -293,6 +293,31 @@ class TestCeCommand:
         assert code == EXIT_CONFIG
 
 
+class TestBadScenarioFile:
+    """A scenario file the parser cannot read is a config error for every command that reads one."""
+
+    COMMANDS = {
+        "trace": ["trace", "--seed", "1"],
+        "ce": ["ce", "--objective", "max-beneficial", "--ce-iterations", "2"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("content, reason", [
+        (b"\xff\xfe{", "codec can't decode"),  # not UTF-8
+        (b"[" * 100000, "recursion"),  # nested past the parser's depth
+        (b"[1, 2]", "document: expected an object"),  # valid JSON, but not an object
+    ], ids=["not-utf8", "deeply-nested", "top-level-array"])
+    def test_config_error_and_no_report(self, tmp_path, capsys, command, content, reason):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        argv = [*self.COMMANDS[command], "--scenario", str(path), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+        assert not (out / "report.json").exists()
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == EXIT_OK

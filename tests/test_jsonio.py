@@ -1,8 +1,9 @@
-"""The indented JSON writer against its oracle, stdlib `json.dumps(value, indent=2)`.
+"""The indented JSON writers against their oracle, stdlib `json.dumps(value, indent=2)`.
 
-`scenario._dumps_indented` writes every report, scenario and config file.  It
-must return the stdlib's indented text exactly, whatever the value holds, so
-the files keep their bytes while the C encoder writes the flat runs.
+`scenario._dumps_indented` writes every scenario and config file, and
+`cli.write_report` streams a trace's report.json slot by slot.  Both must give
+the stdlib's indented text exactly, whatever the value holds, so the files keep
+their bytes while the C encoder writes the flat runs.
 """
 
 import json
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from offload_game import GenParams, generate, run_dco, save_scenario
-from offload_game.cli import main, report_document
+from offload_game import GenParams, RunReport, SlotRecord, generate, run_dco, save_scenario
+from offload_game.cli import main, report_document, write_report
 from offload_game.model import AccessModel
 from offload_game.scenario import _dumps_indented
 
@@ -41,14 +42,18 @@ def oracle(value) -> str:
     return json.dumps(value, indent=2)
 
 
-def mismatch(value, margin="\n"):
-    """None if the writer returns the oracle's text at `margin`, else both texts near the first
-    difference; a plain `==` on megabyte strings would have pytest diff them line by line."""
-    got, want = _dumps_indented(value, margin), oracle(value).replace("\n", margin)
+def difference(got, want):
+    """None if the two texts are equal, else both near the first difference; a plain `==` on
+    megabyte strings would have pytest diff them line by line."""
     if got == want:
         return None
     i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
     return got[max(0, i - 60):i + 60], want[max(0, i - 60):i + 60]
+
+
+def mismatch(value, margin="\n"):
+    """`difference` of the writer's text at `margin` from the oracle's."""
+    return difference(_dumps_indented(value, margin), oracle(value).replace("\n", margin))
 
 
 TEXT = st.text(alphabet=st.sampled_from(list('ab\n",[{}]: \\\t\x00éΦ😀')), max_size=6)
@@ -117,3 +122,72 @@ def test_sweep_config_file(tmp_path):
     assert main(argv) == 0
     text = (out / "config.json").read_text(encoding="utf-8")
     assert text == oracle(json.loads(text)) + "\n"
+
+
+def streamed_mismatch(tmp_path, report):
+    """`difference` of the file `write_report` writes from the stdlib's bytes."""
+    path = tmp_path / "report.json"
+    write_report(path, report)
+    return difference(path.read_bytes(), (json.dumps(report_document(report), indent=2) + "\n").encode())
+
+
+@pytest.mark.parametrize("access", list(AccessModel), ids=lambda a: a.value)
+def test_streamed_report_equals_stdlib(tmp_path, access):
+    cases = [GenParams(n_users=n, channels=m, access_model=access)
+             for n, m in [(1, 1), (2, 1), (7, 3), (40, 5), (300, 50)]]
+    # the cloud is 50x slower than the slowest device, so all-local is already the equilibrium
+    still = GenParams(n_users=6, channels=2, cloud_rate_ghz=0.01, access_model=access)
+    for seed, params in enumerate([*cases, still], start=3):
+        report = run_dco(generate(params, seed), seed)
+        assert streamed_mismatch(tmp_path, report) is None, params
+    assert report.total_slots == 1 and report.slots[0].updater is None
+
+
+@pytest.mark.parametrize("seed, params", [
+    (475, GenParams(cell_radius_m=300.0)),  # slot 0 lowers φ by less than one ulp of φ
+    (1, GenParams(n_users=5, access_model=AccessModel.CONTENTION, transmit_power_mw=0.0,
+                  energy_weight_choices=(1.0,))),  # free uploads: +inf thresholds
+], ids=["sub-ulp-descent", "free-upload"])
+def test_streamed_report_of_edge_scenarios(tmp_path, seed, params):
+    assert streamed_mismatch(tmp_path, run_dco(generate(params, seed), seed)) is None
+
+
+def hand_report(profiles, overheads, senders) -> RunReport:
+    """A report whose slots carry the given columns; the scalars vary with them."""
+    slots = tuple(
+        SlotRecord(slot=t, profile=p, potential=o[0] if o else 0.5, system_overhead=-0.0,
+                   beneficial_count=len(s), overheads=o, rtu_senders=s,
+                   updater=s[0] if s else None, new_decision=p[0] if s else None)
+        for t, (p, o, s) in enumerate(zip(profiles, overheads, senders))
+    )
+    return RunReport(scenario_fingerprint="hand-built", seed=0, slots=slots)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def test_streamed_report_change_detection_edges(tmp_path):
+    """Entries that compare equal but encode differently are re-encoded, slot after slot."""
+    profiles = [(1, 2, 0), (1.0, 2.0, 3.0), (1, 2, 0), (True, 2, 0), (1, 2, 0), (1, True, 0),
+                (1, 2, 0), (1, 2), (1, 1, 2), (1, True, 2.0), (1, 1, 2)]
+    overheads = [(1.5, 0.0, 5e-324), (1.5, -0.0, 5e-324), (1.5, 0.0, 5e-324), (NAN, INF, -INF),
+                 (NAN, INF, -INF), (1.5, 2.0, 5e-324), (1.5, 2, 5e-324), (1, 2, 3),
+                 (1.0, 2.0, 3.0), (1.5, 2.5, 1e-323), (1.5, 2.5, 1e-323)]
+    senders = [(0, 1, 2), (1,), (), (), (2, 0), (0, 1, 2), (), (1,), (0, 1), (), (2,)]
+    assert streamed_mismatch(tmp_path, hand_report(profiles, overheads, senders)) is None
+
+
+# a slot's entries come from one pool: the ints, the floats, or both plus the bools, whose
+# members compare equal across types (1 == 1.0 == True) and across zero signs
+INTS, FLOATS_AND_SIGNS = [0, 1, 2], [0.0, -0.0, 1.0, 2.0, 5e-324, NAN, INF]
+POOLS = st.sampled_from([INTS, FLOATS_AND_SIGNS, INTS + FLOATS_AND_SIGNS + [True, False]])
+COLUMNS = st.integers(0, 3).flatmap(lambda n: st.lists(
+    POOLS.flatmap(lambda pool: st.tuples(*[st.sampled_from(pool)] * n)), min_size=1, max_size=8
+))
+
+
+@given(COLUMNS)
+def test_streamed_columns_of_look_alike_entries(tmp_path_factory, column):
+    """Every column of one slot sequence drawn from entries that compare equal across types."""
+    report = hand_report(column, column[::-1], column)
+    assert streamed_mismatch(tmp_path_factory.mktemp("report"), report) is None

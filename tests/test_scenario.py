@@ -292,6 +292,20 @@ class TestDocuments:
         with pytest.raises(SchemaError):
             read_scenario(path)
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100000], ids=["not-utf8", "deep"])
+    def test_unparsable_bytes_are_schema_errors(self, tmp_path, content):
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError, match="not valid JSON") as info:
+            read_scenario(path)
+        assert info.value.path == str(path)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "scenario", None, 3.5])
+    def test_top_level_non_object_names_the_document(self, doc):
+        with pytest.raises(SchemaError) as info:
+            load_scenario(doc)
+        assert str(info.value) == "document: expected an object"
+
 
 def test_scenario_builds_one_evaluator(monkeypatch):
     """The simulation, the bound and every baseline share `Scenario.evaluator`."""
