@@ -57,6 +57,11 @@ def _check_cap(scenario: Scenario, profile_cap: int) -> None:
                                f"exceeds the cap {profile_cap}")
 
 
+def _check_objective(objective) -> None:
+    if not isinstance(objective, Objective):
+        raise ValueError(f"objective must be an Objective, got {objective!r}")
+
+
 def exhaustive_optimize(
     scenario: Scenario, objective: Objective, profile_cap: int = DEFAULT_PROFILE_CAP
 ) -> tuple:
@@ -64,8 +69,10 @@ def exhaustive_optimize(
 
     MAX_BENEFICIAL only considers profiles where every offloader gains;
     MIN_OVERHEAD is unconstrained.  Ties resolve to the lexicographically
-    smallest profile, which the scan order provides for free.
+    smallest profile, which the scan order provides for free.  An objective
+    that is not an Objective raises ValueError.
     """
+    _check_objective(objective)
     _check_cap(scenario, profile_cap)
     return getattr(scenario.evaluator._scan, objective.value)  # fields named by objective
 
@@ -114,8 +121,10 @@ def cross_entropy_optimize(
     point-wise improvement (a losing offloader's own cost drops and its
     co-channel users only gain), so no optimum is ever repaired away.
     Deterministic per (scenario, params, seed); a seed that is not an int in
-    [0, 2**128) raises SchemaError.
+    [0, 2**128) raises SchemaError, an objective that is not an Objective
+    ValueError.
     """
+    _check_objective(objective)
     _check_seed(seed)
     params = params or CrossEntropyParams()
     evaluator = scenario.evaluator

@@ -11,9 +11,10 @@ Nash equilibrium of the underlying game.
 As in the paper's protocol, one user moves per slot, so the simulation keeps
 the per-channel loads and potential terms between slots and refreshes only
 the two channels a move touches; each user is costed on its own channel and
-on the least-loaded one, by the best-response rule the Nash test also uses
-(`ProfileEvaluator._current_and_best`).  A slot then costs O(N + M), and
-every SlotRecord has the bits a full rescoring of the profile would give.
+on the least-loaded one, by the Nash test's rule (`_current_and_best`); the
+granted user's move and both μ of its descent check are the evaluator's
+`_best_response`.  A slot then costs O(N + M), and every SlotRecord has the
+bits a full rescoring of the profile would give.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundInapplicable
-from .game import ProfileEvaluator, _best_responses
 from .scenario import Scenario, _check_seed, scenario_fingerprint
 
 __all__ = ["SlotRecord", "RunReport", "run_dco", "convergence_slot_bound"]
@@ -79,14 +79,6 @@ def _slot_rng(seed: int, slot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=slot))
 
 
-def _cost_row(evaluator: ProfileEvaluator, decisions: np.ndarray, loads: np.ndarray, user: int) -> list:
-    """`user`'s cost at every decision 0..channels, the others' decisions held fixed."""
-    mu = loads.copy()
-    if decisions[user] > 0:
-        mu[decisions[user] - 1] -= evaluator.weights[user]
-    return [float(evaluator.local_costs[user])] + evaluator._cloud_costs(mu, user).tolist()
-
-
 def run_dco(scenario: Scenario, seed: int) -> RunReport:
     """Run the slotted update process from the all-local profile to equilibrium.
 
@@ -113,8 +105,9 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
         pick = new_decision = None
         if senders:
             pick = senders[int(_slot_rng(seed, slot).integers(len(senders)))]
-            row = _cost_row(evaluator, decisions, load, pick)
-            new_decision = _best_responses(row, float(current[pick]))[0]
+            new_decision, mu_new, mu_old = evaluator._best_response(
+                decisions, load, pick, float(current[pick])
+            )
         records.append(
             SlotRecord(
                 slot=slot,
@@ -132,15 +125,12 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
             break
         # the move changes φ by w·(μ_new - μ_old) exactly, and w > 0 (Scenario
         # checks it), so the sign test holds where two rounded φ sums can tie
-        old_decision = int(decisions[pick])
-        at_local = float(evaluator._phi_thresholds[pick])
-        mu_old = float(load[old_decision - 1] - evaluator.weights[pick]) if old_decision else at_local
-        mu_new = float(load[new_decision - 1]) if new_decision else at_local
         if not mu_new < mu_old:
             raise RuntimeError(
                 f"potential failed to decrease at slot {slot}: user {pick} moves from "
                 f"co-channel weight {mu_old!r} to {mu_new!r}; improvement path broken"
             )
+        old_decision = int(decisions[pick])
         decisions[pick] = new_decision
         moved = [d for d in (old_decision, new_decision) if d > 0]
         rows = [d - 1 for d in moved]

@@ -10,8 +10,9 @@ selected user), and it also gives each user's best- and worst-case cloud cost
 for the price-of-anarchy overhead bound.  The potential is assembled from
 per-channel terms, so `dco.run_dco` can keep those terms between slots and
 refresh only the channels a move touches.  The Nash test and `run_dco` share
-one best-response rule that costs each user on its own channel and the
-least-loaded one only.  A scenario builds its evaluator once, as
+one rule that costs each user on its own channel and the least-loaded one
+only; the granted user's move, its tie rule and the μ of its potential change
+come from `_best_response`.  A scenario builds its evaluator once, as
 `Scenario.evaluator`, and it scans all profiles at most once: one cached pass
 gives the Nash set and both exhaustive optima.  The module-level functions are
 single-profile views of it.
@@ -56,18 +57,6 @@ def _clamped(thresholds: Sequence[float], weights: Sequence[float]) -> list:
     """
     ceiling = 2.0 * sum(weights)
     return [0.0 if t == -math.inf else ceiling if t == math.inf else t for t in thresholds]
-
-
-def _best_responses(costs: Sequence[float], current_cost: float) -> list:
-    """The best-response tie rule over one user's per-decision costs.
-
-    Returns, in ascending order, the decisions within BEST_RESPONSE_ATOL of
-    the cheapest that also strictly beat current_cost.
-    """
-    best = min(costs)
-    return [
-        d for d, cost in enumerate(costs) if cost - best <= BEST_RESPONSE_ATOL and cost < current_cost
-    ]
 
 
 def _profile_chunks(n_users: int, channels: int, total: int) -> Iterator[np.ndarray]:
@@ -117,8 +106,13 @@ class ProfileEvaluator:
         self._peaks = np.array([u.peak_rate_bps for u in users])
 
     def _as_batch(self, profiles) -> np.ndarray:
-        """The one check on profiles: integer decisions in 0..channels, one per user."""
+        """The one check on profiles: integer decisions in 0..channels, one per user.
+
+        A 1-D array is one profile and a 2-D array a batch; any other rank is rejected.
+        """
         batch = np.asarray(profiles)
+        if batch.ndim not in (1, 2):
+            raise ValueError(f"profiles must be one profile or a 2-D batch, got shape {batch.shape}")
         if batch.ndim == 1:
             batch = batch[np.newaxis, :]
         if batch.shape[1] != self.n_users:
@@ -228,6 +222,24 @@ class ProfileEvaluator:
             return current, None
         lightest_cost = self._cloud_costs(least_load)
         return current, np.minimum(np.minimum(self.local_costs, current), lightest_cost)
+
+    def _best_response(self, decisions: np.ndarray, load: np.ndarray, user: int, current_cost: float) -> tuple:
+        """(new_decision, mu_new, mu_old): `user`'s best response to channel loads `load`.
+
+        The first decision within BEST_RESPONSE_ATOL of the cheapest that
+        strictly beats `current_cost`, and μ there and at the old decision.
+        """
+        own = int(decisions[user])
+        mu = load.copy()
+        if own:
+            mu[own - 1] -= self.weights[user]
+        costs = [float(self.local_costs[user])] + self._cloud_costs(mu, user).tolist()
+        best = min(costs)
+        new = next(
+            d for d, cost in enumerate(costs) if cost - best <= BEST_RESPONSE_ATOL and cost < current_cost
+        )
+        at_local = float(self._phi_thresholds[user])
+        return new, float(mu[new - 1]) if new else at_local, float(mu[own - 1]) if own else at_local
 
     def _batch_costs(self, batch: np.ndarray, nash: bool = False) -> tuple:
         """(current, nash) of a checked batch: per-user costs and, if asked, the Nash mask (else None).

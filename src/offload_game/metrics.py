@@ -55,7 +55,8 @@ def poa_beneficial(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -
 
     Always in (0, 1]; defined as 1 when the optimum itself is 0 (nobody can
     ever benefit).  The analytic lower bound needs every threshold finite
-    and nonnegative and every weight positive.
+    and nonnegative and every weight positive, and t_max / q_min must not
+    overflow.
     """
     env, users = scenario.channel_env, scenario.user_profiles
     worst = min(count_beneficial(env, users, a) for a in enumerate_nash(scenario, profile_cap))
@@ -63,7 +64,8 @@ def poa_beneficial(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -
     extremes = _instance_extremes(scenario)
     q_max, q_min, t_max, t_min = extremes.values()
     bound_low = None
-    if t_min is not None and t_min >= 0.0 and q_min > 0.0:
+    # t_min / q_max is never larger than t_max / q_min, so one finiteness check covers both
+    if t_min is not None and t_min >= 0.0 and q_min > 0.0 and math.isfinite(t_max / q_min):
         bound_low = math.floor(t_min / q_max) / (math.floor(t_max / q_min) + 1.0)
     return PoaReport(
         metric=BENEFICIAL_USERS,

@@ -8,7 +8,8 @@ views, against them compares two independent implementations.
 
 `nash_mask_dense` and `run_dco_dense` are the exceptions: the Nash test and
 the slot loop as they were before the two-candidate rule, scoring every user
-on every channel with the evaluator's `candidate_overheads` block.  They are
+on every channel with the evaluator's `candidate_overheads` block and
+choosing moves by this module's own tie rule, `best_responses`.  They are
 the bit-exact oracles for `ProfileEvaluator.nash_mask` and `run_dco`.  So are
 `enumerate_nash_separate` and `exhaustive_optimize_separate`: one profile scan
 per call through the evaluator's public methods, as the enumerators were
@@ -25,7 +26,7 @@ import numpy as np
 
 from offload_game.baselines import DEFAULT_PROFILE_CAP, Objective, _check_cap
 from offload_game.dco import RunReport, SlotRecord, _slot_rng
-from offload_game.game import BEST_RESPONSE_ATOL, _best_responses, _profile_chunks
+from offload_game.game import BEST_RESPONSE_ATOL, _profile_chunks
 from offload_game.model import (
     LOCAL,
     AccessModel,
@@ -199,6 +200,24 @@ def potential(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -
     return pair_term + local_term
 
 
+def best_responses(costs: Sequence[float], current: float) -> list:
+    """The tie rule over one user's costs at decisions 0..M, in ascending order.
+
+    The decisions within BEST_RESPONSE_ATOL of the cheapest that strictly
+    beat `current`; empty when no strict improvement exists.  The move a
+    granted user makes is the first of them.
+    """
+    best = costs[0]
+    for cost in costs:
+        if cost < best:
+            best = cost
+    out = []
+    for d, cost in enumerate(costs):
+        if cost - best <= BEST_RESPONSE_ATOL and cost < current:
+            out.append(d)
+    return out
+
+
 def best_response_set(
     env: ChannelEnv, users: Sequence[UserProfile], n: int, a: Sequence[int]
 ) -> frozenset:
@@ -213,14 +232,7 @@ def best_response_set(
     for decision in range(env.channels + 1):
         scratch[n] = decision
         candidates.append(user_overhead(env, users, n, scratch))
-    best = candidates[0]
-    for cost in candidates:
-        if cost < best:
-            best = cost
-    current = candidates[a[n]]
-    return frozenset(
-        d for d, cost in enumerate(candidates) if cost - best <= BEST_RESPONSE_ATOL and cost < current
-    )
+    return frozenset(best_responses(candidates, candidates[a[n]]))
 
 
 def is_nash(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> bool:
@@ -274,7 +286,7 @@ def run_dco_dense(scenario, seed: int) -> RunReport:
         pick = new_decision = None
         if senders:
             pick = senders[int(_slot_rng(seed, slot).integers(len(senders)))]
-            new_decision = _best_responses(candidates[pick].tolist(), float(current[pick]))[0]
+            new_decision = best_responses(candidates[pick].tolist(), float(current[pick]))[0]
         records.append(
             SlotRecord(
                 slot=slot,

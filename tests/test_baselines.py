@@ -298,6 +298,15 @@ class TestCrossEntropy:
         second = cross_entropy_optimize(scenario, Objective.MIN_OVERHEAD, seed=8)
         assert first == second
 
+    @pytest.mark.parametrize("objective", ["max_beneficial", None])
+    def test_rejects_an_objective_that_is_not_an_objective(self, objective):
+        """A string or None used to run MIN_OVERHEAD here and fail with AttributeError in the scan."""
+        scenario = generate(GenParams(n_users=6, channels=2), 1)
+        with pytest.raises(ValueError, match="must be an Objective"):
+            cross_entropy_optimize(scenario, objective)
+        with pytest.raises(ValueError, match="must be an Objective"):
+            exhaustive_optimize(scenario, objective)
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             CrossEntropyParams(samples=0)

@@ -252,6 +252,20 @@ class TestOracleAndPoa:
             assert row[by["beneficial_bound_low"]] != ""  # thresholds nonnegative here
             assert float(row[by["poa_overhead"]]) >= 1.0
 
+    def test_poa_bound_that_overflows_is_left_empty(self, tmp_path):
+        """Weights 1e-200 and 1e150: seed 1's t_max / q_min is inf, which used to end in a traceback."""
+        out = tmp_path / "p"
+        code = main([
+            "poa", "--n", "4", "--m", "1", "--access-model", "contention",
+            "--contention-weight-choices", "1e-200,1e150", "--energy-weight-choices", "0",
+            "--seeds", "3", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        rows = read_csv(out / "summary.csv")
+        by = {name: i for i, name in enumerate(rows[0])}
+        assert rows[2][by["seed"]] == "1"
+        assert rows[2][by["beneficial_bound_low"]] == ""
+
     @pytest.mark.parametrize("command", ["oracle", "poa"])
     def test_nonpositive_seeds_or_workers_rejected(self, tmp_path, command):
         base = [command, "--n", "3", "--m", "2", "--out", str(tmp_path / command)]

@@ -15,7 +15,7 @@ from offload_game import (
     convergence_slot_bound,
 )
 from offload_game._version import __version__
-from offload_game.dco import _cost_row
+from offload_game.game import BEST_RESPONSE_ATOL
 from offload_game.model import AccessModel
 from offload_game.scenario import Scenario, ScenarioUser
 import reference
@@ -199,8 +199,12 @@ class TestIncrementalEngine:
         assert report == reference.run_dco_dense(scenario, 3)
 
 
-def assert_two_candidates_match(scenario, profile):
-    """The slot engine's (current, best) and _cost_row against every candidate cost, bit for bit."""
+def assert_two_candidates_match(scenario, profile) -> int:
+    """The slot engine's (current, best) and _best_response against every candidate cost, bit for bit.
+
+    Returns how many users have a move, each of which was checked against
+    the reference tie rule and the μ of the measurement rule.
+    """
     evaluator = scenario.evaluator
     decisions = np.array(profile, dtype=np.int64)
     loads = evaluator.channel_loads([decisions])[0]
@@ -209,8 +213,14 @@ def assert_two_candidates_match(scenario, profile):
     current, best = evaluator._current_and_best(decisions, own_mu, loads.min())
     assert current.tolist() == candidates[np.arange(len(decisions)), decisions].tolist()
     assert best.tolist() == candidates.min(axis=1).tolist()
-    for n in range(len(decisions)):
-        assert _cost_row(evaluator, decisions, loads, n) == candidates[n].tolist()
+    movers = np.flatnonzero(best < current).tolist()
+    for n in movers:
+        decision, mu_new, mu_old = evaluator._best_response(decisions, loads, n, float(current[n]))
+        assert decision == reference.best_responses(candidates[n].tolist(), float(current[n]))[0]
+        at_local, own = float(evaluator._phi_thresholds[n]), int(decisions[n])
+        assert mu_new == (float(loads[decision - 1]) if decision else at_local)
+        assert mu_old == (float(loads[own - 1] - evaluator.weights[n]) if own else at_local)
+    return len(movers)
 
 
 class TestTwoCandidates:
@@ -247,11 +257,46 @@ class TestTwoCandidates:
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_random_profiles(self, access):
         rng = np.random.default_rng(40)
+        movers = 0
         for seed in range(60):
             n, m = SHAPES[seed % len(SHAPES)]
             scenario = generate(GenParams(n_users=n, channels=m, access_model=access,
                                           contention_weight_choices=(1.0, 2.0)), 900 + seed)
-            assert_two_candidates_match(scenario, tuple(rng.integers(0, m + 1, n).tolist()))
+            movers += assert_two_candidates_match(scenario, tuple(rng.integers(0, m + 1, n).tolist()))
+        assert movers > 0
+
+
+def near_tie_scenario():
+    """Two copies of one contention user: weight 1, local cost 4, cloud cost 1 + μ + 4e-6."""
+    row = ScenarioUser(
+        q_mw=100.0, g=1.0, b_kb=1.0, d_megacycles=4.0, f_m_ghz=0.001, f_c_ghz=1000.0,
+        gamma_j_per_cycle=0.0, L_j=0.0, lambda_e=0.0, W=1.0, R_bps=8000.0,
+    )
+    return contention_scenario_from_users([row, row], channels=2)
+
+
+class TestBestResponseTieRule:
+    """Near ties, where the tie rule and a plain argmin part ways; `load` is passed directly."""
+
+    def test_lower_channel_within_tolerance_wins(self):
+        evaluator = near_tie_scenario().evaluator
+        load = np.array([np.nextafter(2.0, np.inf), 2.0])  # channel 1 one ulp heavier
+        costs = evaluator._cloud_costs(load, 0).tolist()
+        assert 0.0 < costs[0] - costs[1] <= BEST_RESPONSE_ATOL
+        decisions = np.zeros(2, dtype=np.int64)
+        move = evaluator._best_response(decisions, load, 0, float(evaluator.local_costs[0]))
+        assert move == (1, float(load[0]), float(evaluator._phi_thresholds[0]))
+
+    def test_local_within_tolerance_wins(self):
+        evaluator = near_tie_scenario().evaluator
+        # user 0 on channel 1 facing μ = 3; channel 2 just below its threshold
+        load = np.array([4.0, np.nextafter(evaluator.thresholds[0], -np.inf)])
+        own_cost, cheapest = evaluator._cloud_costs(load - [1.0, 0.0], 0).tolist()
+        local = float(evaluator.local_costs[0])
+        assert cheapest < local < own_cost and local - cheapest <= BEST_RESPONSE_ATOL
+        decisions = np.array([1, 0], dtype=np.int64)
+        move = evaluator._best_response(decisions, load, 0, own_cost)
+        assert move == (0, float(evaluator._phi_thresholds[0]), 3.0)
 
 
 class TestConvergenceBound:

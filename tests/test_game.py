@@ -414,6 +414,22 @@ class TestProfileEvaluator:
             with pytest.raises(IndexError):
                 user_overhead(env, users, n, (0, 0, 0))
 
+    def test_rejects_ranks_other_than_one_and_two(self):
+        """A 0-D decision and a 3-D stack of batches name their shape, not a numpy internal."""
+        evaluator = ProfileEvaluator(simple_env(channels=2), [simple_user()] * 3)
+        methods = (evaluator.overheads, evaluator.nash_mask, evaluator.potential,
+                   evaluator.candidate_overheads)
+        stacked = np.zeros((2, 3, 3), dtype=np.int64)
+        for bad, shape in ((np.int64(1), r"shape \(\)"), (stacked, r"shape \(2, 3, 3\)")):
+            for method in methods:
+                with pytest.raises(ValueError, match=shape):
+                    method(bad)
+        for method in methods:  # a 1-D profile and a 2-D batch still pass the rank check
+            with pytest.raises(ValueError, match="profile width 2 != user count 3"):
+                method([0, 0])
+            with pytest.raises(ValueError, match="profile width 2 != user count 3"):
+                method([[0, 0]])
+
 
 class TestTwoCandidateNashMask:
     """`nash_mask` against the dense mask over every candidate decision, bit for bit."""

@@ -1,22 +1,26 @@
 """Tests for the efficiency-ratio metrics and analytic bounds."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from offload_game import (
     ContentionUnsupported,
+    GenParams,
     Objective,
     ProfileEvaluator,
     access_weight,
     enumerate_nash,
     exhaustive_optimize,
+    generate,
     local_overhead,
     poa_beneficial,
     poa_overhead,
 )
 from offload_game.metrics import BENEFICIAL_USERS, SYSTEM_OVERHEAD
+from offload_game.model import AccessModel
 import reference
 from support import (
     contention_scenario_from_users,
@@ -49,6 +53,16 @@ class TestPoaBeneficial:
     def test_bound_omitted_when_thresholds_negative(self):
         # default parameters include energy-focused users whose threshold is negative
         report = poa_beneficial(small_paper_scenario(4, 2, seed=7))
+        assert report.bound_low is None
+        assert 0.0 < report.ratio <= 1.0
+
+    def test_bound_omitted_when_threshold_over_weight_overflows(self):
+        """t_max / q_min = 3.75e150 / 1e-200 is inf; the bound cannot be computed, so it is None."""
+        params = GenParams(n_users=4, channels=1, access_model=AccessModel.CONTENTION,
+                           contention_weight_choices=(1e-200, 1e150), energy_weight_choices=(0.0,))
+        report = poa_beneficial(generate(params, 1))
+        assert report.weight_min == 1e-200 and report.threshold_max is not None
+        assert math.isinf(report.threshold_max / report.weight_min)
         assert report.bound_low is None
         assert 0.0 < report.ratio <= 1.0
 
