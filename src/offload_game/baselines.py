@@ -134,7 +134,7 @@ def cross_entropy_optimize(
     table = np.full((n_users, n_decisions), 1.0 / n_decisions)
     elite_count = math.ceil(params.elite_fraction * params.samples)
     best_profile = None
-    best_value = None
+    best_key = math.inf
     for _ in range(params.iterations):
         draws = rng.random((params.samples, n_users))
         cumulative = np.cumsum(table, axis=1)
@@ -143,22 +143,16 @@ def cross_entropy_optimize(
         profiles = sum(draws >= cumulative[:, d] for d in range(n_decisions - 1))
         candidates = evaluator.repair_to_beneficial(profiles)
         if maximize:
-            scores = (candidates > 0).sum(axis=1)
-            sort_key = -scores
+            sort_key = -(candidates > 0).sum(axis=1)
         else:
-            scores = evaluator.system_overheads(candidates)
-            sort_key = scores
+            sort_key = evaluator.system_overheads(candidates)
         # primary key: score; ties: lexicographically smallest profile first
         order = np.lexsort(
             tuple(candidates[:, c] for c in range(n_users - 1, -1, -1)) + (sort_key,)
         )
         top = order[0]
-        if (
-            best_value is None
-            or (maximize and scores[top] > best_value)
-            or (not maximize and scores[top] < best_value)
-        ):
-            best_value = scores[top]
+        if sort_key[top] < best_key:
+            best_key = sort_key[top]
             best_profile = candidates[top].copy()
         elite = candidates[order[:elite_count]]
         frequencies = (elite[:, :, np.newaxis] == np.arange(n_decisions)).mean(axis=0)
@@ -166,4 +160,4 @@ def cross_entropy_optimize(
         if np.all(table.max(axis=1) >= 1.0 - DEGENERATE_TOL):
             break
     profile = tuple(int(d) for d in best_profile)
-    return profile, (int(best_value) if maximize else float(best_value))
+    return profile, (int(-best_key) if maximize else float(best_key))

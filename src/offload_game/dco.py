@@ -11,7 +11,7 @@ Nash equilibrium of the underlying game.
 As in the paper's protocol, one user moves per slot, so the simulation keeps
 the per-channel loads and potential terms between slots and refreshes only
 the two channels a move touches; each user is costed on its own channel and
-on the least-loaded one, by the Nash test's rule (`_current_and_best`); the
+on the least-loaded one, by the Nash test's rule (`_costs`, `_improvers`); the
 granted user's move and both μ of its descent check are the evaluator's
 `_best_response`.  A slot then costs O(N + M), and every SlotRecord has the
 bits a full rescoring of the profile would give.
@@ -100,8 +100,8 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
     records = []
     for slot in itertools.count():
         own_mu = load[decisions - 1] - evaluator.weights  # a local user's entry is discarded
-        current, best = evaluator._current_and_best(decisions, own_mu, load.min())
-        senders = tuple(np.flatnonzero(best < current).tolist())
+        current = evaluator._costs(decisions, own_mu)
+        senders = tuple(np.flatnonzero(evaluator._improvers(current, load.min())).tolist())
         pick = new_decision = None
         if senders:
             pick = senders[int(_slot_rng(seed, slot).integers(len(senders)))]
@@ -114,7 +114,7 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
                 profile=tuple(decisions.tolist()),
                 potential=float(evaluator._phi(pair_terms, profile)[0]),
                 system_overhead=float(current.sum()),
-                beneficial_count=int(evaluator.beneficial_mask(profile, current).sum()),
+                beneficial_count=int(evaluator._beneficial(decisions, current).sum()),
                 overheads=tuple(current.tolist()),
                 rtu_senders=senders,
                 updater=pick,

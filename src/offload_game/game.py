@@ -9,10 +9,12 @@ takes co-channel weights with the user axis last (or any shape for one
 selected user), and it also gives each user's best- and worst-case cloud cost
 for the price-of-anarchy overhead bound.  The potential is assembled from
 per-channel terms, so `dco.run_dco` can keep those terms between slots and
-refresh only the channels a move touches.  The Nash test and `run_dco` share
-one rule that costs each user on its own channel and the least-loaded one
-only; the granted user's move, its tie rule and the μ of its potential change
-come from `_best_response`.  A scenario builds its evaluator once, as
+refresh only the channels a move touches.  Batches and `run_dco` share one
+method per per-user rule: a user's cost (`_costs`), whether it has an
+improving move, checked on its own and the least-loaded channel only
+(`_improvers`), and whether it offloads at no loss (`_beneficial`); the
+granted user's move, its tie rule and the μ of its potential change come
+from `_best_response`.  A scenario builds its evaluator once, as
 `Scenario.evaluator`, and it scans all profiles at most once: one cached pass
 gives the Nash set and both exhaustive optima.  The module-level functions are
 single-profile views of it.
@@ -93,13 +95,22 @@ class ProfileEvaluator:
         self.env = env
         self.n_users = len(users)
         self.channels = env.channels
-        self.weights = np.array([access_weight(env, u) for u in users])
+        weights = [access_weight(env, u) for u in users]
+        thresholds = [beneficial_threshold(env, u) for u in users]
+        phi_thresholds = _clamped(thresholds, weights)
+        # Python floats overflow to inf without a warning; the bound covers
+        # every pair term, every local term and the potential itself
+        total = sum(weights)
+        local_terms = sum(abs(w * t) for w, t in zip(weights, phi_thresholds))
+        if not math.isfinite(0.5 * (total * total) + local_terms):
+            raise ValueError("access weights too large: the potential would overflow")
+        self.weights = np.array(weights)
         self.local_costs = np.array([local_overhead(u) for u in users])
         coeff_fixed = [_cloud_cost_coefficients(u) for u in users]
         self.rate_coeffs = np.array([cf[0] for cf in coeff_fixed])
         self.fixed_cloud_costs = np.array([cf[1] for cf in coeff_fixed])
-        self.thresholds = np.array([beneficial_threshold(env, u) for u in users])
-        self._phi_thresholds = np.array(_clamped(self.thresholds, self.weights))
+        self.thresholds = np.array(thresholds)
+        self._phi_thresholds = np.array(phi_thresholds)
         self._squared_weights = self.weights * self.weights
         self._local_phi_weights = self.weights * self._phi_thresholds
         # > 0 under contention: beneficial_threshold above raises otherwise
@@ -169,15 +180,10 @@ class ProfileEvaluator:
     def system_overheads(self, profiles) -> np.ndarray:
         return self.overheads(profiles).sum(axis=1)
 
-    def beneficial_mask(self, profiles, costs: np.ndarray | None = None) -> np.ndarray:
-        """(k, n_users) True where a user offloads at no loss versus local computing.
-
-        `costs` are the profiles' per-user costs when the caller already has them.
-        """
+    def beneficial_mask(self, profiles) -> np.ndarray:
+        """(k, n_users) True where a user offloads at no loss versus local computing."""
         batch = self._as_batch(profiles)
-        if costs is None:
-            costs = self.overheads(batch)
-        return (batch > 0) & (costs <= self.local_costs)
+        return self._beneficial(batch, self._batch_costs(batch)[0])
 
     def beneficial_counts(self, profiles) -> np.ndarray:
         return self.beneficial_mask(profiles).sum(axis=1)
@@ -185,8 +191,7 @@ class ProfileEvaluator:
     def repair_to_beneficial(self, profiles) -> np.ndarray:
         """Send every non-beneficial offloader local; the rest only gain from it."""
         batch = self._as_batch(profiles)
-        keep = self.beneficial_mask(batch)
-        return np.where(keep, batch, 0)
+        return np.where(self._beneficial(batch, self._batch_costs(batch)[0]), batch, 0)
 
     def candidate_overheads(self, profiles) -> np.ndarray:
         """(k, n_users, channels+1) cost of every unilateral decision per user.
@@ -205,23 +210,24 @@ class ProfileEvaluator:
         out[:, :, 1:] = cloud_costs
         return out
 
-    def _current_and_best(self, decisions: np.ndarray, own_mu: np.ndarray, least_load=None) -> tuple:
-        """(current, best): each user's cost and its cheapest unilateral cost, shaped like `decisions`.
+    def _costs(self, decisions: np.ndarray, own_mu: np.ndarray) -> np.ndarray:
+        """Each user's cost at `own_mu`, its co-channel weight on its own channel (load − w)."""
+        return np.where(decisions > 0, self._cloud_costs(own_mu), self.local_costs)
 
-        `own_mu` is each user's co-channel weight on its own channel (load − w)
-        and `least_load` the least channel load, one per profile (a scalar, or
-        a (k, 1) column; None leaves `best` None).  A cloud cost never
-        decreases as μ grows, so besides local a user's cheapest decision is
-        its own channel or the least-loaded one: two cloud costs per user.
-        For a user on the least-loaded channel, or on the only one, the second
-        is its own channel at μ = load, which never costs less than staying,
-        so it never wins; every other channel is at least as loaded.
+    def _improvers(self, costs: np.ndarray, least_load) -> np.ndarray:
+        """True where a user at cost `costs` has a strictly improving unilateral move.
+
+        `least_load` is the least channel load per profile (a scalar or a (k, 1)
+        column).  A cloud cost never decreases as μ grows, so a user's cheapest
+        move is local, its own channel (its cost now) or the least-loaded one.
+        On the least-loaded or only channel, that last is its own at μ = load,
+        never below staying; every other channel is at least as loaded.
         """
-        current = np.where(decisions > 0, self._cloud_costs(own_mu), self.local_costs)
-        if least_load is None:
-            return current, None
-        lightest_cost = self._cloud_costs(least_load)
-        return current, np.minimum(np.minimum(self.local_costs, current), lightest_cost)
+        return np.minimum(self.local_costs, self._cloud_costs(least_load)) < costs
+
+    def _beneficial(self, decisions: np.ndarray, costs: np.ndarray) -> np.ndarray:
+        """True where a user offloads and its cost `costs` is at most its local cost."""
+        return (decisions > 0) & (costs <= self.local_costs)
 
     def _best_response(self, decisions: np.ndarray, load: np.ndarray, user: int, current_cost: float) -> tuple:
         """(new_decision, mu_new, mu_old): `user`'s best response to channel loads `load`.
@@ -241,38 +247,38 @@ class ProfileEvaluator:
         at_local = float(self._phi_thresholds[user])
         return new, float(mu[new - 1]) if new else at_local, float(mu[own - 1]) if own else at_local
 
-    def _batch_costs(self, batch: np.ndarray, nash: bool = False) -> tuple:
-        """(current, nash) of a checked batch: per-user costs and, if asked, the Nash mask (else None).
+    def _batch_costs(self, batch: np.ndarray) -> tuple:
+        """(costs, least_load) of a checked batch: per-user costs and each profile's least channel load.
 
-        The one own-channel μ gather for batches; the mask follows `run_dco`'s
-        rule, `_current_and_best`, so no (k, n_users, channels+1) block is built.
+        The one own-channel μ gather for batches; with `_improvers` it gives
+        the Nash mask, so no (k, n_users, channels+1) block is built.
         """
         loads = self.channel_loads(batch)
         own_mu = np.take_along_axis(loads, np.maximum(batch - 1, 0), axis=1) - self.weights
-        least_load = loads.min(axis=1, keepdims=True) if nash else None
-        current, best = self._current_and_best(batch, own_mu, least_load)
-        return current, None if best is None else ~np.any(best < current, axis=1)
+        return self._costs(batch, own_mu), loads.min(axis=1, keepdims=True)
 
     def nash_mask(self, profiles) -> np.ndarray:
         """(k,) True where no user has a strictly improving unilateral deviation."""
-        return self._batch_costs(self._as_batch(profiles), nash=True)[1]
+        costs, least_load = self._batch_costs(self._as_batch(profiles))
+        return ~np.any(self._improvers(costs, least_load), axis=1)
 
     @cached_property
     def _scan(self) -> _ProfileScan:
         """One pass over all (channels+1)^n_users profiles, cached; callers check the profile cap.
 
-        Per chunk, one `_batch_costs` call gives the Nash mask, the offloader
-        counts of rows where no offloader loses out and the row totals, with
-        the bits `beneficial_mask` and `system_overheads` give.  Ties go to the
+        Per chunk, one `_batch_costs` call, `_improvers` and `_beneficial` give
+        the Nash mask, the offloader counts of rows where no offloader loses out
+        and the row totals, with the bits of the public methods.  Ties go to the
         lexicographically first profile: argmax/argmin and `max`/`min` keep the first.
         """
         equilibria, most, least = [], [], []  # most/least: (profile, value) per chunk
         for chunk in _profile_chunks(self.n_users, self.channels, (self.channels + 1) ** self.n_users):
-            current, nash = self._batch_costs(chunk, nash=True)
+            costs, least_load = self._batch_costs(chunk)
+            nash = ~np.any(self._improvers(costs, least_load), axis=1)
             equilibria.extend(map(tuple, chunk[nash].tolist()))
             offloading = chunk > 0
-            feasible = ~np.any(offloading & ~(current <= self.local_costs), axis=1)
-            counts, totals = np.where(feasible, offloading.sum(axis=1), -1), current.sum(axis=1)
+            feasible = np.all(self._beneficial(chunk, costs) == offloading, axis=1)
+            counts, totals = np.where(feasible, offloading.sum(axis=1), -1), costs.sum(axis=1)
             high, low = int(np.argmax(counts)), int(np.argmin(totals))
             most.append((tuple(chunk[high].tolist()), int(counts[high])))
             least.append((tuple(chunk[low].tolist()), float(totals[low])))

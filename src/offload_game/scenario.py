@@ -151,10 +151,12 @@ class Scenario:
     def __post_init__(self):
         """Check the model invariants once, however the scenario was built.
 
-        A fault raises SchemaError with the path `env` or `users[i]`.
+        A fault raises SchemaError with the path `env`, `users[i]` or, for
+        access weights whose potential overflows, `users`.
         """
         self.channel_env  # noqa: B018
         self.user_profiles  # noqa: B018
+        self.evaluator  # noqa: B018
 
     @property
     def n_users(self) -> int:
@@ -181,7 +183,10 @@ class Scenario:
     @cached_property
     def evaluator(self) -> ProfileEvaluator:
         """Built once and shared: the evaluator is read-only and the scenario frozen."""
-        return ProfileEvaluator(self.channel_env, self.user_profiles)
+        try:
+            return ProfileEvaluator(self.channel_env, self.user_profiles)
+        except ValueError as exc:
+            raise SchemaError("users", str(exc)) from exc
 
     def _user_profile(self, u: ScenarioUser, path: str) -> UserProfile:
         try:

@@ -293,7 +293,7 @@ def run_dco_dense(scenario, seed: int) -> RunReport:
                 profile=tuple(int(d) for d in profile[0]),
                 potential=potential_now,
                 system_overhead=float(current.sum()),
-                beneficial_count=int(evaluator.beneficial_mask(profile, current).sum()),
+                beneficial_count=int(((profile[0] > 0) & (current <= evaluator.local_costs)).sum()),
                 overheads=tuple(float(z) for z in current),
                 rtu_senders=senders,
                 updater=pick,

@@ -81,11 +81,14 @@ class TestGen:
             ["--noise-dbm", "4000"],  # finite, but its mW value overflows
             # zero access weight under interference: a move cannot lower the potential
             ["--transmit-power-mw", "0", "--energy-weight-choices", "1.0"],
+            ["--device-rate-choices-ghz", "a,b"],  # not a float list
+            # weights whose potential overflows: it was NaN on every slot
+            ["--access-model", "contention", "--contention-weight-choices", "1e300"],
         ]
         for i, flags in enumerate(cases):
             out = tmp_path / str(i)
             assert main(gen_args(3, 2, out) + flags) == EXIT_CONFIG, flags
-            assert not (out / "scenario.json").exists()
+            assert not out.exists() or not any(out.iterdir()), flags
 
 
 class TestTrace:
@@ -198,6 +201,9 @@ class TestSweep:
         main(self.sweep_args(out2))
         assert (out / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
         assert (out / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
+        single = tmp_path / "s3"
+        assert main(self.sweep_args(single) + ["--n", "20"]) == EXIT_OK  # one size, not a range
+        assert [row[0] for row in read_csv(single / "summary.csv")[1:]] == ["20"]
 
     def test_parallel_equals_serial(self, tmp_path):
         serial, parallel = tmp_path / "ser", tmp_path / "par"

@@ -15,7 +15,7 @@ from offload_game import (
     convergence_slot_bound,
 )
 from offload_game._version import __version__
-from offload_game.game import BEST_RESPONSE_ATOL
+from offload_game.game import BEST_RESPONSE_ATOL, ProfileEvaluator
 from offload_game.model import AccessModel
 from offload_game.scenario import Scenario, ScenarioUser
 import reference
@@ -198,9 +198,25 @@ class TestIncrementalEngine:
         assert report.update_slots > 50
         assert report == reference.run_dco_dense(scenario, 3)
 
+    def test_slots_run_no_profile_check(self, monkeypatch):
+        """`run_dco` builds every profile itself, so no slot passes one through `_as_batch`."""
+        scenario = generate(GenParams(n_users=30, channels=5), 3)
+        calls = []
+        check = ProfileEvaluator._as_batch
+
+        def counted(evaluator, profiles):
+            calls.append(profiles)
+            return check(evaluator, profiles)
+
+        monkeypatch.setattr(ProfileEvaluator, "_as_batch", counted)
+        report = run_dco(scenario, 0)
+        assert report.update_slots > 0 and calls == []
+        assert scenario.evaluator.nash_mask([report.final_profile]).tolist() == [True]
+        assert calls  # the counter sees an ordinary check
+
 
 def assert_two_candidates_match(scenario, profile) -> int:
-    """The slot engine's (current, best) and _best_response against every candidate cost, bit for bit.
+    """The slot engine's _costs, _improvers and _best_response against every candidate cost, bit for bit.
 
     Returns how many users have a move, each of which was checked against
     the reference tie rule and the μ of the measurement rule.
@@ -209,11 +225,11 @@ def assert_two_candidates_match(scenario, profile) -> int:
     decisions = np.array(profile, dtype=np.int64)
     loads = evaluator.channel_loads([decisions])[0]
     candidates = evaluator.candidate_overheads([decisions])[0]
-    own_mu = loads[decisions - 1] - evaluator.weights
-    current, best = evaluator._current_and_best(decisions, own_mu, loads.min())
+    current = evaluator._costs(decisions, loads[decisions - 1] - evaluator.weights)
     assert current.tolist() == candidates[np.arange(len(decisions)), decisions].tolist()
-    assert best.tolist() == candidates.min(axis=1).tolist()
-    movers = np.flatnonzero(best < current).tolist()
+    improvers = evaluator._improvers(current, loads.min())
+    assert improvers.tolist() == (candidates.min(axis=1) < current).tolist()
+    movers = np.flatnonzero(improvers).tolist()
     for n in movers:
         decision, mu_new, mu_old = evaluator._best_response(decisions, loads, n, float(current[n]))
         assert decision == reference.best_responses(candidates[n].tolist(), float(current[n]))[0]

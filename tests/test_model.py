@@ -194,6 +194,10 @@ class TestBeneficialThreshold:
         u = simple_user(input_bits=4.0, peak_rate_bps=2.0, task_cycles=4.0,
                         device_rate_hz=1.0, cloud_rate_hz=2.0)
         assert beneficial_threshold(env, u) == 0.0
+        # a user with no peak rate has no threshold under contention
+        with pytest.raises(ValueError, match="peak rate must be > 0 under the contention model"):
+            beneficial_threshold(env, simple_user(input_bits=4.0, peak_rate_bps=0.0, task_cycles=4.0,
+                                                  device_rate_hz=1.0, cloud_rate_hz=2.0))
 
 
 class TestIsBeneficial:
@@ -269,6 +273,17 @@ class TestValidation:
             simple_user(energy_weight=1.5)
         with pytest.raises(ValueError):
             simple_user(contention_weight=0.0)
+        for overrides in ({"transmit_power_mw": -1.0}, {"channel_gain": -1.0}):
+            with pytest.raises(ValueError, match="transmit power and channel gain must be >= 0"):
+                simple_user(**overrides)
+        for overrides in ({"device_rate_hz": 0.0}, {"cloud_rate_hz": 0.0}):
+            with pytest.raises(ValueError, match="CPU rates must be > 0"):
+                simple_user(**overrides)
+        for overrides in ({"energy_per_cycle_j": -1.0}, {"tail_energy_j": -1.0}):
+            with pytest.raises(ValueError, match="energy coefficients must be >= 0"):
+                simple_user(**overrides)
+        with pytest.raises(ValueError, match="contention peak rate must be >= 0"):
+            simple_user(peak_rate_bps=-1.0)
 
     def test_env_invariants(self):
         with pytest.raises(ValueError):

@@ -104,6 +104,26 @@ class TestGenerate:
             GenParams(cell_radius_m=-1.0)
         with pytest.raises(ValueError):
             GenParams(device_rate_choices_ghz=())
+        for overrides in ({"bandwidth_hz": 0.0}, {"transmit_power_mw": -1.0}):
+            with pytest.raises(ValueError, match="bandwidth must be > 0 and transmit power >= 0"):
+                GenParams(**overrides)
+        for overrides in ({"input_kb": 0.0}, {"task_megacycles": 0.0}, {"cloud_rate_ghz": 0.0}):
+            with pytest.raises(ValueError, match="task size, cycle count and cloud rate must be > 0"):
+                GenParams(**overrides)
+
+    @pytest.mark.parametrize("weights, channels, seed", [((1e-300, 1e300), 1, 1), ((1.0, 1e160), 2, 2)])
+    def test_weights_whose_potential_overflows_rejected(self, weights, channels, seed):
+        """Such weights used to give a NaN potential on every slot of a run that reported success."""
+        params = GenParams(n_users=4, channels=channels, access_model=AccessModel.CONTENTION,
+                           contention_weight_choices=weights)
+        with pytest.raises(SchemaError, match="potential would overflow") as info:
+            generate(params, seed)
+        assert info.value.path == "users"
+        # weights far apart whose potential stays finite are kept
+        kept = generate(dataclasses.replace(params, contention_weight_choices=(1e-200, 1e150),
+                                            energy_weight_choices=(0.0,)), 1)
+        assert max(kept.evaluator.weights) == 1e150
+        assert all(math.isfinite(record.potential) for record in run_dco(kept, 0).slots)
 
     @pytest.mark.parametrize("overrides", [
         {"cell_radius_m": float("nan")},
@@ -189,6 +209,24 @@ class TestDocuments:
         doc["users"] = []
         with pytest.raises(SchemaError, match="users"):
             load_scenario(doc)
+        for key, value, message in [
+            ("seed", "1", "meta.seed: expected an integer or null"),
+            ("generator", [], "meta.generator: expected an object"),
+            ("version", 1, "meta.version: expected a string"),
+        ]:
+            doc = minimal_doc()
+            doc["meta"][key] = value
+            with pytest.raises(SchemaError, match=message):
+                load_scenario(doc)
+        for channels in (0, True, 1.5):
+            doc = minimal_doc()
+            doc["env"]["M"] = channels
+            with pytest.raises(SchemaError, match=r"env\.M: expected a positive integer"):
+                load_scenario(doc)
+        doc = minimal_doc()
+        doc["users"][1] = [1.0]
+        with pytest.raises(SchemaError, match=r"users\[1\]: expected an object"):
+            load_scenario(doc)
 
     @pytest.mark.parametrize("row, key, literal, path", [
         (0, "g", "NaN", "users[0].g"),
@@ -214,6 +252,7 @@ class TestDocuments:
             ("contention", None, "noise_dbm", 4000.0, "env"),
             ("interference", 1, "q_mw", 0.0, "users[1]"),  # zero access weight
             ("interference", 0, "g", 0.0, "users[0]"),
+            ("contention", 1, "W", 1e300, "users"),  # the potential overflows
         ]
         for access, row, key, value, path in cases:
             doc = minimal_doc()
