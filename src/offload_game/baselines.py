@@ -51,10 +51,9 @@ def all_cloud_random(scenario: Scenario, seed: int) -> tuple:
 
 
 def _check_cap(scenario: Scenario, profile_cap: int) -> None:
-    total = (scenario.channels + 1) ** scenario.n_users
-    if total > profile_cap:
-        raise InstanceTooLarge(f"{scenario.channels + 1}^{scenario.n_users} = {total} profiles "
-                               f"exceeds the cap {profile_cap}")
+    # the power is named, not printed: it can have more digits than str() converts
+    if (scenario.channels + 1) ** scenario.n_users > profile_cap:
+        raise InstanceTooLarge(f"{scenario.channels + 1}^{scenario.n_users} profiles exceed the cap {profile_cap}")
 
 
 def _check_objective(objective) -> None:

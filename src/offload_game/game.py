@@ -136,7 +136,10 @@ class ProfileEvaluator:
 
     def channel_loads(self, profiles) -> np.ndarray:
         """(k, channels) array of summed access weights per channel."""
-        batch = self._as_batch(profiles)
+        return self._loads(self._as_batch(profiles))
+
+    def _loads(self, batch: np.ndarray) -> np.ndarray:
+        """`channel_loads` of a checked batch."""
         loads = np.empty((batch.shape[0], self.channels))
         for m in range(1, self.channels + 1):
             loads[:, m - 1] = (batch == m) @ self.weights
@@ -201,7 +204,7 @@ class ProfileEvaluator:
         call it, and the benchmark's tracer, which wraps it.
         """
         batch = self._as_batch(profiles)
-        loads = self.channel_loads(batch)
+        loads = self._loads(batch)
         own = batch[:, np.newaxis, :] == np.arange(1, self.channels + 1)[:, np.newaxis]
         mu = loads[:, :, np.newaxis] - self.weights * own  # (k, channels, n_users)
         cloud_costs = self._cloud_costs(mu).transpose(0, 2, 1)
@@ -253,7 +256,7 @@ class ProfileEvaluator:
         The one own-channel μ gather for batches; with `_improvers` it gives
         the Nash mask, so no (k, n_users, channels+1) block is built.
         """
-        loads = self.channel_loads(batch)
+        loads = self._loads(batch)
         own_mu = np.take_along_axis(loads, np.maximum(batch - 1, 0), axis=1) - self.weights
         return self._costs(batch, own_mu), loads.min(axis=1, keepdims=True)
 

@@ -34,16 +34,20 @@ def _check_count(name: str, value) -> None:
 
 
 def _check_real(name: str, value) -> None:
-    """Reject a number that is not an int or a float; a bool or a numeric string is not one.
+    """The one finiteness rule for input numbers: a finite int or float, not a bool.
 
-    An int too large for a float is rejected as not finite: every cost is a float.
+    A bool or a numeric string is not a number, and is named by its type: the
+    repr of a document's list could be megabytes long.  NaN, ±inf and an int
+    too large for a float are not finite: every cost is a float.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {type(value).__name__}")
     try:
-        float(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got {value!r}") from None
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class AccessModel(Enum):
@@ -78,10 +82,8 @@ class UserProfile:
     def __post_init__(self):
         for name in self.__dataclass_fields__:  # not vars(self): that slows every later field read
             value = getattr(self, name)
-            if type(value) is not float:  # the common case skips the call
+            if type(value) is not float or value - value:  # a finite float skips the call
                 _check_real(name, value)
-            if value - value:  # NaN or an infinity, which the range checks below let through
-                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.transmit_power_mw < 0 or self.channel_gain < 0:
             raise ValueError("transmit power and channel gain must be >= 0")
         if self.input_bits <= 0 or self.task_cycles <= 0:
@@ -117,10 +119,7 @@ class ChannelEnv:
         if not isinstance(self.access, AccessModel):
             raise ValueError(f"access must be an AccessModel, got {self.access!r}")
         for name in ("bandwidth_hz", "noise_mw"):
-            value = getattr(self, name)
-            _check_real(name, value)
-            if value - value:  # NaN or an infinity
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _check_real(name, getattr(self, name))
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth must be > 0")
         if self.access is AccessModel.INTERFERENCE and self.noise_mw <= 0:

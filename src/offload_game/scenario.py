@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -100,8 +99,6 @@ class GenParams:
             for x in numbers:
                 _check_real(f.name, x)
             numbers = tuple(map(float, numbers))  # so 50 and 50.0 give one fingerprint
-            if not all(map(math.isfinite, numbers)):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
             object.__setattr__(self, f.name, numbers if choice_set else numbers[0])
         if self.n_users < 1 or self.channels < 1:
             raise ValueError("need at least one user and one channel")
@@ -286,10 +283,10 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
-        raise SchemaError(path, f"expected a finite number, got {value!r}")
+    try:
+        _check_real("value", value)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from None
     return float(value)
 
 
@@ -372,8 +369,9 @@ def read_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        # text that is not UTF-8, or nested past the parser's depth, is as invalid as bad syntax
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # bad syntax, text that is not UTF-8 and an int literal past the parser's digit
+        # limit are ValueErrors; nesting past the parser's depth is as invalid
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(str(path), f"not valid JSON: {exc}") from exc
     return load_scenario(doc)
 

@@ -107,6 +107,9 @@ class TestExhaustive:
             exhaustive_optimize(scenario, Objective.MIN_OVERHEAD)
         with pytest.raises(InstanceTooLarge):
             enumerate_nash(small_paper_scenario(5, 2, seed=0), profile_cap=100)
+        # 2^15000 has more digits than str() converts, so the message names the power
+        with pytest.raises(InstanceTooLarge, match=r"^2\^15000 profiles exceed the cap 10000000$"):
+            enumerate_nash(small_paper_scenario(15000, 1, seed=0))
 
 
 class TestEnumerateNash:

@@ -283,11 +283,17 @@ class TestOracleAndPoa:
         assert main(base + ["--profile-cap", "0"]) == EXIT_CONFIG
         assert main(base + ["--profile-cap", "-5"]) == EXIT_CONFIG
 
-    def test_too_large_exit_code(self, tmp_path):
+    def test_too_large_exit_code(self, tmp_path, capsys):
         code = main([
             "poa", "--n", "30", "--m", "5", "--seeds", "1", "--out", str(tmp_path / "big"),
         ])
         assert code == EXIT_TOO_LARGE
+        # 2^20000 has more digits than str() converts; printing it raised ValueError
+        code = main([
+            "poa", "--n", "20000", "--m", "1", "--seeds", "1", "--out", str(tmp_path / "huge"),
+        ])
+        assert code == EXIT_TOO_LARGE
+        assert "2^20000 profiles exceed the cap" in capsys.readouterr().err
 
 
 class TestCeCommand:
@@ -313,8 +319,16 @@ class TestCeCommand:
         assert code == EXIT_CONFIG
 
 
+def with_literal(section: str, key: str, literal: str) -> bytes:
+    """A generated scenario file whose `key` in env or in the first user is the JSON text `literal`."""
+    doc = save_scenario(generate(GenParams(n_users=3, channels=2), 1))
+    (doc["env"] if section == "env" else doc["users"][0])[key] = "LITERAL"
+    return json.dumps(doc).replace('"LITERAL"', literal).encode()
+
+
 class TestBadScenarioFile:
-    """A scenario file the parser cannot read is a config error for every command that reads one."""
+    """A scenario file the parser cannot read, or with a number no float holds, is a config
+    error for every command that reads one."""
 
     COMMANDS = {
         "trace": ["trace", "--seed", "1"],
@@ -326,7 +340,11 @@ class TestBadScenarioFile:
         (b"\xff\xfe{", "codec can't decode"),  # not UTF-8
         (b"[" * 100000, "recursion"),  # nested past the parser's depth
         (b"[1, 2]", "document: expected an object"),  # valid JSON, but not an object
-    ], ids=["not-utf8", "deeply-nested", "top-level-array"])
+        # ints too large for a float, and one past the parser's digit limit, raised tracebacks
+        (with_literal("env", "w_hz", "9" * 400), "env.w_hz: value must be finite"),
+        (with_literal("users", "q_mw", "9" * 400), "users[0].q_mw: value must be finite"),
+        (with_literal("env", "w_hz", "9" * 5000), "not valid JSON"),
+    ], ids=["not-utf8", "deeply-nested", "top-level-array", "huge-w-hz", "huge-q-mw", "over-long-int"])
     def test_config_error_and_no_report(self, tmp_path, capsys, command, content, reason):
         path = tmp_path / "scenario.json"
         path.write_bytes(content)

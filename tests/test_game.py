@@ -504,6 +504,51 @@ def test_nash_path_builds_no_candidate_block(monkeypatch):
         poa_overhead(scenario)
 
 
+def test_each_batch_is_checked_once(monkeypatch):
+    """A public batch method checks its profiles once; the cached scan checks none of its chunks."""
+    evaluator = small_paper_scenario(5, 2, 3).evaluator
+    calls = []
+    check = ProfileEvaluator._as_batch
+
+    def counted(self, profiles):
+        calls.append(profiles)
+        return check(self, profiles)
+
+    monkeypatch.setattr(ProfileEvaluator, "_as_batch", counted)
+    batch = np.array([[0, 1, 2, 1, 0], [2, 2, 0, 1, 1]])
+    for method in (evaluator.channel_loads, evaluator.overheads, evaluator.system_overheads,
+                   evaluator.beneficial_mask, evaluator.beneficial_counts, evaluator.repair_to_beneficial,
+                   evaluator.nash_mask, evaluator.candidate_overheads, evaluator.potential):
+        calls.clear()
+        method(batch)
+        assert len(calls) == 1, method.__name__
+    calls.clear()
+    assert evaluator._scan.equilibria and calls == []
+
+
+@pytest.mark.parametrize("access", list(AccessModel))
+def test_channel_relabelling_keeps_every_bit(access):
+    """Channels share one bandwidth and noise floor, so relabelling them moves no cost.
+
+    A relabelled profile has each load of the original, the same product over
+    the same users, in another column.  So in calls of one shape a batch and
+    its image score bit for bit alike, and the Nash set maps onto itself.
+    """
+    relabellings = [np.array([0, *p]) for p in itertools.permutations(range(1, 4))][1:]  # local stays 0
+    rng = np.random.default_rng(80)
+    for seed in range(40):
+        params = GenParams(n_users=6, channels=3, access_model=access, contention_weight_choices=(1.0, 2.0, 3.0))
+        scenario = generate(params, seed)
+        evaluator, relabel = scenario.evaluator, relabellings[seed % len(relabellings)]
+        batch = rng.integers(0, 4, size=(200, 6))
+        for rows in (batch, *batch[:5, np.newaxis]):  # one 200-row call, then 1-row calls
+            for method in (evaluator.overheads, evaluator.system_overheads, evaluator.beneficial_counts,
+                           evaluator.nash_mask):
+                assert method(rows).tobytes() == method(relabel[rows]).tobytes(), (seed, method.__name__)
+        equilibria = set(enumerate_nash(scenario))
+        assert {tuple(relabel[list(profile)].tolist()) for profile in equilibria} == equilibria, seed
+
+
 @settings(max_examples=300)
 @given(
     access=st.sampled_from(list(AccessModel)),

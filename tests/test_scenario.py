@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from offload_game import (
     CrossEntropyParams,
@@ -233,6 +235,10 @@ class TestDocuments:
         (1, "b_kb", "Infinity", "users[1].b_kb"),
         (None, "w_hz", "Infinity", "env.w_hz"),
         (None, "noise_dbm", "-Infinity", "env.noise_dbm"),
+        # ints too large for a float, which raised OverflowError from the finiteness test
+        pytest.param(None, "w_hz", "9" * 400, "env.w_hz", id="huge-int-env.w_hz"),
+        pytest.param(None, "noise_dbm", "-" + "9" * 400, "env.noise_dbm", id="huge-int-env.noise_dbm"),
+        pytest.param(0, "q_mw", "9" * 400, "users[0].q_mw", id="huge-int-users[0].q_mw"),
     ])
     def test_non_finite_numbers_rejected(self, row, key, literal, path):
         doc = minimal_doc()
@@ -331,7 +337,8 @@ class TestDocuments:
         with pytest.raises(SchemaError):
             read_scenario(path)
 
-    @pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100000], ids=["not-utf8", "deep"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100000, b"9" * 5000],
+                             ids=["not-utf8", "deep", "int-past-the-digit-limit"])
     def test_unparsable_bytes_are_schema_errors(self, tmp_path, content):
         path = tmp_path / "broken.json"
         path.write_bytes(content)
@@ -344,6 +351,71 @@ class TestDocuments:
         with pytest.raises(SchemaError) as info:
             load_scenario(doc)
         assert str(info.value) == "document: expected an object"
+
+
+# what a mutated document may hold: every JSON value, the NaN and ±inf that json reads from
+# bare literals, ints past a float's range, and values at the edges of the float range
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.sampled_from([0, -1, 10**400, -(10**400), 1e308, -1e308, 5e-324, 4000.0, "contention"]),
+)
+_VALUES = st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_NUMBERS = st.floats(-10.0, 1e10) | st.integers(-3, 10**4)  # a plausible number, so some edits load
+
+
+def _nodes(value, path=()):
+    """The path of every value below `value`, containers included, parents first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """`minimal_doc` under either access model after one to three edits.
+
+    An edit sets a value to a plausible number or to any value, or deletes it.
+    """
+    doc = minimal_doc()
+    doc["env"]["access_model"] = draw(st.sampled_from([m.value for m in AccessModel]))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_nodes(doc))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        edit = draw(st.sampled_from(["number", "number", "value", "delete"]))
+        if edit == "delete":
+            del parent[key]
+        else:
+            parent[key] = draw(_NUMBERS if edit == "number" else _VALUES)
+    return doc
+
+
+def _with_value(section: str, key: str, value) -> dict:
+    doc = minimal_doc()
+    (doc["env"] if section == "env" else doc["users"][0])[key] = value
+    return doc
+
+
+@settings(max_examples=400)
+@example(doc=_with_value("env", "w_hz", 10**400))  # both raised OverflowError from the finiteness test
+@example(doc=_with_value("users", "q_mw", 10**400))
+@given(doc=mutated_documents())
+def test_mutated_documents_raise_only_schema_errors(doc):
+    """A document loads or raises SchemaError; one that loads saves and loads back to its fingerprint."""
+    try:
+        scenario = load_scenario(doc)
+    except SchemaError:
+        return
+    reloaded = load_scenario(json.loads(json.dumps(save_scenario(scenario))))
+    assert scenario_fingerprint(reloaded) == scenario_fingerprint(scenario)
 
 
 def test_scenario_builds_one_evaluator(monkeypatch):
