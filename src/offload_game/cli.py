@@ -32,7 +32,7 @@ from .baselines import (
 from .dco import RunReport, SlotRecord, run_dco
 from .errors import InstanceTooLarge, OffloadGameError, SchemaError
 from .metrics import poa_beneficial, poa_overhead
-from .scenario import SEED_LIMIT, GenParams, _dumps_indented, generate, read_scenario, write_scenario
+from .scenario import SEED_LIMIT, GenParams, generate, read_scenario, write_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -132,7 +132,7 @@ def _map_cells(func, cells, requested_workers: int) -> list:
 
 
 def _write_json(path: Path, payload):
-    path.write_text(_dumps_indented(payload) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, rows: list):
@@ -172,20 +172,24 @@ def report_document(report: RunReport) -> dict:
 
 
 class _Column:
-    """One SlotRecord field across slots: a tuple of exact ints, or of exact nonzero floats,
-    keeps its entry texts and re-encodes only the entries unequal to the last such tuple's.
-
-    Equal entries then have equal text: `type(v) is` keeps 1, 1.0 and True apart, a
-    zero is excluded since -0.0 == 0.0, and NaN never compares equal.
+    """One SlotRecord field across slots.  A tuple of exact ints or of exact floats goes to the C
+    encoder; one without a float zero keeps its entry texts and re-encodes only the entries
+    unequal to the last such tuple's.  Equal entries then have equal text: `type(v) is` keeps
+    1, 1.0 and True apart, a zero is excluded since -0.0 == 0.0, and NaN never compares equal.
+    A scalar has the same text at any indent; anything else is the stdlib's `indent=2` text.
     """
 
     prev = texts = None
 
     def encode(self, values, indent: str) -> str:
+        if values is None or type(values) in (int, float):
+            return json.dumps(values)
         kind = type(values[0]) if type(values) is tuple and values else None
-        if (kind not in (int, float) or not {kind}.issuperset(map(type, values))
-                or kind is float and 0.0 in values):
-            return _dumps_indented(values, indent)  # texts still match prev, which they encode
+        if kind not in (int, float) or not {kind}.issuperset(map(type, values)):
+            return json.dumps(values, indent=2).replace("\n", indent)  # empty or mixed
+        inner = indent + "  "
+        if kind is float and 0.0 in values:  # texts still match prev, which they encode
+            return "[" + inner + json.dumps(values, separators=("," + inner, ":"))[1:-1] + indent + "]"
         prev = self.prev
         if prev is not None and type(prev[0]) is kind and len(prev) == len(values):
             for i in itertools.compress(range(len(values)), map(operator.ne, prev, values)):
@@ -193,7 +197,6 @@ class _Column:
         else:
             self.texts = json.dumps(values, separators=(",", ":"))[1:-1].split(",")
         self.prev = values
-        inner = indent + "  "
         return "[" + inner + ("," + inner).join(self.texts) + indent + "]"
 
 
@@ -204,7 +207,7 @@ def write_report(path: Path, report: RunReport):
     del head["slots"]
     columns = [(f.name, "\n      " + json.dumps(f.name) + ": ", _Column()) for f in fields(SlotRecord)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps_indented(head)[:-2] + ',\n  "slots": [')
+        fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "slots": [')
         for i, rec in enumerate(report.slots):
             body = ",".join([key + column.encode(getattr(rec, name), "\n      ")
                              for name, key, column in columns])

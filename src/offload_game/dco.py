@@ -79,6 +79,7 @@ def _slot_rng(seed: int, slot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=slot))
 
 
+@np.errstate(over="ignore")  # a total of finite costs past the float range is +inf
 def run_dco(scenario: Scenario, seed: int) -> RunReport:
     """Run the slotted update process from the all-local profile to equilibrium.
 

@@ -98,6 +98,13 @@ class ProfileEvaluator:
         weights = [access_weight(env, u) for u in users]
         thresholds = [beneficial_threshold(env, u) for u in users]
         phi_thresholds = _clamped(thresholds, weights)
+        local_costs = [local_overhead(u) for u in users]
+        coeff_fixed = [_cloud_cost_coefficients(u) for u in users]
+        # a sum of terms >= 0 is NaN only through a NaN term; infinite local and cloud
+        # costs leave the threshold inf - inf = NaN
+        for n, (local, (coeff, fixed), t) in enumerate(zip(local_costs, coeff_fixed, thresholds)):
+            if math.isnan(local + coeff + fixed + abs(t)):
+                raise ValueError(f"user {n}: a cost or its threshold is not a number")
         # Python floats overflow to inf without a warning; the bound covers
         # every pair term, every local term and the potential itself
         total = sum(weights)
@@ -105,8 +112,7 @@ class ProfileEvaluator:
         if not math.isfinite(0.5 * (total * total) + local_terms):
             raise ValueError("access weights too large: the potential would overflow")
         self.weights = np.array(weights)
-        self.local_costs = np.array([local_overhead(u) for u in users])
-        coeff_fixed = [_cloud_cost_coefficients(u) for u in users]
+        self.local_costs = np.array(local_costs)
         self.rate_coeffs = np.array([cf[0] for cf in coeff_fixed])
         self.fixed_cloud_costs = np.array([cf[1] for cf in coeff_fixed])
         self.thresholds = np.array(thresholds)
@@ -153,8 +159,9 @@ class ProfileEvaluator:
         values in any shape.
         """
         w, coeff, fixed = self.weights[users], self.rate_coeffs[users], self.fixed_cloud_costs[users]
-        # entries a caller discards may be a log2 of a negative number or a 0/0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # entries a caller discards may be a log2 of a negative number or a 0/0; an upload
+        # cost past the float range is +inf, as at rate 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if self.env.access is AccessModel.INTERFERENCE:
                 rates = self.env.bandwidth_hz * np.log2(1.0 + w / (self.env.noise_mw + received))
             else:

@@ -167,7 +167,9 @@ def beneficial_threshold(env: ChannelEnv, u: UserProfile):
     if env.access is AccessModel.INTERFERENCE:
         if coeff == 0.0:
             return math.inf  # upload is free; any interference is tolerable
-        exponent = coeff / (env.bandwidth_hz * headroom)
+        scale = env.bandwidth_hz * headroom
+        # dividing in two steps where the scale underflows to 0 gives a huge exponent or +inf
+        exponent = coeff / scale if scale else coeff / env.bandwidth_hz / headroom
         try:
             denom = 2.0 ** exponent - 1.0
         except OverflowError:

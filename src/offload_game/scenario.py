@@ -376,34 +376,5 @@ def read_scenario(path) -> Scenario:
     return load_scenario(doc)
 
 
-_PLAIN = frozenset({str, int, float, bool, type(None)})  # what json's C encoder writes as a leaf
-
-
-def _dumps_indented(value, indent: str = "\n") -> str:
-    """Exactly `json.dumps(value, indent=2)`, at `indent` (a newline plus the current margin).
-
-    Any `indent` sends `json` to its pure-Python encoder.  So a nonempty list,
-    tuple or str-keyed dict of plain scalars goes to the C encoder with the
-    line break and margin as its item separator; one that holds containers
-    recurses.  Anything else is json's own indented text with its line breaks
-    moved right, which is exact because a string's newline is always escaped.
-    """
-    inner = indent + "  "
-    kind = type(value)
-    if kind is dict and value and {str}.issuperset(map(type, value)):
-        brackets, leaves = "{}", value.values()
-        items = (json.dumps(k) + ": " + _dumps_indented(v, inner) for k, v in value.items())
-    elif (kind is list or kind is tuple) and value:
-        brackets, leaves = "[]", value
-        items = (_dumps_indented(v, inner) for v in value)
-    else:  # a plain leaf goes to the C encoder, whose text is the indented encoder's
-        return json.dumps(value, indent=None if kind in _PLAIN else 2).replace("\n", indent)
-    if _PLAIN.issuperset(map(type, leaves)):
-        flat = json.dumps(value, separators=("," + inner, ": "))
-        return brackets[0] + inner + flat[1:-1] + indent + brackets[1]
-    # the joined body stays a temporary; a local would keep one more report-sized copy alive
-    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
-
-
 def write_scenario(path, scenario: Scenario):
-    Path(path).write_text(_dumps_indented(save_scenario(scenario)) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(save_scenario(scenario), indent=2) + "\n", encoding="utf-8")

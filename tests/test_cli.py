@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line harness and its artifacts."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -89,6 +90,14 @@ class TestGen:
             out = tmp_path / str(i)
             assert main(gen_args(3, 2, out) + flags) == EXIT_CONFIG, flags
             assert not out.exists() or not any(out.iterdir()), flags
+
+    def test_threshold_scale_that_underflows_generates(self, tmp_path):
+        """Bandwidth times each user's cost budget underflows to 0: exit 0, where it raised."""
+        argv = ["gen", "--bandwidth-hz", "1e-300", "--task-megacycles", "1e-300",
+                "--energy-weight-choices", "0", "--seed", "0", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        scenario = load_scenario(json.loads((tmp_path / "scenario.json").read_text()))
+        assert set(scenario.evaluator.thresholds.tolist()) == {-scenario.channel_env.noise_mw}
 
 
 class TestTrace:
@@ -210,6 +219,24 @@ class TestSweep:
         main(self.sweep_args(serial))
         main(self.sweep_args(parallel, workers=2))
         assert (serial / "runs.csv").read_bytes() == (parallel / "runs.csv").read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        # a zero time weight times an overflowing local time is 0·inf = NaN
+        ["--access-model", "contention", "--transmit-power-mw", "0",
+         "--device-rate-choices-ghz", "1e-300", "--energy-weight-choices", "1.0"],
+        ["--device-rate-choices-ghz", "1e-300", "--energy-weight-choices", "1.0"],
+        # infinite local and cloud times leave the threshold inf - inf = NaN
+        ["--device-rate-choices-ghz", "1e-300", "--cloud-rate-ghz", "1e-300",
+         "--energy-weight-choices", "0"],
+    ], ids=["contention", "interference", "infinite-costs"])
+    def test_nan_cost_is_config_error(self, tmp_path, capsys, flags):
+        """A NaN cost exits 2 naming its user, where it wrote `nan` or blamed the weights."""
+        argv = ["sweep", "--n", "3..3", "--seeds", "1", "--channels", "2", "--task-megacycles",
+                "1e300", "--energy-per-cycle-j", "0", *flags, "--out", str(tmp_path / "s")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: users: user 0: a cost or its threshold is not a number")
+        assert not (tmp_path / "s" / "summary.csv").exists()
 
     def test_worker_count_clamped(self):
         cpus = os.cpu_count() or 1
@@ -392,3 +419,77 @@ class TestParser:
         assert generator - dropped <= set(options)
         assert not dropped & set(options)
         assert "ce_degenerate_tol" not in options
+
+
+# The fixed CLI set whose files keep their bytes: each run's argv before --out, in order; a
+# trace or ce run reads the scenario of the gen run it names.  Interference and contention,
+# and at seed 5 a contention scenario whose uploads and device energy are free (zero costs).
+GOLDEN_RUNS = [
+    ("gen-30x5", ["gen", "--n-users", "30", "--channels", "5", "--seed", "1"]),
+    ("gen-12x3", ["gen", "--n-users", "12", "--channels", "3", "--access-model", "contention",
+                  "--seed", "2"]),
+    ("gen-40x4", ["gen", "--n-users", "40", "--channels", "4", "--access-model", "contention",
+                  "--transmit-power-mw", "0", "--energy-weight-choices", "1.0,0.5",
+                  "--energy-per-cycle-j", "0", "--seed", "5"]),
+    ("trace-30x5", ["trace", "--scenario", "gen-30x5", "--seed", "1"]),
+    ("trace-12x3", ["trace", "--scenario", "gen-12x3", "--seed", "2"]),
+    ("trace-40x4", ["trace", "--scenario", "gen-40x4", "--seed", "5"]),
+    ("sweep", ["sweep", "--n", "10..15", "--step", "5", "--seeds", "2"]),
+    ("oracle", ["oracle", "--n", "4", "--m", "2", "--seeds", "2"]),
+    ("poa", ["poa", "--n", "4", "--m", "2", "--seeds", "2"]),
+    ("ce-max", ["ce", "--scenario", "gen-12x3", "--objective", "max-beneficial", "--seed", "3"]),
+    ("ce-min", ["ce", "--scenario", "gen-30x5", "--objective", "min-overhead", "--seed", "4"]),
+]
+
+GOLDEN_SHA256 = {
+    "ce-max/config.json": "a8a9a00d06adc1975cfe76862669ec43ecf8250be5c336186ef20ecddd97c2e0",
+    "ce-max/report.json": "fb2d163e44a5ba7b34a58dce0bef2a489138700db7acd773fdd87283716b5081",
+    "ce-max/scenario.json": "80bad074f8fd5a567981bcd7c95c795828548a325c73aebb60e76032090b085c",
+    "ce-min/config.json": "4d10e9c261c549ae3079649ce045f8ef62fcbd3aa23a596b68abcf5702914c23",
+    "ce-min/report.json": "9bfa45b3f66c15452bad117e22bdd78966079ebf5e73db858e515d16a9de6d19",
+    "ce-min/scenario.json": "a671e96da5977b7d495f57006995dd842bde1a480dba2b8e48df949b3a277b89",
+    "gen-12x3/config.json": "0577647bcc974987840ec5dbd3391f14e0b841afded1e8f18f77d80c0106f1a3",
+    "gen-12x3/scenario.json": "80bad074f8fd5a567981bcd7c95c795828548a325c73aebb60e76032090b085c",
+    "gen-30x5/config.json": "77d76eebb86fca77371a7359b427f5b3ddc4021fb5f6e6a6f4eea41f9e4d33db",
+    "gen-30x5/scenario.json": "a671e96da5977b7d495f57006995dd842bde1a480dba2b8e48df949b3a277b89",
+    "gen-40x4/config.json": "9995fca6d8871d9881082d9a45bf1215cdf265db935dce7913d0833933f2a1a6",
+    "gen-40x4/scenario.json": "48bbc8ad1aa7364e43f4b3d42553459eba2035bc44b67f2b50e52be9851bfe23",
+    "oracle/config.json": "c2ae7df7a0fd4b9b281d43381f9410efd36dc332493a61d56fa2dc7aa1557414",
+    "oracle/summary.csv": "c0bf20f676d1798b81197771f2e057622d3b4b7976f7af7943808be2c524616e",
+    "poa/config.json": "5ce5e26397911d64d08695d49731ff3c05ababc601275f3213fb9e319de3a05f",
+    "poa/summary.csv": "f86ea636ca4845ea081f909aadca85f7a7efdce3ccce2cbb479f568dc2e0e89c",
+    "sweep/config.json": "f592504ab88c95b3b49992b915ed584b9a4eed27e7f7c7a7094300fadad172ca",
+    "sweep/runs.csv": "3c3b4359823e444e7f290c8324dfc63110405c1031a2a6d266711a20a7b33208",
+    "sweep/summary.csv": "24f4baf7efd7bbbe6f3081f9b3174cc5b29daf83b3d49c0e71ef2ac4a1fb45da",
+    "trace-12x3/config.json": "d1610bfc13f38a09a7e7d5b4dbccb659b079d70bce25a0cdc79535edfc7ee72e",
+    "trace-12x3/report.json": "0127d7f83eef3657b4debc59b0ce45f597f7bab7e0327d83ee223dd258dfc6c2",
+    "trace-12x3/scenario.json": "80bad074f8fd5a567981bcd7c95c795828548a325c73aebb60e76032090b085c",
+    "trace-12x3/slots.csv": "8a99856588f176e110e9c705fb7c778e5a29a29e2aa4ae401af34ca7b96feb22",
+    "trace-30x5/config.json": "3875c6a5a7bdc9ebeac82f9ee003b4aca95e36d49e59181f12482aca5a4538f3",
+    "trace-30x5/report.json": "f138deccfdb6fb43d2b37f7079ff9ce4aba5fa53d4a904b33e71e4b3c867f5c3",
+    "trace-30x5/scenario.json": "a671e96da5977b7d495f57006995dd842bde1a480dba2b8e48df949b3a277b89",
+    "trace-30x5/slots.csv": "a9897d15b4fbcadde1fa963a61f53c09b2636895e0bf04c38eb9d57011c0d48e",
+    "trace-40x4/config.json": "dbce97c6b486328b80e47afa04887984a060e17bfb5283bfcdb360330328a058",
+    "trace-40x4/report.json": "7ec86d3fe58c2920b8a194c2614b25830465cb7188c6fe924f856f7653ef4962",
+    "trace-40x4/scenario.json": "48bbc8ad1aa7364e43f4b3d42553459eba2035bc44b67f2b50e52be9851bfe23",
+    "trace-40x4/slots.csv": "dfd5cd06a1f9ef6174dc1c8007f1ca32c560f78f5bfed98dcad2986ad22816e9",
+}
+
+
+def test_fixed_cli_runs_keep_their_bytes(tmp_path):
+    """Every file of the fixed CLI set hashes as recorded, with the output root as `<tmp>`.
+
+    A change that alters output on purpose re-records these values; `pytest -vv`
+    prints the new ones in the failing assertion.
+    """
+    for name, argv in GOLDEN_RUNS:
+        argv = [str(tmp_path / arg / "scenario.json") if arg.startswith("gen-") else arg
+                for arg in argv]
+        assert main([*argv, "--out", str(tmp_path / name)]) == EXIT_OK, name
+    root = str(tmp_path).encode()
+    digests = {
+        path.relative_to(tmp_path).as_posix():
+            hashlib.sha256(path.read_bytes().replace(root, b"<tmp>")).hexdigest()
+        for path in sorted(tmp_path.rglob("*")) if path.is_file()
+    }
+    assert digests == GOLDEN_SHA256

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from offload_game import (
     BoundInapplicable,
@@ -350,3 +352,65 @@ class TestConvergenceBound:
             bound = convergence_slot_bound(scenario)
             for seed in range(5):
                 assert run_dco(scenario, seed).update_slots <= bound
+
+
+def _magnitudes(lo, hi, zero=False, top=1e300):
+    """Floats in [lo, hi], or an extreme: 1e-300, `top` and, where the model allows it, 0."""
+    return st.one_of(st.floats(lo, hi), st.sampled_from([1e-300, top] + [0.0] * zero))
+
+
+GHZ_TOP = 1e290  # 1e300 GHz is past the float range in Hz, so the scenario would only be rejected
+
+
+def _choices(values):
+    return st.lists(values, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def generator_params(draw):
+    """Small GenParams under either access model, from typical to extreme finite values."""
+    return GenParams(
+        n_users=draw(st.integers(1, 6)),
+        channels=draw(st.integers(1, 4)),
+        cell_radius_m=draw(_magnitudes(1.0, 500.0)),
+        path_loss_exponent=draw(_magnitudes(2.0, 5.0)),
+        bandwidth_hz=draw(_magnitudes(1e5, 1e8)),
+        noise_dbm=draw(st.floats(-150.0, -50.0)),
+        transmit_power_mw=draw(_magnitudes(1.0, 1e3, zero=True)),
+        input_kb=draw(_magnitudes(1.0, 1e4)),
+        task_megacycles=draw(_magnitudes(1.0, 1e4)),
+        device_rate_choices_ghz=draw(_choices(_magnitudes(0.1, 3.0, top=GHZ_TOP))),
+        cloud_rate_ghz=draw(_magnitudes(1.0, 100.0, top=GHZ_TOP)),
+        energy_weight_choices=draw(_choices(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))),
+        energy_per_cycle_j=draw(_magnitudes(1e-10, 1e-8, zero=True)),
+        tail_energy_j=draw(_magnitudes(0.01, 1.0, zero=True)),
+        access_model=draw(st.sampled_from(list(AccessModel))),
+        contention_weight_choices=draw(_choices(_magnitudes(0.1, 10.0))),
+        contention_peak_rate_bps=draw(_magnitudes(1e6, 1e9)),
+    )
+
+
+@settings(max_examples=300)
+# bandwidth times the cost budget underflowed to 0: generate raised ZeroDivisionError
+@example(params=GenParams(n_users=3, channels=2, bandwidth_hz=1e-300, task_megacycles=1e-300,
+                          energy_weight_choices=(0.0,)), seed=0)
+# a zero time weight times an overflowing local time: NaN costs, and DCO never moved
+@example(params=GenParams(n_users=3, channels=2, access_model=AccessModel.CONTENTION,
+                          transmit_power_mw=0.0, device_rate_choices_ghz=(1e-300,),
+                          task_megacycles=1e300, energy_weight_choices=(1.0,),
+                          energy_per_cycle_j=0.0), seed=0)
+# two local times of 1e308 s: slot 0's total overflows to +inf
+@example(params=GenParams(n_users=2, channels=1, task_megacycles=1e300,
+                          device_rate_choices_ghz=(1e-11,), energy_weight_choices=(0.0,)), seed=0)
+@given(params=generator_params(), seed=st.integers(0, 2**16))
+def test_extreme_generators_run_as_the_dense_oracle(params, seed):
+    """A generated instance raises SchemaError, or `run_dco` equals the dense oracle's run
+    and ends at a profile the Nash test accepts."""
+    try:
+        scenario = generate(params, seed)
+    except SchemaError:
+        return
+    report = run_dco(scenario, seed)
+    with np.errstate(over="ignore"):  # the oracle's total of finite costs may pass the float range
+        assert report == reference.run_dco_dense(scenario, seed)
+    assert scenario.evaluator.nash_mask([report.final_profile])[0]

@@ -166,6 +166,13 @@ class TestBeneficialThreshold:
             tiny = simple_user(input_bits=1e-300)
             assert beneficial_threshold(simple_env(), tiny) == math.inf
 
+    def test_scale_that_underflows_is_never_beneficial(self):
+        """Bandwidth times the cost budget underflows to 0: no rate pays, where it raised ZeroDivisionError."""
+        env = simple_env(bandwidth_hz=1e-300, noise_mw=0.5)
+        user = simple_user(task_cycles=1e-300)  # a budget of 1e-300 - 5e-301 s
+        assert env.bandwidth_hz * (local_overhead(user) - 5e-301) == 0.0
+        assert beneficial_threshold(env, user) == -0.5
+
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_cost_at_threshold_interference_matches_local(self, access):
         # at co-channel weight exactly T the cloud and local costs coincide
