@@ -4,7 +4,9 @@ Two exhaustive oracles (maximize the number of users that gain from
 offloading; minimize total cost), full Nash-set enumeration, a categorical
 cross-entropy search for instances too large to enumerate, and the two naive
 policies everything is compared against.  Nash enumeration and both exhaustive
-objectives read one cached profile scan per scenario (`ProfileEvaluator._scan`).
+objectives read one cached profile scan per scenario (`ProfileEvaluator._scan`),
+which scores one profile per channel relabelling, the canonical one, and
+expands the canonical equilibria into the full Nash set.
 """
 
 from __future__ import annotations
@@ -64,12 +66,13 @@ def _check_objective(objective) -> None:
 def exhaustive_optimize(
     scenario: Scenario, objective: Objective, profile_cap: int = DEFAULT_PROFILE_CAP
 ) -> tuple:
-    """Scan every profile; returns (best profile, objective value).
+    """The best of all profiles; returns (best profile, objective value).
 
     MAX_BENEFICIAL only considers profiles where every offloader gains;
     MIN_OVERHEAD is unconstrained.  Ties resolve to the lexicographically
-    smallest profile, which the scan order provides for free.  An objective
-    that is not an Objective raises ValueError.
+    smallest profile, which the scan order provides for free.  The cap
+    counts all (channels+1)^n_users profiles, not the canonical ones scanned.
+    An objective that is not an Objective raises ValueError.
     """
     _check_objective(objective)
     _check_cap(scenario, profile_cap)

@@ -15,13 +15,17 @@ improving move, checked on its own and the least-loaded channel only
 (`_improvers`), and whether it offloads at no loss (`_beneficial`); the
 granted user's move, its tie rule and the μ of its potential change come
 from `_best_response`.  A scenario builds its evaluator once, as
-`Scenario.evaluator`, and it scans all profiles at most once: one cached pass
-gives the Nash set and both exhaustive optima.  The module-level functions are
-single-profile views of it.
+`Scenario.evaluator`, and it scans the profiles at most once: one cached pass
+gives the Nash set and both exhaustive optima.  The pass scores only the
+canonical profiles, which number their channels in order of first use, one
+per channel relabelling, and expands the canonical equilibria into all
+their relabellings.  The module-level functions are single-profile views
+of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property
 from operator import itemgetter
@@ -61,19 +65,69 @@ def _clamped(thresholds: Sequence[float], weights: Sequence[float]) -> list:
     return [0.0 if t == -math.inf else ceiling if t == math.inf else t for t in thresholds]
 
 
-def _profile_chunks(n_users: int, channels: int, total: int) -> Iterator[np.ndarray]:
-    """Yield all decision profiles in lexicographic order, (chunk, n_users) at a time."""
-    places = [(channels + 1) ** p for p in range(n_users - 1, -1, -1)]
-    for start in range(0, total, _CHUNK):
-        indices = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        chunk = np.empty((len(indices), n_users), dtype=np.int64)
-        for column, place in enumerate(places):  # a scalar divisor divides fastest
-            chunk[:, column] = (indices // place) % (channels + 1)
-        yield chunk
+def _grow(block: np.ndarray, top: np.ndarray, columns: int, channels: int) -> tuple:
+    """Append `columns` canonical columns to every row of `block`, in lexicographic order.
+
+    `top` is each row's largest channel so far; a row grows by 0 (local) and
+    every channel up to one above its top.
+    """
+    for _ in range(columns):
+        width = np.minimum(top + 1, channels) + 1
+        parent = np.repeat(np.arange(len(block)), width)
+        value = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
+        block = np.column_stack((block[parent], value))
+        top = np.maximum(top[parent], value)
+    return block, top
+
+
+def _canonical_chunks(n_users: int, channels: int) -> Iterator[np.ndarray]:
+    """Yield the canonical profiles in lexicographic order, at most _CHUNK rows at a time.
+
+    A profile is canonical when it numbers its channels in order of first use:
+    every entry is 0 or at most one above the largest entry before it.  Each
+    is the lexicographically smallest profile its channel relabellings reach.
+    The first columns are the shortest prefix that no canonical prefix
+    completes in more than _CHUNK ways; consecutive prefixes share a chunk
+    while their completions fit.
+    """
+    # completions[s][t]: canonical suffixes of length s after a prefix whose top channel is t;
+    # no profile uses more channels than it has users
+    reach = min(channels, n_users)
+    completions = [[1] * (reach + 1)]
+    for _ in range(n_users):
+        last = completions[-1]
+        completions.append([(t + 1) * last[t] + (last[t + 1] if t < reach else 0)
+                            for t in range(reach + 1)])
+    prefix = next(p for p in range(n_users + 1) if completions[n_users - p][min(p, reach)] <= _CHUNK)
+    suffix = n_users - prefix
+    heads, tops = _grow(np.empty((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64), prefix, channels)
+    counts = [completions[suffix][t] for t in tops.tolist()]
+    start, rows = 0, 0
+    for end, count in enumerate(counts):
+        if rows + count > _CHUNK:
+            yield _grow(heads[start:end], tops[start:end], suffix, channels)[0]
+            start, rows = end, 0
+        rows += count
+    yield _grow(heads[start:], tops[start:], suffix, channels)[0]
+
+
+def _relabellings(profiles: np.ndarray, channels: int) -> tuple:
+    """Every channel relabelling of the canonical `profiles`, as tuples in lexicographic order.
+
+    A profile on channels 1..k has one relabelling per one-to-one map of 1..k
+    into 1..channels, channels!/(channels-k)! in all; local stays 0.
+    """
+    used = profiles.max(axis=1, initial=LOCAL)
+    parts = [np.empty((0, profiles.shape[1]), dtype=np.int64)]
+    for k in np.unique(used).tolist():
+        maps = np.array([(LOCAL, *image) for image in itertools.permutations(range(1, channels + 1), k)])
+        parts.append(maps[:, profiles[used == k]].reshape(-1, profiles.shape[1]))
+    every = np.concatenate(parts)
+    return tuple(map(tuple, every[np.lexsort(every.T[::-1])].tolist()))
 
 
 class _ProfileScan(NamedTuple):
-    """The Nash set and both exhaustive optima, from one pass over every profile."""
+    """The Nash set and both exhaustive optima, from one pass over the canonical profiles."""
 
     equilibria: tuple  # in lexicographic order
     max_beneficial: tuple  # (profile, most offloaders with none losing out)
@@ -187,6 +241,7 @@ class ProfileEvaluator:
         """(k, n_users) per-user costs under each profile."""
         return self._batch_costs(self._as_batch(profiles))[0]
 
+    @np.errstate(over="ignore")  # a total of finite costs past the float range is +inf
     def system_overheads(self, profiles) -> np.ndarray:
         return self.overheads(profiles).sum(axis=1)
 
@@ -274,25 +329,33 @@ class ProfileEvaluator:
 
     @cached_property
     def _scan(self) -> _ProfileScan:
-        """One pass over all (channels+1)^n_users profiles, cached; callers check the profile cap.
+        """One pass over the canonical profiles, cached; callers check the profile cap.
 
         Per chunk, one `_batch_costs` call, `_improvers` and `_beneficial` give
         the Nash mask, the offloader counts of rows where no offloader loses out
-        and the row totals, with the bits of the public methods.  Ties go to the
-        lexicographically first profile: argmax/argmin and `max`/`min` keep the first.
+        and the row totals, with the bits of the public methods.  A canonical
+        profile is the lexicographically first of its channel relabellings, so
+        ties still go to the lexicographically first profile: argmax/argmin and
+        `max`/`min` keep the first.  The canonical equilibria expand into all
+        their relabellings.
         """
+        # ChannelEnv gives every channel one bandwidth and one noise floor, so relabelling
+        # the channels of a profile moves no load, cost or Nash flag of it
         equilibria, most, least = [], [], []  # most/least: (profile, value) per chunk
-        for chunk in _profile_chunks(self.n_users, self.channels, (self.channels + 1) ** self.n_users):
+        for chunk in _canonical_chunks(self.n_users, self.channels):
             costs, least_load = self._batch_costs(chunk)
             nash = ~np.any(self._improvers(costs, least_load), axis=1)
-            equilibria.extend(map(tuple, chunk[nash].tolist()))
+            equilibria.append(chunk[nash])
             offloading = chunk > 0
             feasible = np.all(self._beneficial(chunk, costs) == offloading, axis=1)
-            counts, totals = np.where(feasible, offloading.sum(axis=1), -1), costs.sum(axis=1)
+            counts = np.where(feasible, offloading.sum(axis=1), -1)
+            with np.errstate(over="ignore"):  # a total of finite costs past the float range is +inf
+                totals = costs.sum(axis=1)
             high, low = int(np.argmax(counts)), int(np.argmin(totals))
             most.append((tuple(chunk[high].tolist()), int(counts[high])))
             least.append((tuple(chunk[low].tolist()), float(totals[low])))
-        return _ProfileScan(tuple(equilibria), max(most, key=itemgetter(1)), min(least, key=itemgetter(1)))
+        return _ProfileScan(_relabellings(np.concatenate(equilibria), self.channels),
+                            max(most, key=itemgetter(1)), min(least, key=itemgetter(1)))
 
     def _channel_terms(self, batch: np.ndarray, channels) -> tuple:
         """Loads t and pair terms ½(t² − Σw²) of `channels` under `batch`, each (len(channels), k).

@@ -3,10 +3,10 @@
 Both ratios come from full Nash enumeration against the exhaustive optimum,
 so they are only computed on instances small enough to enumerate; both read
 one cached profile scan per scenario, so a scenario costs one pass over its
-profiles.  The analytic bounds attach when their preconditions hold and are
-reported as None otherwise; the measured ratio is always reported.  The
-bounds read their per-user weights, thresholds, local costs and cloud-cost
-extremes from `Scenario.evaluator`.
+canonical profiles.  The analytic bounds attach when their preconditions
+hold and are reported as None otherwise; the measured ratio is always
+reported.  The bounds read their per-user weights, thresholds, local costs
+and cloud-cost extremes from `Scenario.evaluator`.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ the slot loop as they were before the two-candidate rule, scoring every user
 on every channel with the evaluator's `candidate_overheads` block and
 choosing moves by this module's own tie rule, `best_responses`.  They are
 the bit-exact oracles for `ProfileEvaluator.nash_mask` and `run_dco`.  So are
-`enumerate_nash_separate` and `exhaustive_optimize_separate`: one profile scan
-per call through the evaluator's public methods, as the enumerators were
-before they shared one cached scan per scenario.
+`enumerate_nash_separate` and `exhaustive_optimize_separate`: one scan of
+every profile (`profile_chunks`) per call through the evaluator's public
+methods, as the enumerators were before they shared one cached scan of the
+canonical profiles per scenario.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
+from offload_game import game
 from offload_game.baselines import DEFAULT_PROFILE_CAP, Objective, _check_cap
 from offload_game.dco import RunReport, SlotRecord, _slot_rng
-from offload_game.game import BEST_RESPONSE_ATOL, _profile_chunks
+from offload_game.game import BEST_RESPONSE_ATOL
 from offload_game.model import (
     LOCAL,
     AccessModel,
@@ -314,6 +316,17 @@ def run_dco_dense(scenario, seed: int) -> RunReport:
 # one profile scan per call
 
 
+def profile_chunks(n_users: int, channels: int, total: int):
+    """Yield all decision profiles in lexicographic order, (game._CHUNK, n_users) at a time."""
+    places = [(channels + 1) ** p for p in range(n_users - 1, -1, -1)]
+    for start in range(0, total, game._CHUNK):
+        indices = np.arange(start, min(start + game._CHUNK, total), dtype=np.int64)
+        chunk = np.empty((len(indices), n_users), dtype=np.int64)
+        for column, place in enumerate(places):  # a scalar divisor divides fastest
+            chunk[:, column] = (indices // place) % (channels + 1)
+        yield chunk
+
+
 def exhaustive_optimize_separate(
     scenario, objective: Objective, profile_cap: int = DEFAULT_PROFILE_CAP
 ) -> tuple:
@@ -324,7 +337,7 @@ def exhaustive_optimize_separate(
     maximize = objective is Objective.MAX_BENEFICIAL
     best_profile = None
     best_value = None
-    for chunk in _profile_chunks(scenario.n_users, scenario.channels, total):
+    for chunk in profile_chunks(scenario.n_users, scenario.channels, total):
         if maximize:
             offloading = chunk > 0
             feasible = ~np.any(offloading & ~evaluator.beneficial_mask(chunk), axis=1)
@@ -347,7 +360,7 @@ def enumerate_nash_separate(scenario, profile_cap: int = DEFAULT_PROFILE_CAP) ->
     total = (scenario.channels + 1) ** scenario.n_users
     evaluator = scenario.evaluator
     found = []
-    for chunk in _profile_chunks(scenario.n_users, scenario.channels, total):
+    for chunk in profile_chunks(scenario.n_users, scenario.channels, total):
         for row in chunk[evaluator.nash_mask(chunk)]:
             found.append(tuple(int(d) for d in row))
     return found

@@ -16,6 +16,7 @@ from offload_game import (
     ProfileEvaluator,
     all_cloud_random,
     all_local,
+    beneficial_threshold,
     cross_entropy_optimize,
     enumerate_nash,
     exhaustive_optimize,
@@ -29,7 +30,7 @@ from offload_game import game, metrics
 from offload_game.model import AccessModel
 import reference
 import test_game
-from support import integer_contention_scenario, small_paper_scenario
+from support import integer_contention_scenario, never_beneficial_user, small_paper_scenario
 from test_dco import all_never_beneficial_scenario
 
 
@@ -185,6 +186,22 @@ class TestSharedScan:
                 assert reports == (asdict(poa_beneficial(scenario)),
                                    asdict(poa_overhead(scenario))), label
 
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_equals_the_separate_scans_across_chunk_boundaries(self, access, monkeypatch):
+        """At 97 rows a chunk, equilibria and optimum ties fall into many chunks of both scans."""
+        monkeypatch.setattr(game, "_CHUNK", 97)
+        spread = []
+        for label, scenario, _ in self.instances(access):
+            equilibria = reference.enumerate_nash_separate(scenario)
+            assert enumerate_nash(scenario) == equilibria, label
+            for objective in Objective:
+                expected = reference.exhaustive_optimize_separate(scenario, objective)
+                assert exhaustive_optimize(scenario, objective) == expected, label
+            chunks = list(game._canonical_chunks(scenario.n_users, scenario.channels))
+            spread.append(len({i for i, chunk in enumerate(chunks) for row in chunk.tolist()
+                               if tuple(row) in equilibria}))
+        assert max(spread) > 1, spread
+
 
 class TestScanCache:
     """One scan per scenario object; every call still checks its own cap and gets its own list."""
@@ -209,14 +226,14 @@ class TestScanCache:
 
     @staticmethod
     def count_scans(monkeypatch) -> list:
-        """Route `game._profile_chunks` through a recorder; one entry per scan."""
-        chunks, calls = game._profile_chunks, []
+        """Route `game._canonical_chunks` through a recorder; one entry per scan."""
+        chunks, calls = game._canonical_chunks, []
 
         def counted(*args):
             calls.append(args)
             return chunks(*args)
 
-        monkeypatch.setattr(game, "_profile_chunks", counted)
+        monkeypatch.setattr(game, "_canonical_chunks", counted)
         return calls
 
     def test_every_enumerator_shares_one_scan_per_scenario(self, monkeypatch):
@@ -237,6 +254,68 @@ class TestScanCache:
         assert fresh == scenario and fresh is not scenario
         assert enumerate_nash(fresh) == enumerate_nash(scenario)
         assert len(calls) == 2
+
+
+class TestMetamorphic:
+    """Relations between the results of two instances, so no second implementation is needed."""
+
+    @staticmethod
+    def seeded(access, seed):
+        n, m = ((6, 3), (7, 2), (8, 3))[seed % 3]
+        params = GenParams(n_users=n, channels=m, access_model=access,
+                           contention_weight_choices=(1.0, 2.0, 3.0))
+        return generate(params, seed)
+
+    @staticmethod
+    def feasible_count(scenario, profile) -> int:
+        """Offloaders of `profile` if none loses out, else -1: the MAX_BENEFICIAL score."""
+        offloaders = sum(d > 0 for d in profile)
+        return offloaders if scenario.evaluator.beneficial_counts([profile])[0] == offloaders else -1
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_permuting_users_permutes_the_nash_set_and_both_optima(self, access):
+        """Exact for the Nash set and the offloader counts; totals add the users in another order.
+
+        Distinct profiles can tie for an optimum, so each side's optimum
+        profile, renamed, must score the other side's optimum rather than
+        equal its profile.  A total is compared to a relative 1e-12, as the
+        row sum rounds differently once the users are reordered.
+        """
+        for seed in range(24):
+            scenario = self.seeded(access, seed)
+            order = np.random.default_rng(seed).permutation(scenario.n_users).tolist()
+            image = hand_built_scenario(scenario.channel_env, [scenario.user_profiles[i] for i in order])
+
+            def rename(profile):  # image user i is scenario user order[i]
+                return tuple(profile[i] for i in order)
+
+            def unrename(profile):
+                return tuple(profile[order.index(n)] for n in range(len(order)))
+
+            assert enumerate_nash(image) == sorted(map(rename, enumerate_nash(scenario))), seed
+            (best, count), (image_best, image_count) = (
+                exhaustive_optimize(s, Objective.MAX_BENEFICIAL) for s in (scenario, image))
+            assert image_count == count
+            assert self.feasible_count(image, rename(best)) == count, seed
+            assert self.feasible_count(scenario, unrename(image_best)) == count, seed
+            (cheapest, total), (image_cheapest, image_total) = (
+                exhaustive_optimize(s, Objective.MIN_OVERHEAD) for s in (scenario, image))
+            assert image_total == pytest.approx(total, rel=1e-12)
+            renamed_total = image.evaluator.system_overheads([rename(cheapest)])[0]
+            assert renamed_total == pytest.approx(image_total, rel=1e-12), seed
+            unrenamed_total = scenario.evaluator.system_overheads([unrename(image_cheapest)])[0]
+            assert unrenamed_total == pytest.approx(total, rel=1e-12), seed
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_a_user_who_never_gains_leaves_the_nash_set_of_the_others(self, access):
+        """Its cloud cost beats its local cost on no channel, so it stays local in every equilibrium."""
+        extra = never_beneficial_user()
+        for seed in range(24):
+            scenario = self.seeded(access, seed)
+            env = scenario.channel_env
+            assert beneficial_threshold(env, extra) == -math.inf
+            grown = hand_built_scenario(env, [*scenario.user_profiles, extra])
+            assert enumerate_nash(grown) == [profile + (0,) for profile in enumerate_nash(scenario)], seed
 
 
 class TestCrossEntropy:

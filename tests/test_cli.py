@@ -323,6 +323,27 @@ class TestOracleAndPoa:
         assert "2^20000 profiles exceed the cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["poa", "--n", "2", "--m", "1"],
+    ["sweep", "--n", "2..2", "--channels", "1"],
+], ids=["poa", "sweep"])
+def test_totals_past_the_float_range_are_inf(tmp_path, command):
+    """Local costs near the float maximum: the all-local total is +inf, with no overflow warning.
+
+    The scan's row totals (poa) and `system_overheads` (sweep) sum them; the
+    warning is an error under the test settings.
+    """
+    out = tmp_path / "out"
+    argv = command + ["--seeds", "1", "--task-megacycles", "1e300", "--device-rate-choices-ghz", "1e-11",
+                      "--energy-weight-choices", "0", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    if command[0] == "sweep":
+        runs = read_csv(out / "runs.csv")
+        assert runs[1][runs[0].index("all_local_overhead")] == "inf"
+    else:
+        assert len(read_csv(out / "summary.csv")) == 2
+
+
 class TestCeCommand:
     def test_report_written(self, tmp_path):
         gen_out = tmp_path / "gen"

@@ -22,7 +22,8 @@ from offload_game import (
     system_overhead,
     user_overhead,
 )
-from offload_game.game import BEST_RESPONSE_ATOL, _profile_chunks
+from offload_game import game
+from offload_game.game import BEST_RESPONSE_ATOL
 from offload_game.model import AccessModel, ChannelEnv
 import reference
 from support import (
@@ -440,7 +441,7 @@ class TestTwoCandidateNashMask:
             params = GenParams(n_users=8, channels=3, access_model=access,
                                contention_weight_choices=(1.0, 2.0, 3.0))
             evaluator = generate(params, 60 + seed).evaluator
-            (chunk,) = _profile_chunks(8, 3, 4**8)
+            (chunk,) = reference.profile_chunks(8, 3, 4**8)
             mask = evaluator.nash_mask(chunk)
             assert mask.any() and not mask.all()
             assert np.array_equal(mask, reference.nash_mask_dense(evaluator, chunk)), seed
@@ -468,7 +469,7 @@ class TestTwoCandidateNashMask:
                 assert evaluator.thresholds[0] == -np.inf
             if label.startswith("zero"):
                 assert evaluator.rate_coeffs[0] == 0.0
-            (profiles,) = _profile_chunks(n, m, (m + 1) ** n)
+            (profiles,) = reference.profile_chunks(n, m, (m + 1) ** n)
             if label.startswith("equal"):
                 loads = evaluator.channel_loads(profiles)
                 assert np.any(loads.min(axis=1) == np.sort(loads, axis=1)[:, 1])
@@ -481,13 +482,43 @@ class TestTwoCandidateNashMask:
 
 @pytest.mark.parametrize("n_users, channels, chunks", [(9, 3, 4), (8, 4, 6)])
 def test_profile_chunks_are_every_profile_in_lexicographic_order(n_users, channels, chunks):
-    """Across chunk boundaries, the last chunk partial at 5^8; C-ordered int64, as the scan sums rows."""
+    """The separate scans' rows: across chunk boundaries, the last chunk partial at 5^8; C-ordered int64."""
     total = (channels + 1) ** n_users
-    parts = list(_profile_chunks(n_users, channels, total))
+    parts = list(reference.profile_chunks(n_users, channels, total))
     assert len(parts) == chunks and sum(map(len, parts)) == total
     assert all(part.dtype == np.int64 and part.flags.c_contiguous for part in parts)
     rows = map(tuple, np.concatenate(parts).tolist())
     assert list(rows) == list(itertools.product(range(channels + 1), repeat=n_users))
+
+
+def numbers_channels_in_first_use_order(profile) -> bool:
+    top = 0
+    for decision in profile:
+        if decision > top + 1:
+            return False
+        top = max(top, decision)
+    return True
+
+
+@pytest.mark.parametrize("chunk", [game._CHUNK, 7])
+def test_canonical_chunks_are_the_first_use_profiles_in_lexicographic_order(chunk, monkeypatch):
+    """Every N <= 6, M <= 4: the rows are the product filtered by the first-use test, in order."""
+    monkeypatch.setattr(game, "_CHUNK", chunk)
+    for n_users, channels in itertools.product(range(1, 7), range(1, 5)):
+        parts = list(game._canonical_chunks(n_users, channels))
+        assert all(part.dtype == np.int64 and part.flags.c_contiguous and 0 < len(part) <= chunk
+                   and part.shape[1] == n_users for part in parts)
+        expected = filter(numbers_channels_in_first_use_order,
+                          itertools.product(range(channels + 1), repeat=n_users))
+        assert list(map(tuple, np.concatenate(parts).tolist())) == list(expected), (n_users, channels)
+
+
+@pytest.mark.parametrize("n_users, channels, rows", [(8, 3, 11_051), (9, 4, 86_472)])
+def test_canonical_profile_counts(n_users, channels, rows):
+    parts = list(game._canonical_chunks(n_users, channels))
+    assert sum(map(len, parts)) == rows
+    assert all(part.flags.c_contiguous and part.dtype == np.int64 and len(part) <= game._CHUNK
+               for part in parts)
 
 
 def test_nash_path_builds_no_candidate_block(monkeypatch):
