@@ -4,9 +4,10 @@ Both access models reduce to the same structure through a per-user access
 weight: transmit power times channel gain under interference, the contention
 weight otherwise.  ProfileEvaluator is the one place rates, costs, channel
 loads and the potential are computed: it precomputes per-user constants so
-that batches of decision profiles can be scored with numpy; its cost kernel
-takes co-channel weights with the user axis last (or any shape for one
-selected user), and it also gives each user's best- and worst-case cloud cost
+that batches of decision profiles can be scored with numpy.  Its cost kernel
+puts the user axis first, so a batch's C-ordered (n_users, k) arrays run each
+ufunc along the batch, one buffer per call, and a local user's μ is NaN, never
+a negative number; it also gives each user's best- and worst-case cloud cost
 for the price-of-anarchy overhead bound.  The potential is assembled from
 per-channel terms, so `dco.run_dco` can keep those terms between slots and
 refresh only the channels a move touches.  Batches and `run_dco` share one
@@ -40,8 +41,8 @@ from .model import (
     ChannelEnv,
     UserProfile,
     _cloud_cost_coefficients,
+    _threshold,
     access_weight,
-    beneficial_threshold,
     local_overhead,
 )
 
@@ -150,10 +151,10 @@ class ProfileEvaluator:
         self.n_users = len(users)
         self.channels = env.channels
         weights = [access_weight(env, u) for u in users]
-        thresholds = [beneficial_threshold(env, u) for u in users]
-        phi_thresholds = _clamped(thresholds, weights)
         local_costs = [local_overhead(u) for u in users]
         coeff_fixed = [_cloud_cost_coefficients(u) for u in users]
+        thresholds = [_threshold(env, u, c, f, lc) for u, (c, f), lc in zip(users, coeff_fixed, local_costs)]
+        phi_thresholds = _clamped(thresholds, weights)
         # a sum of terms >= 0 is NaN only through a NaN term; infinite local and cloud
         # costs leave the threshold inf - inf = NaN
         for n, (local, (coeff, fixed), t) in enumerate(zip(local_costs, coeff_fixed, thresholds)):
@@ -167,14 +168,20 @@ class ProfileEvaluator:
             raise ValueError("access weights too large: the potential would overflow")
         self.weights = np.array(weights)
         self.local_costs = np.array(local_costs)
-        self.rate_coeffs = np.array([cf[0] for cf in coeff_fixed])
+        coeffs = [cf[0] for cf in coeff_fixed]
+        self.rate_coeffs = np.array(coeffs)
         self.fixed_cloud_costs = np.array([cf[1] for cf in coeff_fixed])
         self.thresholds = np.array(thresholds)
         self._phi_thresholds = np.array(phi_thresholds)
         self._squared_weights = self.weights * self.weights
         self._local_phi_weights = self.weights * self._phi_thresholds
-        # > 0 under contention: beneficial_threshold above raises otherwise
-        self._peaks = np.array([u.peak_rate_bps for u in users])
+        # the cost kernel's per-user constants: (n_users,) rows for one profile, (n_users, 1) columns for
+        # a batch.  A rate's numerator is w, or under contention peak·w in Python floats (> 0: see _threshold)
+        numerators = self.weights if env.access is AccessModel.INTERFERENCE else np.array(
+            [float(u.peak_rate_bps) * w for u, w in zip(users, weights)])
+        self._rows = (self.weights, numerators, self.rate_coeffs, self.fixed_cloud_costs, self.local_costs)
+        self._columns = tuple([row[:, np.newaxis] for row in self._rows])
+        self._free_upload = 0.0 in coeffs  # some user's cloud cost ignores its rate
 
     def _as_batch(self, profiles) -> np.ndarray:
         """The one check on profiles: integer decisions in 0..channels, one per user.
@@ -196,32 +203,45 @@ class ProfileEvaluator:
 
     def channel_loads(self, profiles) -> np.ndarray:
         """(k, channels) array of summed access weights per channel."""
-        return self._loads(self._as_batch(profiles))
+        return self._loads(self._as_batch(profiles))[1:].T
 
     def _loads(self, batch: np.ndarray) -> np.ndarray:
-        """`channel_loads` of a checked batch."""
-        loads = np.empty((batch.shape[0], self.channels))
+        """(channels + 1, k) loads of a checked batch, channel-major; row 0 (local) is NaN."""
+        loads = np.empty((self.channels + 1, len(batch)))
+        loads[LOCAL] = np.nan
         for m in range(1, self.channels + 1):
-            loads[:, m - 1] = (batch == m) @ self.weights
+            loads[m] = (batch == m) @ self.weights
         return loads
 
-    def _cloud_costs(self, received: np.ndarray, users=slice(None)) -> np.ndarray:
-        """Cloud costs of the selected users (default: all) at co-channel weights `received`.
+    def _cloud_costs(self, received, user=None) -> np.ndarray:
+        """Cloud costs at co-channel weights `received`, every ufunc written into one buffer.
 
-        `received` broadcasts against the selection: for all users its last
-        axis is the user axis; for one user index it holds that user's μ
-        values in any shape.
+        For all users (`user` None) the user axis comes first: `received` is a
+        scalar or (n_users,) for one profile, (n_users, k) or (1, k) for a batch.
+        For one user index it is an array of that user's μ values.  NaN μ costs NaN.
         """
-        w, coeff, fixed = self.weights[users], self.rate_coeffs[users], self.fixed_cloud_costs[users]
-        # entries a caller discards may be a log2 of a negative number or a 0/0; an upload
-        # cost past the float range is +inf, as at rate 0
+        w, numerator, coeff, fixed, _ = ((row[user] for row in self._rows) if user is not None
+                                         else self._columns if np.ndim(received) == 2 else self._rows)
+        # entries a caller discards may be NaN or a 0/0; an upload cost past the float
+        # range is +inf, as at rate 0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if self.env.access is AccessModel.INTERFERENCE:
-                rates = self.env.bandwidth_hz * np.log2(1.0 + w / (self.env.noise_mw + received))
+                costs = np.divide(numerator, self.env.noise_mw + received)
+                np.add(1.0, costs, out=costs)
+                np.log2(costs, out=costs)
+                np.multiply(self.env.bandwidth_hz, costs, out=costs)  # the rate
             else:
-                rates = self._peaks[users] * w / (w + received)
-            upload = coeff / rates
-        return np.where(coeff == 0.0, fixed, upload + fixed)
+                costs = np.add(w, received)
+                np.divide(numerator, costs, out=costs)  # the rate, (peak·w) / (w + μ)
+            np.divide(coeff, costs, out=costs)
+            np.add(costs, fixed, out=costs)
+            if self._free_upload:
+                np.copyto(costs, fixed, where=coeff == 0.0)
+        return costs
+
+    def _local(self, costs: np.ndarray) -> np.ndarray:
+        """The local costs, shaped to broadcast against user-major `costs`."""
+        return self._columns[4] if costs.ndim == 2 else self.local_costs
 
     def cloud_cost_extremes(self) -> np.ndarray:
         """(2, n_users) best- and worst-case cloud cost per user, interference model only.
@@ -235,11 +255,11 @@ class ProfileEvaluator:
         weights = self.weights.tolist()
         # everyone else summed in user order, not total - w_n, which rounds differently
         others = [sum(w for i, w in enumerate(weights) if i != n) for n in range(self.n_users)]
-        return self._cloud_costs(np.stack([np.zeros(self.n_users), np.array(others) / self.channels]))
+        return self._cloud_costs(np.column_stack([np.zeros(self.n_users), np.array(others) / self.channels])).T
 
     def overheads(self, profiles) -> np.ndarray:
-        """(k, n_users) per-user costs under each profile."""
-        return self._batch_costs(self._as_batch(profiles))[0]
+        """(k, n_users) per-user costs under each profile, C-ordered, so its row sums add in one order."""
+        return np.ascontiguousarray(self._batch_costs(self._as_batch(profiles))[1].T)
 
     @np.errstate(over="ignore")  # a total of finite costs past the float range is +inf
     def system_overheads(self, profiles) -> np.ndarray:
@@ -247,8 +267,7 @@ class ProfileEvaluator:
 
     def beneficial_mask(self, profiles) -> np.ndarray:
         """(k, n_users) True where a user offloads at no loss versus local computing."""
-        batch = self._as_batch(profiles)
-        return self._beneficial(batch, self._batch_costs(batch)[0])
+        return self._beneficial(*self._batch_costs(self._as_batch(profiles))[:2]).T
 
     def beneficial_counts(self, profiles) -> np.ndarray:
         return self.beneficial_mask(profiles).sum(axis=1)
@@ -256,7 +275,7 @@ class ProfileEvaluator:
     def repair_to_beneficial(self, profiles) -> np.ndarray:
         """Send every non-beneficial offloader local; the rest only gain from it."""
         batch = self._as_batch(profiles)
-        return np.where(self._beneficial(batch, self._batch_costs(batch)[0]), batch, 0)
+        return np.where(self._beneficial(*self._batch_costs(batch)[:2]).T, batch, 0)
 
     def candidate_overheads(self, profiles) -> np.ndarray:
         """(k, n_users, channels+1) cost of every unilateral decision per user.
@@ -266,33 +285,36 @@ class ProfileEvaluator:
         call it, and the benchmark's tracer, which wraps it.
         """
         batch = self._as_batch(profiles)
-        loads = self._loads(batch)
-        own = batch[:, np.newaxis, :] == np.arange(1, self.channels + 1)[:, np.newaxis]
-        mu = loads[:, :, np.newaxis] - self.weights * own  # (k, channels, n_users)
-        cloud_costs = self._cloud_costs(mu).transpose(0, 2, 1)
+        own = batch.T[:, np.newaxis, :] == np.arange(1, self.channels + 1)[:, np.newaxis]
+        mu = self._loads(batch)[1:] - self.weights[:, np.newaxis, np.newaxis] * own  # (n_users, channels, k)
+        cloud_costs = self._cloud_costs(mu.reshape(self.n_users, -1)).reshape(mu.shape)
         out = np.empty((len(batch), self.n_users, self.channels + 1))  # once temporaries are freed
         out[:, :, 0] = self.local_costs
-        out[:, :, 1:] = cloud_costs
+        out[:, :, 1:] = cloud_costs.transpose(2, 0, 1)
         return out
 
     def _costs(self, decisions: np.ndarray, own_mu: np.ndarray) -> np.ndarray:
-        """Each user's cost at `own_mu`, its co-channel weight on its own channel (load − w)."""
-        return np.where(decisions > 0, self._cloud_costs(own_mu), self.local_costs)
+        """Each user's cost at `own_mu`, its co-channel weight on its own channel (load − w), users first."""
+        costs = self._cloud_costs(own_mu)
+        np.copyto(costs, self._local(costs), where=decisions == LOCAL)
+        return costs
 
     def _improvers(self, costs: np.ndarray, least_load) -> np.ndarray:
         """True where a user at cost `costs` has a strictly improving unilateral move.
 
-        `least_load` is the least channel load per profile (a scalar or a (k, 1)
-        column).  A cloud cost never decreases as μ grows, so a user's cheapest
+        `least_load` is each profile's least channel load, a scalar or a (1, k)
+        row.  A cloud cost never decreases as μ grows, so a user's cheapest
         move is local, its own channel (its cost now) or the least-loaded one.
         On the least-loaded or only channel, that last is its own at μ = load,
         never below staying; every other channel is at least as loaded.
         """
-        return np.minimum(self.local_costs, self._cloud_costs(least_load)) < costs
+        best = self._cloud_costs(least_load)
+        np.minimum(self._local(best), best, out=best)
+        return best < costs
 
     def _beneficial(self, decisions: np.ndarray, costs: np.ndarray) -> np.ndarray:
         """True where a user offloads and its cost `costs` is at most its local cost."""
-        return (decisions > 0) & (costs <= self.local_costs)
+        return (decisions > 0) & (costs <= self._local(costs))
 
     def _best_response(self, decisions: np.ndarray, load: np.ndarray, user: int, current_cost: float) -> tuple:
         """(new_decision, mu_new, mu_old): `user`'s best response to channel loads `load`.
@@ -313,19 +335,21 @@ class ProfileEvaluator:
         return new, float(mu[new - 1]) if new else at_local, float(mu[own - 1]) if own else at_local
 
     def _batch_costs(self, batch: np.ndarray) -> tuple:
-        """(costs, least_load) of a checked batch: per-user costs and each profile's least channel load.
+        """(decisions, costs, least_load) of a checked batch: C-ordered (n_users, k) and a (1, k) row.
 
-        The one own-channel μ gather for batches; with `_improvers` it gives
-        the Nash mask, so no (k, n_users, channels+1) block is built.
+        The one own-channel μ gather for batches, NaN for a local user; with `_improvers`
+        it gives the Nash mask, so no (k, n_users, channels+1) block is built.
         """
+        decisions = np.ascontiguousarray(batch.T)
         loads = self._loads(batch)
-        own_mu = np.take_along_axis(loads, np.maximum(batch - 1, 0), axis=1) - self.weights
-        return self._costs(batch, own_mu), loads.min(axis=1, keepdims=True)
+        own_mu = np.take_along_axis(loads, decisions, axis=0)
+        own_mu -= self._columns[0]
+        return decisions, self._costs(decisions, own_mu), loads[1:].min(axis=0, keepdims=True)
 
     def nash_mask(self, profiles) -> np.ndarray:
         """(k,) True where no user has a strictly improving unilateral deviation."""
-        costs, least_load = self._batch_costs(self._as_batch(profiles))
-        return ~np.any(self._improvers(costs, least_load), axis=1)
+        _, costs, least_load = self._batch_costs(self._as_batch(profiles))
+        return ~np.any(self._improvers(costs, least_load), axis=0)
 
     @cached_property
     def _scan(self) -> _ProfileScan:
@@ -343,14 +367,14 @@ class ProfileEvaluator:
         # the channels of a profile moves no load, cost or Nash flag of it
         equilibria, most, least = [], [], []  # most/least: (profile, value) per chunk
         for chunk in _canonical_chunks(self.n_users, self.channels):
-            costs, least_load = self._batch_costs(chunk)
-            nash = ~np.any(self._improvers(costs, least_load), axis=1)
+            decisions, costs, least_load = self._batch_costs(chunk)
+            nash = ~np.any(self._improvers(costs, least_load), axis=0)
             equilibria.append(chunk[nash])
-            offloading = chunk > 0
-            feasible = np.all(self._beneficial(chunk, costs) == offloading, axis=1)
-            counts = np.where(feasible, offloading.sum(axis=1), -1)
+            offloading = decisions > 0
+            feasible = np.all(self._beneficial(decisions, costs) == offloading, axis=0)
+            counts = np.where(feasible, offloading.sum(axis=0), -1)
             with np.errstate(over="ignore"):  # a total of finite costs past the float range is +inf
-                totals = costs.sum(axis=1)
+                totals = np.ascontiguousarray(costs.T).sum(axis=1)  # `system_overheads`' row sums
             high, low = int(np.argmax(counts)), int(np.argmin(totals))
             most.append((tuple(chunk[high].tolist()), int(counts[high])))
             least.append((tuple(chunk[low].tolist()), float(totals[low])))

@@ -160,8 +160,12 @@ def beneficial_threshold(env: ChannelEnv, u: UserProfile):
     -inf when the local cost cannot be beaten at any rate and +inf when any
     co-channel weight is tolerable.
     """
-    coeff, fixed = _cloud_cost_coefficients(u)
-    headroom = local_overhead(u) - fixed  # cost budget available for the upload
+    return _threshold(env, u, *_cloud_cost_coefficients(u), local_overhead(u))
+
+
+def _threshold(env: ChannelEnv, u: UserProfile, coeff: float, fixed: float, local: float):
+    """`beneficial_threshold` from the user's cloud cost coefficients and local cost."""
+    headroom = local - fixed  # cost budget available for the upload
     if headroom <= 0.0:
         return -math.inf
     if env.access is AccessModel.INTERFERENCE:

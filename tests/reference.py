@@ -14,7 +14,9 @@ the bit-exact oracles for `ProfileEvaluator.nash_mask` and `run_dco`.  So are
 `enumerate_nash_separate` and `exhaustive_optimize_separate`: one scan of
 every profile (`profile_chunks`) per call through the evaluator's public
 methods, as the enumerators were before they shared one cached scan of the
-canonical profiles per scenario.
+canonical profiles per scenario.  `UserLastKernel` is the evaluator's batch
+kernel as it was before it went user-major, the bit-exact oracle of every
+batch method and of the profile scan.
 """
 
 from __future__ import annotations
@@ -364,3 +366,90 @@ def enumerate_nash_separate(scenario, profile_cap: int = DEFAULT_PROFILE_CAP) ->
         for row in chunk[evaluator.nash_mask(chunk)]:
             found.append(tuple(int(d) for d in row))
     return found
+
+
+# the user-last batch kernel
+
+
+class UserLastKernel:
+    """`ProfileEvaluator`'s batch kernel as it was before it went user-major.
+
+    Loads are (k, channels), by the same matmul; the own-channel μ is one
+    `take_along_axis` gather that reads a local user's entry from channel 1;
+    costs keep the user axis last and are picked with `np.where`; row totals
+    are numpy's row sums of the (k, n_users) costs.  It reads the evaluator's
+    per-user constants, so it checks the kernel, not the cost model: every
+    batch method must equal it bit for bit.
+    """
+
+    def __init__(self, evaluator, users: Sequence[UserProfile]):
+        self.evaluator = evaluator
+        self.peaks = np.array([u.peak_rate_bps for u in users])
+
+    def loads(self, batch: np.ndarray) -> np.ndarray:
+        loads = np.empty((batch.shape[0], self.evaluator.channels))
+        for m in range(1, self.evaluator.channels + 1):
+            loads[:, m - 1] = (batch == m) @ self.evaluator.weights
+        return loads
+
+    def cloud_costs(self, received: np.ndarray) -> np.ndarray:
+        """Every user's cloud cost at co-channel weights `received`, user axis last."""
+        ev, env = self.evaluator, self.evaluator.env
+        w, coeff, fixed = ev.weights, ev.rate_coeffs, ev.fixed_cloud_costs
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if env.access is AccessModel.INTERFERENCE:
+                rates = env.bandwidth_hz * np.log2(1.0 + w / (env.noise_mw + received))
+            else:
+                rates = self.peaks * w / (w + received)
+            upload = coeff / rates
+        return np.where(coeff == 0.0, fixed, upload + fixed)
+
+    def batch_costs(self, batch: np.ndarray) -> tuple:
+        """(costs, least_load): (k, n_users) costs and the (k, 1) least channel load."""
+        loads = self.loads(batch)
+        own_mu = np.take_along_axis(loads, np.maximum(batch - 1, 0), axis=1) - self.evaluator.weights
+        costs = np.where(batch > 0, self.cloud_costs(own_mu), self.evaluator.local_costs)
+        return costs, loads.min(axis=1, keepdims=True)
+
+    def improvers(self, costs: np.ndarray, least_load: np.ndarray) -> np.ndarray:
+        return np.minimum(self.evaluator.local_costs, self.cloud_costs(least_load)) < costs
+
+    def nash_mask(self, batch: np.ndarray) -> np.ndarray:
+        return ~np.any(self.improvers(*self.batch_costs(batch)), axis=1)
+
+    def beneficial_mask(self, batch: np.ndarray) -> np.ndarray:
+        return (batch > 0) & (self.batch_costs(batch)[0] <= self.evaluator.local_costs)
+
+    def repair_to_beneficial(self, batch: np.ndarray) -> np.ndarray:
+        return np.where(self.beneficial_mask(batch), batch, 0)
+
+    @np.errstate(over="ignore")
+    def system_overheads(self, batch: np.ndarray) -> np.ndarray:
+        return self.batch_costs(batch)[0].sum(axis=1)
+
+    def candidate_overheads(self, batch: np.ndarray) -> np.ndarray:
+        ev = self.evaluator
+        own = batch[:, np.newaxis, :] == np.arange(1, ev.channels + 1)[:, np.newaxis]
+        mu = self.loads(batch)[:, :, np.newaxis] - ev.weights * own  # (k, channels, n_users)
+        out = np.empty((len(batch), ev.n_users, ev.channels + 1))
+        out[:, :, 0] = ev.local_costs
+        out[:, :, 1:] = self.cloud_costs(mu).transpose(0, 2, 1)
+        return out
+
+    def scan(self):
+        """`ProfileEvaluator._scan` from this kernel, over the same canonical chunks."""
+        ev = self.evaluator
+        equilibria, most, least = [], [], []
+        for chunk in game._canonical_chunks(ev.n_users, ev.channels):
+            costs, least_load = self.batch_costs(chunk)
+            equilibria.append(chunk[~np.any(self.improvers(costs, least_load), axis=1)])
+            offloading = chunk > 0
+            feasible = np.all((offloading & (costs <= ev.local_costs)) == offloading, axis=1)
+            counts = np.where(feasible, offloading.sum(axis=1), -1)
+            with np.errstate(over="ignore"):
+                totals = costs.sum(axis=1)
+            high, low = int(np.argmax(counts)), int(np.argmin(totals))
+            most.append((tuple(chunk[high].tolist()), int(counts[high])))
+            least.append((tuple(chunk[low].tolist()), float(totals[low])))
+        return game._ProfileScan(game._relabellings(np.concatenate(equilibria), ev.channels),
+                                 max(most, key=lambda pair: pair[1]), min(least, key=lambda pair: pair[1]))

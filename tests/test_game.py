@@ -604,5 +604,5 @@ def test_cloud_cost_never_decreases_as_mu_grows(access, generated, cell_radius_m
     top = 1e6 * evaluator.weights.max()
     mu = np.array([0.0, top] + [f * top for f in fractions])
     mu = np.sort(np.concatenate([mu, np.nextafter(mu, np.inf)]))
-    costs = evaluator._cloud_costs(mu[:, np.newaxis])  # (len(mu), n_users)
+    costs = evaluator._cloud_costs(mu[np.newaxis, :]).T  # (len(mu), n_users)
     assert np.all(costs[1:] >= costs[:-1])
