@@ -10,8 +10,9 @@ Nash equilibrium of the underlying game.
 
 As in the paper's protocol, one user moves per slot, so the simulation keeps
 the per-channel loads and potential terms between slots and refreshes only
-the two channels a move touches; each user is costed on its own channel and
-on the least-loaded one, by the Nash test's rule (`_costs`, `_improvers`); the
+the two channels a move touches.  Each slot is a one-column batch of the
+evaluator's kernel: each user is costed on its own channel and on the
+least-loaded one, by the Nash test's rule (`_costs`, `_improvers`); the
 granted user's move and both μ of its descent check are the evaluator's
 `_best_response`.  A slot then costs O(N + M), and every SlotRecord has the
 bits a full rescoring of the profile would give.
@@ -95,28 +96,30 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
     _check_seed(seed)
     evaluator = scenario.evaluator
     profile = np.zeros((1, scenario.n_users), dtype=np.int64)
-    decisions = profile[0]
-    loads, pair_terms = evaluator._channel_terms(profile, range(1, evaluator.channels + 1))
-    load = loads[:, 0]  # a view, so it follows every refresh of `loads`
+    decisions = profile.T  # the slot is a one-column batch
+    # `_loads`' layout, indexed by decision; all-local, every channel's load and pair term is 0
+    loads = evaluator._loads(profile)
+    pair_terms = np.zeros_like(loads)  # row 0 (local) stays 0
     records = []
     for slot in itertools.count():
-        own_mu = load[decisions - 1] - evaluator.weights  # a local user's entry is discarded
-        current = evaluator._costs(decisions, own_mu)
-        senders = tuple(np.flatnonzero(evaluator._improvers(current, load.min())).tolist())
+        current = evaluator._costs(decisions, loads)
+        costs = current[:, 0]
+        senders = tuple(np.flatnonzero(evaluator._improvers(current, loads)).tolist())
         pick = new_decision = None
         if senders:
             pick = senders[int(_slot_rng(seed, slot).integers(len(senders)))]
+            old_decision = int(profile[0, pick])
             new_decision, mu_new, mu_old = evaluator._best_response(
-                decisions, load, pick, float(current[pick])
+                old_decision, loads[:, 0], pick, float(current[pick, 0])
             )
         records.append(
             SlotRecord(
                 slot=slot,
-                profile=tuple(decisions.tolist()),
-                potential=float(evaluator._phi(pair_terms, profile)[0]),
-                system_overhead=float(current.sum()),
+                profile=tuple(profile[0].tolist()),
+                potential=float(evaluator._phi(pair_terms[1:], profile)[0]),
+                system_overhead=float(costs.sum()),
                 beneficial_count=int(evaluator._beneficial(decisions, current).sum()),
-                overheads=tuple(current.tolist()),
+                overheads=tuple(costs.tolist()),
                 rtu_senders=senders,
                 updater=pick,
                 new_decision=new_decision,
@@ -131,11 +134,9 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
                 f"potential failed to decrease at slot {slot}: user {pick} moves from "
                 f"co-channel weight {mu_old!r} to {mu_new!r}; improvement path broken"
             )
-        old_decision = int(decisions[pick])
-        decisions[pick] = new_decision
+        profile[0, pick] = new_decision
         moved = [d for d in (old_decision, new_decision) if d > 0]
-        rows = [d - 1 for d in moved]
-        loads[rows], pair_terms[rows] = evaluator._channel_terms(profile, moved)
+        loads[moved], pair_terms[moved] = evaluator._channel_terms(profile, moved)
 
     return RunReport(
         scenario_fingerprint=scenario_fingerprint(scenario), seed=seed, slots=tuple(records)

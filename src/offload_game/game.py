@@ -10,12 +10,13 @@ ufunc along the batch, one buffer per call, and a local user's μ is NaN, never
 a negative number; it also gives each user's best- and worst-case cloud cost
 for the price-of-anarchy overhead bound.  The potential is assembled from
 per-channel terms, so `dco.run_dco` can keep those terms between slots and
-refresh only the channels a move touches.  Batches and `run_dco` share one
-method per per-user rule: a user's cost (`_costs`), whether it has an
-improving move, checked on its own and the least-loaded channel only
-(`_improvers`), and whether it offloads at no loss (`_beneficial`); the
-granted user's move, its tie rule and the μ of its potential change come
-from `_best_response`.  A scenario builds its evaluator once, as
+refresh only the channels a move touches.  A `run_dco` slot is a batch of one
+column: it keeps `_loads`' (channels + 1, 1) loads, indexed by decision, so
+batches and slots pass the same arguments to one method per per-user rule: a
+user's cost (`_costs`), whether it has an improving move, checked on its own
+and the least-loaded channel only (`_improvers`), and whether it offloads at
+no loss (`_beneficial`); the granted user's move, its tie rule and the μ of
+its potential change come from `_best_response`.  A scenario builds its evaluator once, as
 `Scenario.evaluator`, and it scans the profiles at most once: one cached pass
 gives the Nash set and both exhaustive optima.  The pass scores only the
 canonical profiles, which number their channels in order of first use, one
@@ -175,8 +176,8 @@ class ProfileEvaluator:
         self._phi_thresholds = np.array(phi_thresholds)
         self._squared_weights = self.weights * self.weights
         self._local_phi_weights = self.weights * self._phi_thresholds
-        # the cost kernel's per-user constants: (n_users,) rows for one profile, (n_users, 1) columns for
-        # a batch.  A rate's numerator is w, or under contention peak·w in Python floats (> 0: see _threshold)
+        # the cost kernel's per-user constants: (n_users,) rows to index one user, (n_users, 1) columns for
+        # all users.  A rate's numerator is w, or under contention peak·w in Python floats (> 0: see _threshold)
         numerators = self.weights if env.access is AccessModel.INTERFERENCE else np.array(
             [float(u.peak_rate_bps) * w for u, w in zip(users, weights)])
         self._rows = (self.weights, numerators, self.rate_coeffs, self.fixed_cloud_costs, self.local_costs)
@@ -213,35 +214,30 @@ class ProfileEvaluator:
             loads[m] = (batch == m) @ self.weights
         return loads
 
+    # entries a caller discards may be NaN or a 0/0; an upload cost past the float range is +inf,
+    # as at rate 0.  A decorator costs half a `with` block per call, and a slot makes three calls
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def _cloud_costs(self, received, user=None) -> np.ndarray:
         """Cloud costs at co-channel weights `received`, every ufunc written into one buffer.
 
-        For all users (`user` None) the user axis comes first: `received` is a
-        scalar or (n_users,) for one profile, (n_users, k) or (1, k) for a batch.
+        For all users (`user` None) the user axis comes first: `received` is
+        (n_users, k) or (1, k), a `run_dco` slot being a batch of one column.
         For one user index it is an array of that user's μ values.  NaN μ costs NaN.
         """
-        w, numerator, coeff, fixed, _ = ((row[user] for row in self._rows) if user is not None
-                                         else self._columns if np.ndim(received) == 2 else self._rows)
-        # entries a caller discards may be NaN or a 0/0; an upload cost past the float
-        # range is +inf, as at rate 0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.env.access is AccessModel.INTERFERENCE:
-                costs = np.divide(numerator, self.env.noise_mw + received)
-                np.add(1.0, costs, out=costs)
-                np.log2(costs, out=costs)
-                np.multiply(self.env.bandwidth_hz, costs, out=costs)  # the rate
-            else:
-                costs = np.add(w, received)
-                np.divide(numerator, costs, out=costs)  # the rate, (peak·w) / (w + μ)
-            np.divide(coeff, costs, out=costs)
-            np.add(costs, fixed, out=costs)
-            if self._free_upload:
-                np.copyto(costs, fixed, where=coeff == 0.0)
+        w, numerator, coeff, fixed, _ = (row[user] for row in self._rows) if user is not None else self._columns
+        if self.env.access is AccessModel.INTERFERENCE:
+            costs = np.divide(numerator, self.env.noise_mw + received)
+            np.add(1.0, costs, out=costs)
+            np.log2(costs, out=costs)
+            np.multiply(self.env.bandwidth_hz, costs, out=costs)  # the rate
+        else:
+            costs = np.add(w, received)
+            np.divide(numerator, costs, out=costs)  # the rate, (peak·w) / (w + μ)
+        np.divide(coeff, costs, out=costs)
+        np.add(costs, fixed, out=costs)
+        if self._free_upload:
+            np.copyto(costs, fixed, where=coeff == 0.0)
         return costs
-
-    def _local(self, costs: np.ndarray) -> np.ndarray:
-        """The local costs, shaped to broadcast against user-major `costs`."""
-        return self._columns[4] if costs.ndim == 2 else self.local_costs
 
     def cloud_cost_extremes(self) -> np.ndarray:
         """(2, n_users) best- and worst-case cloud cost per user, interference model only.
@@ -293,63 +289,64 @@ class ProfileEvaluator:
         out[:, :, 1:] = cloud_costs.transpose(2, 0, 1)
         return out
 
-    def _costs(self, decisions: np.ndarray, own_mu: np.ndarray) -> np.ndarray:
-        """Each user's cost at `own_mu`, its co-channel weight on its own channel (load − w), users first."""
+    def _costs(self, decisions: np.ndarray, loads: np.ndarray) -> np.ndarray:
+        """(n_users, k) cost of each user under (n_users, k) `decisions` and `_loads`-layout `loads`.
+
+        The one own-channel μ gather, load − w, which row 0 makes NaN for a local user.
+        """
+        own_mu = loads[decisions, np.arange(decisions.shape[1])]
+        own_mu -= self._columns[0]
         costs = self._cloud_costs(own_mu)
-        np.copyto(costs, self._local(costs), where=decisions == LOCAL)
+        np.copyto(costs, self._columns[4], where=decisions == LOCAL)
         return costs
 
-    def _improvers(self, costs: np.ndarray, least_load) -> np.ndarray:
+    def _improvers(self, costs: np.ndarray, loads: np.ndarray) -> np.ndarray:
         """True where a user at cost `costs` has a strictly improving unilateral move.
 
-        `least_load` is each profile's least channel load, a scalar or a (1, k)
-        row.  A cloud cost never decreases as μ grows, so a user's cheapest
-        move is local, its own channel (its cost now) or the least-loaded one.
-        On the least-loaded or only channel, that last is its own at μ = load,
-        never below staying; every other channel is at least as loaded.
+        A cloud cost never decreases as μ grows, so a user's cheapest move is
+        local, its own channel (its cost now) or the one with the least of
+        `loads[1:]`.  On the least-loaded or only channel, that last is its own
+        at μ = load, never below staying; every other channel is at least as loaded.
         """
-        best = self._cloud_costs(least_load)
-        np.minimum(self._local(best), best, out=best)
+        best = self._cloud_costs(loads[1:].min(axis=0, keepdims=True))
+        np.minimum(self._columns[4], best, out=best)
         return best < costs
 
     def _beneficial(self, decisions: np.ndarray, costs: np.ndarray) -> np.ndarray:
         """True where a user offloads and its cost `costs` is at most its local cost."""
-        return (decisions > 0) & (costs <= self._local(costs))
+        return (decisions > 0) & (costs <= self._columns[4])
 
-    def _best_response(self, decisions: np.ndarray, load: np.ndarray, user: int, current_cost: float) -> tuple:
-        """(new_decision, mu_new, mu_old): `user`'s best response to channel loads `load`.
+    def _best_response(self, own: int, load: np.ndarray, user: int, current_cost: float) -> tuple:
+        """(new_decision, mu_new, mu_old): the best response of `user`, now at decision `own`.
 
-        The first decision within BEST_RESPONSE_ATOL of the cheapest that
-        strictly beats `current_cost`, and μ there and at the old decision.
+        `load` is one profile's (channels + 1,) column of `_loads`.  The first
+        decision within BEST_RESPONSE_ATOL of the cheapest that strictly beats
+        `current_cost`, and μ there and at `own`; μ at local is the clamped threshold.
         """
-        own = int(decisions[user])
         mu = load.copy()
-        if own:
-            mu[own - 1] -= self.weights[user]
-        costs = [float(self.local_costs[user])] + self._cloud_costs(mu, user).tolist()
+        mu[own] -= self.weights[user]
+        mu[LOCAL] = self._phi_thresholds[user]
+        costs = self._cloud_costs(mu, user).tolist()
+        costs[LOCAL] = float(self.local_costs[user])
         best = min(costs)
         new = next(
             d for d, cost in enumerate(costs) if cost - best <= BEST_RESPONSE_ATOL and cost < current_cost
         )
-        at_local = float(self._phi_thresholds[user])
-        return new, float(mu[new - 1]) if new else at_local, float(mu[own - 1]) if own else at_local
+        return new, float(mu[new]), float(mu[own])
 
     def _batch_costs(self, batch: np.ndarray) -> tuple:
-        """(decisions, costs, least_load) of a checked batch: C-ordered (n_users, k) and a (1, k) row.
+        """(decisions, costs, loads) of a checked batch: C-ordered (n_users, k) and `_loads`' (channels + 1, k).
 
-        The one own-channel μ gather for batches, NaN for a local user; with `_improvers`
-        it gives the Nash mask, so no (k, n_users, channels+1) block is built.
+        With `_improvers` it gives the Nash mask, so no (k, n_users, channels+1) block is built.
         """
         decisions = np.ascontiguousarray(batch.T)
         loads = self._loads(batch)
-        own_mu = np.take_along_axis(loads, decisions, axis=0)
-        own_mu -= self._columns[0]
-        return decisions, self._costs(decisions, own_mu), loads[1:].min(axis=0, keepdims=True)
+        return decisions, self._costs(decisions, loads), loads
 
     def nash_mask(self, profiles) -> np.ndarray:
         """(k,) True where no user has a strictly improving unilateral deviation."""
-        _, costs, least_load = self._batch_costs(self._as_batch(profiles))
-        return ~np.any(self._improvers(costs, least_load), axis=0)
+        _, costs, loads = self._batch_costs(self._as_batch(profiles))
+        return ~np.any(self._improvers(costs, loads), axis=0)
 
     @cached_property
     def _scan(self) -> _ProfileScan:
@@ -367,8 +364,8 @@ class ProfileEvaluator:
         # the channels of a profile moves no load, cost or Nash flag of it
         equilibria, most, least = [], [], []  # most/least: (profile, value) per chunk
         for chunk in _canonical_chunks(self.n_users, self.channels):
-            decisions, costs, least_load = self._batch_costs(chunk)
-            nash = ~np.any(self._improvers(costs, least_load), axis=0)
+            decisions, costs, loads = self._batch_costs(chunk)
+            nash = ~np.any(self._improvers(costs, loads), axis=0)
             equilibria.append(chunk[nash])
             offloading = decisions > 0
             feasible = np.all(self._beneficial(decisions, costs) == offloading, axis=0)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from offload_game import GenParams, SchemaError, generate
+from offload_game import GenParams, SchemaError, generate, run_dco
 from offload_game.game import ProfileEvaluator, _canonical_chunks
 from offload_game.model import AccessModel, _cloud_cost_coefficients
 import reference
@@ -30,10 +30,10 @@ def _signature(array) -> tuple:
 
 def assert_equals_the_user_last_kernel(evaluator, kernel, batch):
     """Costs, least load and every batch method of `batch`, bit for bit."""
-    _, costs, least_load = evaluator._batch_costs(batch)
+    _, costs, loads = evaluator._batch_costs(batch)
     old_costs, old_least_load = kernel.batch_costs(batch)
     assert _signature(costs.T) == _signature(old_costs)
-    assert _signature(least_load.T) == _signature(old_least_load)
+    assert _signature(loads[1:].min(axis=0, keepdims=True).T) == _signature(old_least_load)
     assert _signature(evaluator.overheads(batch)) == _signature(old_costs)
     assert _signature(evaluator.channel_loads(batch)) == _signature(kernel.loads(batch))
     for name in ("nash_mask", "beneficial_mask", "repair_to_beneficial", "system_overheads", "candidate_overheads"):
@@ -115,25 +115,43 @@ def test_extreme_generators_score_as_the_user_last_kernel(params, seed):
 
 
 @pytest.fixture(params=list(AccessModel), ids=lambda access: access.value)
-def evaluator(request):
+def scenario(request):
     # nine users: numpy's row sums no longer add the users in order from eight up
     params = GenParams(n_users=9, channels=3, access_model=request.param, contention_weight_choices=(0.5, 1.0, 3.0))
-    return generate(params, 4).evaluator
+    return generate(params, 4)
 
 
-def test_local_users_reach_the_cost_kernel_as_nan(evaluator, monkeypatch):
-    """A local user's own-channel μ is NaN, never a negative load − w, whose log2 is slow."""
+@pytest.fixture
+def evaluator(scenario):
+    return scenario.evaluator
+
+
+def test_local_users_reach_the_cost_kernel_as_nan(scenario, monkeypatch):
+    """A local user's own-channel μ is NaN, never a negative load − w, whose log2 is slow.
+
+    Both inputs, a batch and every slot of `run_dco`, reach the kernel as
+    2-D all-user calls: the own-channel μ, then in a slot the (1, 1) least load.
+    """
     received = []
     cloud_costs = ProfileEvaluator._cloud_costs
 
     def spy(self, mu, user=None):
-        received.append(np.array(mu))
+        if user is None:
+            received.append(np.array(mu))
         return cloud_costs(self, mu, user)
 
     monkeypatch.setattr(ProfileEvaluator, "_cloud_costs", spy)
     batch = np.random.default_rng(8).integers(0, 4, size=(50, 9))
-    evaluator.overheads(batch)
+    scenario.evaluator.overheads(batch)
     assert np.array_equal(np.isnan(received[0]), batch.T == 0)
+    report = run_dco(scenario, 0)
+    slot_calls = received[1:]
+    assert len(slot_calls) == 2 * report.total_slots
+    for slot, own_mu, least_load in zip(report.slots, slot_calls[::2], slot_calls[1::2]):
+        assert np.array_equal(np.isnan(own_mu), np.array([slot.profile]).T == 0)
+        assert least_load.shape == (1, 1)
+    for mu in received:
+        assert mu.ndim == 2 and np.all(mu[~np.isnan(mu)] >= 0)
 
 
 def test_empty_batches_keep_their_shape(evaluator):

@@ -220,24 +220,32 @@ class TestIncrementalEngine:
 def assert_two_candidates_match(scenario, profile) -> int:
     """The slot engine's _costs, _improvers and _best_response against every candidate cost, bit for bit.
 
-    Returns how many users have a move, each of which was checked against
-    the reference tie rule and the μ of the measurement rule.
+    The slot is a one-column batch: its costs have the bytes of `_batch_costs`
+    on the same 1-row batch.  Returns how many users have a move, each of
+    which was checked against the reference tie rule and the μ of the
+    measurement rule.
     """
     evaluator = scenario.evaluator
-    decisions = np.array(profile, dtype=np.int64)
-    loads = evaluator.channel_loads([decisions])[0]
-    candidates = evaluator.candidate_overheads([decisions])[0]
-    current = evaluator._costs(decisions, loads[decisions - 1] - evaluator.weights)
-    assert current.tolist() == candidates[np.arange(len(decisions)), decisions].tolist()
-    improvers = evaluator._improvers(current, loads.min())
-    assert improvers.tolist() == (candidates.min(axis=1) < current).tolist()
+    batch = np.array([profile], dtype=np.int64)
+    decisions = batch.T
+    loads = evaluator._loads(batch)
+    load = loads[:, 0]
+    candidates = evaluator.candidate_overheads(batch)[0]
+    current = evaluator._costs(decisions, loads)
+    batch_costs = evaluator._batch_costs(batch)[1]
+    assert (current.shape, current.tobytes()) == (batch_costs.shape, batch_costs.tobytes())
+    costs = current[:, 0]
+    assert costs.tolist() == candidates[np.arange(len(costs)), batch[0]].tolist()
+    improvers = evaluator._improvers(current, loads)[:, 0]
+    assert improvers.tolist() == (candidates.min(axis=1) < costs).tolist()
     movers = np.flatnonzero(improvers).tolist()
     for n in movers:
-        decision, mu_new, mu_old = evaluator._best_response(decisions, loads, n, float(current[n]))
-        assert decision == reference.best_responses(candidates[n].tolist(), float(current[n]))[0]
-        at_local, own = float(evaluator._phi_thresholds[n]), int(decisions[n])
-        assert mu_new == (float(loads[decision - 1]) if decision else at_local)
-        assert mu_old == (float(loads[own - 1] - evaluator.weights[n]) if own else at_local)
+        own = int(batch[0, n])
+        decision, mu_new, mu_old = evaluator._best_response(own, load, n, current[n, 0])
+        assert decision == reference.best_responses(candidates[n].tolist(), float(costs[n]))[0]
+        at_local = float(evaluator._phi_thresholds[n])
+        assert mu_new == (float(load[decision]) if decision else at_local)
+        assert mu_old == (float(load[own] - evaluator.weights[n]) if own else at_local)
     return len(movers)
 
 
@@ -298,22 +306,20 @@ class TestBestResponseTieRule:
 
     def test_lower_channel_within_tolerance_wins(self):
         evaluator = near_tie_scenario().evaluator
-        load = np.array([np.nextafter(2.0, np.inf), 2.0])  # channel 1 one ulp heavier
-        costs = evaluator._cloud_costs(load, 0).tolist()
+        load = np.array([np.nan, np.nextafter(2.0, np.inf), 2.0])  # channel 1 one ulp heavier
+        costs = evaluator._cloud_costs(load[1:], 0).tolist()
         assert 0.0 < costs[0] - costs[1] <= BEST_RESPONSE_ATOL
-        decisions = np.zeros(2, dtype=np.int64)
-        move = evaluator._best_response(decisions, load, 0, float(evaluator.local_costs[0]))
-        assert move == (1, float(load[0]), float(evaluator._phi_thresholds[0]))
+        move = evaluator._best_response(0, load, 0, float(evaluator.local_costs[0]))
+        assert move == (1, float(load[1]), float(evaluator._phi_thresholds[0]))
 
     def test_local_within_tolerance_wins(self):
         evaluator = near_tie_scenario().evaluator
         # user 0 on channel 1 facing μ = 3; channel 2 just below its threshold
-        load = np.array([4.0, np.nextafter(evaluator.thresholds[0], -np.inf)])
-        own_cost, cheapest = evaluator._cloud_costs(load - [1.0, 0.0], 0).tolist()
+        load = np.array([np.nan, 4.0, np.nextafter(evaluator.thresholds[0], -np.inf)])
+        own_cost, cheapest = evaluator._cloud_costs(load[1:] - [1.0, 0.0], 0).tolist()
         local = float(evaluator.local_costs[0])
         assert cheapest < local < own_cost and local - cheapest <= BEST_RESPONSE_ATOL
-        decisions = np.array([1, 0], dtype=np.int64)
-        move = evaluator._best_response(decisions, load, 0, own_cost)
+        move = evaluator._best_response(1, load, 0, own_cost)
         assert move == (0, float(evaluator._phi_thresholds[0]), 3.0)
 
 
