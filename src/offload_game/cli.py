@@ -32,6 +32,7 @@ from .baselines import (
 from .dco import RunReport, SlotRecord, run_dco
 from .errors import InstanceTooLarge, OffloadGameError, SchemaError
 from .metrics import poa_beneficial, poa_overhead
+from .model import _sum_in_order
 from .scenario import SEED_LIMIT, GenParams, generate, read_scenario, write_scenario
 
 EXIT_OK = 0
@@ -172,37 +173,30 @@ def report_document(report: RunReport) -> dict:
 
 
 class _Column:
-    """One SlotRecord field across slots.  A tuple of exact ints or of exact floats goes to the C
-    encoder; one without a float zero keeps its entry texts and re-encodes only the entries
-    unequal to the last such tuple's.  Equal entries then have equal text: `type(v) is` keeps
-    1, 1.0 and True apart, a zero is excluded since -0.0 == 0.0, and NaN never compares equal.
-    A scalar has the same text at any indent; anything else is the stdlib's `indent=2` text.
-    """
+    """One SlotRecord field across slots.  A tuple as long as the last re-encodes only the entries
+    that are not the very object the last held there: one object has one text, and `run_dco` hands
+    each unchanged entry on as the same object.  Another non-empty tuple is split from one C-encoder
+    call, so its entries must be JSON numbers, bools or None, as SlotRecord declares.  Anything
+    else is the stdlib's `indent=2` text."""
 
-    prev = texts = None
+    prev, texts = (), None
 
     def encode(self, values, indent: str) -> str:
-        if values is None or type(values) in (int, float):
-            return json.dumps(values)
-        kind = type(values[0]) if type(values) is tuple and values else None
-        if kind not in (int, float) or not {kind}.issuperset(map(type, values)):
-            return json.dumps(values, indent=2).replace("\n", indent)  # empty or mixed
-        inner = indent + "  "
-        if kind is float and 0.0 in values:  # texts still match prev, which they encode
-            return "[" + inner + json.dumps(values, separators=("," + inner, ":"))[1:-1] + indent + "]"
-        prev = self.prev
-        if prev is not None and type(prev[0]) is kind and len(prev) == len(values):
-            for i in itertools.compress(range(len(values)), map(operator.ne, prev, values)):
+        if type(values) is not tuple or not values:
+            return json.dumps(values, indent=2).replace("\n", indent)
+        if len(self.prev) == len(values):
+            for i in itertools.compress(range(len(values)), map(operator.is_not, self.prev, values)):
                 self.texts[i] = json.dumps(values[i])
         else:
             self.texts = json.dumps(values, separators=(",", ":"))[1:-1].split(",")
         self.prev = values
+        inner = indent + "  "
         return "[" + inner + ("," + inner).join(self.texts) + indent + "]"
 
 
 def write_report(path: Path, report: RunReport):
     """`_write_json(path, report_document(report))`, streamed: each slot re-encodes only the
-    per-user entries that changed since the last, and no report-sized string is built."""
+    per-user entries that are new objects since the last, and no report-sized string is built."""
     head = report_document(report)
     del head["slots"]
     columns = [(f.name, "\n      " + json.dumps(f.name) + ": ", _Column()) for f in fields(SlotRecord)]
@@ -267,9 +261,8 @@ def _sweep_summary(rows: list) -> list:
     summary = []
     for n in dict.fromkeys(row["n"] for row in rows):
         group = [row for row in rows if row["n"] == n]
-        means = {
-            f"mean_{key}": sum(row[key] for row in group) / len(group) for key in list(group[0])[2:]
-        }
+        means = {f"mean_{key}": _sum_in_order(row[key] for row in group) / len(group)
+                 for key in list(group[0])[2:]}
         summary.append({"n": n, "seeds": len(group), **means})
     return summary
 

@@ -15,7 +15,10 @@ evaluator's kernel: each user is costed on its own channel and on the
 least-loaded one, by the Nash test's rule (`_costs`, `_improvers`); the
 granted user's move and both μ of its descent check are the evaluator's
 `_best_response`.  A slot then costs O(N + M), and every SlotRecord has the
-bits a full rescoring of the profile would give.
+bits a full rescoring of the profile would give.  Records share what did
+not change: a per-user decision or cost the slot left alone, to the bit, is
+the very object of the record before, so a streamed writer can find the few
+new entries by identity.
 """
 
 from __future__ import annotations
@@ -33,7 +36,11 @@ __all__ = ["SlotRecord", "RunReport", "run_dco", "convergence_slot_bound"]
 
 @dataclass(frozen=True)
 class SlotRecord:
-    """State observed during one decision slot, before any update applies."""
+    """State observed during one decision slot, before any update applies.
+
+    `profile` holds Python ints and `overheads` Python floats; an entry equal
+    to the last slot's, bit for bit, is the same object as that slot's entry.
+    """
 
     slot: int
     profile: tuple  # decisions at slot start
@@ -100,26 +107,32 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
     # `_loads`' layout, indexed by decision; all-local, every channel's load and pair term is 0
     loads = evaluator._loads(profile)
     pair_terms = np.zeros_like(loads)  # row 0 (local) stays 0
+    # the records' decisions and costs as Python objects, renewed only where a move or a cost's bits change
+    entries, kept, last = [0] * scenario.n_users, [None] * scenario.n_users, None
     records = []
     for slot in itertools.count():
         current = evaluator._costs(decisions, loads)
         costs = current[:, 0]
-        senders = tuple(np.flatnonzero(evaluator._improvers(current, loads)).tolist())
+        bits = costs.view(np.int64)
+        for i in (bits != last).nonzero()[0].tolist() if slot else range(len(kept)):
+            kept[i] = costs.item(i)
+        last = bits
+        senders = tuple(evaluator._improvers(current, loads).nonzero()[0].tolist())
         pick = new_decision = None
         if senders:
             pick = senders[int(_slot_rng(seed, slot).integers(len(senders)))]
-            old_decision = int(profile[0, pick])
+            old_decision = entries[pick]
             new_decision, mu_new, mu_old = evaluator._best_response(
-                old_decision, loads[:, 0], pick, float(current[pick, 0])
+                old_decision, loads[:, 0], pick, kept[pick]
             )
         records.append(
             SlotRecord(
                 slot=slot,
-                profile=tuple(profile[0].tolist()),
+                profile=tuple(entries),
                 potential=float(evaluator._phi(pair_terms[1:], profile)[0]),
                 system_overhead=float(costs.sum()),
                 beneficial_count=int(evaluator._beneficial(decisions, current).sum()),
-                overheads=tuple(costs.tolist()),
+                overheads=tuple(kept),
                 rtu_senders=senders,
                 updater=pick,
                 new_decision=new_decision,
@@ -134,7 +147,7 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
                 f"potential failed to decrease at slot {slot}: user {pick} moves from "
                 f"co-channel weight {mu_old!r} to {mu_new!r}; improvement path broken"
             )
-        profile[0, pick] = new_decision
+        profile[0, pick] = entries[pick] = new_decision
         moved = [d for d in (old_decision, new_decision) if d > 0]
         loads[moved], pair_terms[moved] = evaluator._channel_terms(profile, moved)
 

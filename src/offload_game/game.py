@@ -42,6 +42,7 @@ from .model import (
     ChannelEnv,
     UserProfile,
     _cloud_cost_coefficients,
+    _sum_in_order,
     _threshold,
     access_weight,
     local_overhead,
@@ -63,7 +64,7 @@ def _clamped(thresholds: Sequence[float], weights: Sequence[float]) -> list:
     the instance's total access weight, above any co-channel weight a user can
     face even after rounding.  Finite thresholds pass through unchanged.
     """
-    ceiling = 2.0 * sum(weights)
+    ceiling = 2.0 * _sum_in_order(weights)
     return [0.0 if t == -math.inf else ceiling if t == math.inf else t for t in thresholds]
 
 
@@ -163,8 +164,8 @@ class ProfileEvaluator:
                 raise ValueError(f"user {n}: a cost or its threshold is not a number")
         # Python floats overflow to inf without a warning; the bound covers
         # every pair term, every local term and the potential itself
-        total = sum(weights)
-        local_terms = sum(abs(w * t) for w, t in zip(weights, phi_thresholds))
+        total = _sum_in_order(weights)
+        local_terms = _sum_in_order(abs(w * t) for w, t in zip(weights, phi_thresholds))
         if not math.isfinite(0.5 * (total * total) + local_terms):
             raise ValueError("access weights too large: the potential would overflow")
         self.weights = np.array(weights)
@@ -250,7 +251,7 @@ class ProfileEvaluator:
             raise ContentionUnsupported("cloud-cost extremes are defined for the interference model")
         weights = self.weights.tolist()
         # everyone else summed in user order, not total - w_n, which rounds differently
-        others = [sum(w for i, w in enumerate(weights) if i != n) for n in range(self.n_users)]
+        others = [_sum_in_order(w for i, w in enumerate(weights) if i != n) for n in range(self.n_users)]
         return self._cloud_costs(np.column_stack([np.zeros(self.n_users), np.array(others) / self.channels])).T
 
     def overheads(self, profiles) -> np.ndarray:
@@ -433,4 +434,4 @@ def count_beneficial(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[
 def system_overhead(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> float:
     """Total cost across all users under profile a."""
     # summed in user order, not by numpy's row sum, so the bench's recorded poa digest holds
-    return sum(ProfileEvaluator(env, users).overheads([a])[0].tolist())
+    return _sum_in_order(ProfileEvaluator(env, users).overheads([a])[0].tolist())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .baselines import DEFAULT_PROFILE_CAP, Objective, enumerate_nash, exhaustive_optimize
 from .game import count_beneficial, system_overhead
-from .model import AccessModel
+from .model import AccessModel, _sum_in_order
 from .scenario import Scenario
 
 __all__ = ["PoaReport", "poa_beneficial", "poa_overhead"]
@@ -93,8 +93,8 @@ def poa_overhead(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> 
     if env.access is AccessModel.INTERFERENCE:
         k_min, k_max = scenario.evaluator.cloud_cost_extremes().tolist()
         local = scenario.evaluator.local_costs.tolist()
-        numerator = sum(min(k_local, k) for k_local, k in zip(local, k_max))
-        denominator = sum(min(k_local, k) for k_local, k in zip(local, k_min))
+        numerator = _sum_in_order(min(k_local, k) for k_local, k in zip(local, k_max))
+        denominator = _sum_in_order(min(k_local, k) for k_local, k in zip(local, k_min))
         bound_high = numerator / denominator if denominator > 0 else None
     return PoaReport(
         metric=SYSTEM_OVERHEAD,

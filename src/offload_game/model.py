@@ -11,7 +11,9 @@ per-profile costs are computed in one place, `game.ProfileEvaluator`.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,6 +50,12 @@ def _check_real(name: str, value) -> None:
         finite = False
     if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _sum_in_order(values):
+    """The one sum of Python numbers that decides output bits: left to right from 0, one rounding
+    per add.  The builtin `sum` adds floats with compensation from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0)
 
 
 class AccessModel(Enum):

@@ -340,7 +340,11 @@ def load_scenario(doc: dict) -> Scenario:
 
 
 def save_scenario(scenario: Scenario) -> dict:
-    """Scenario back to its document form; inverse of load_scenario."""
+    """Scenario back to its document form; inverse of load_scenario.
+
+    Every env and user number is written as the float `load_scenario` reads
+    it as, so a scenario built with an int there has its round trip's fingerprint.
+    """
     return {
         "meta": {
             "seed": scenario.seed,
@@ -349,12 +353,12 @@ def save_scenario(scenario: Scenario) -> dict:
         },
         "env": {
             "M": scenario.channels,
-            "w_hz": scenario.bandwidth_hz,
-            "noise_dbm": scenario.noise_dbm,
+            "w_hz": float(scenario.bandwidth_hz),
+            "noise_dbm": float(scenario.noise_dbm),
             "access_model": scenario.access_model.value,
         },
         "users": [
-            {name: getattr(u, name) for name in _USER_FIELDS} for u in scenario.users
+            {name: float(getattr(u, name)) for name in _USER_FIELDS} for u in scenario.users
         ],
     }
 

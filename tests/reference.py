@@ -21,8 +21,10 @@ batch method and of the profile scan.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +44,12 @@ from offload_game.model import (
     local_overhead,
 )
 from offload_game.scenario import scenario_fingerprint
+
+
+def sum_in_order(values):
+    """Left to right from 0, one rounding per add; the builtin `sum` compensates floats from 3.12 on."""
+    return functools.reduce(operator.add, values, 0)
+
 
 # cost model, one user at a time
 
@@ -150,7 +158,7 @@ def channel_load(env: ChannelEnv, users: Sequence[UserProfile], m: int, a: Seque
     """Total access weight currently on channel m (what the base-station measures)."""
     if not 1 <= m <= env.channels:
         raise ValueError(f"channel {m} out of range 1..{env.channels}")
-    return sum(access_weight(env, users[i]) for i in range(len(users)) if a[i] == m)
+    return sum_in_order(access_weight(env, users[i]) for i in range(len(users)) if a[i] == m)
 
 
 def received_interference(
@@ -253,7 +261,7 @@ def count_beneficial(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[
 
 def system_overhead(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> float:
     """Total cost across all users under profile a."""
-    return sum(user_overhead(env, users, n, a) for n in range(len(users)))
+    return sum_in_order(user_overhead(env, users, n, a) for n in range(len(users)))
 
 
 # the dense candidate block

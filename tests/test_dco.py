@@ -15,8 +15,10 @@ from offload_game import (
     run_dco,
     scenario_fingerprint,
     convergence_slot_bound,
+    write_scenario,
 )
 from offload_game._version import __version__
+from offload_game.cli import main
 from offload_game.game import BEST_RESPONSE_ATOL, ProfileEvaluator
 from offload_game.model import AccessModel
 from offload_game.scenario import Scenario, ScenarioUser
@@ -215,6 +217,49 @@ class TestIncrementalEngine:
         assert report.update_slots > 0 and calls == []
         assert scenario.evaluator.nash_mask([report.final_profile]).tolist() == [True]
         assert calls  # the counter sees an ordinary check
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_unchanged_entries_are_the_last_slots_objects(self, access):
+        """A slot hands on the very object of each entry that did not change, and only those.
+
+        A cost entry is the last slot's object exactly when its float64 bits are
+        equal; a decision entry is, unless its user moved.  Each is an exact
+        float or int, as the streamed report writer needs.
+        """
+        kept = renewed = 0
+        for seed in range(6):
+            n, m = [(8, 3), (40, 5), (120, 20)][seed % 3]
+            report = run_dco(generate(GenParams(n_users=n, channels=m, access_model=access), seed), seed)
+            for last, rec in zip(report.slots, report.slots[1:]):
+                assert {type(c) for c in rec.overheads} == {float}
+                assert {type(d) for d in rec.profile} == {int}
+                same_bits = np.array(rec.overheads).view(np.int64) == np.array(last.overheads).view(np.int64)
+                same_object = [c is c0 for c, c0 in zip(rec.overheads, last.overheads)]
+                assert same_object == same_bits.tolist(), (n, m, seed, rec.slot)
+                moved = [i == last.updater for i in range(n)]
+                assert [d is not d0 for d, d0 in zip(rec.profile, last.profile)] == moved
+                kept += int(same_bits.sum())
+                renewed += int((~same_bits).sum())
+        assert kept > renewed > 0
+
+    def test_a_move_that_does_not_lower_the_potential_raises(self, tmp_path, monkeypatch):
+        """The descent guard names the slot and the user; `trace` lets it propagate as the bug it is."""
+        scenario = generate(GenParams(n_users=8, channels=3), 1)
+        first_mover = run_dco(scenario, 0).slots[0].updater
+        best_response = ProfileEvaluator._best_response
+
+        def level(evaluator, own, load, user, current_cost):
+            new_decision, _, mu_old = best_response(evaluator, own, load, user, current_cost)
+            return new_decision, mu_old, mu_old
+
+        monkeypatch.setattr(ProfileEvaluator, "_best_response", level)
+        message = f"potential failed to decrease at slot 0: user {first_mover} moves "
+        with pytest.raises(RuntimeError, match=message):
+            run_dco(scenario, 0)
+        path = tmp_path / "scenario.json"
+        write_scenario(path, scenario)
+        with pytest.raises(RuntimeError, match=message):
+            main(["trace", "--scenario", str(path), "--seed", "0", "--out", str(tmp_path / "out")])
 
 
 def assert_two_candidates_match(scenario, profile) -> int:

@@ -3,7 +3,8 @@
 Every JSON file the CLI writes is the stdlib's indented text.  Only
 `cli.write_report` has its own writer: it streams a trace's report.json slot by
 slot, with the C encoder writing each slot's per-user entries.  Its bytes must
-equal the stdlib's exactly, whatever the report holds.
+equal the stdlib's exactly whenever the report's per-user entries are JSON numbers,
+bools and None.
 """
 
 import json

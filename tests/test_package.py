@@ -1,13 +1,16 @@
-"""The package namespace is the union of its modules' `__all__` lists, and it
-keeps every name the traced benchmark patches."""
+"""The package namespace is the union of its modules' `__all__` lists, it
+keeps every name the traced benchmark patches, and its CLI runs as a module."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
 import offload_game
+from offload_game._version import __version__
 from offload_game.game import ProfileEvaluator
 
 
@@ -56,3 +59,12 @@ def test_every_name_the_traced_bench_patches_exists():
         assert name in vars(importlib.import_module(module)), f"{module}.{name}"
     for _, name, _ in methods:
         assert name in vars(ProfileEvaluator), f"ProfileEvaluator.{name}"
+
+
+def test_cli_runs_as_a_module():
+    """`python -m offload_game.cli` reaches `main`, the console script's target, and exits with its code."""
+    src = str(Path(offload_game.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "offload_game.cli", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"offload-game {__version__}\n", "")

@@ -325,6 +325,25 @@ class TestDocuments:
         other = generate(GenParams(n_users=3), 3)
         assert scenario_fingerprint(scenario) != scenario_fingerprint(other)
 
+    @pytest.mark.parametrize("env, user_field", [
+        ({"bandwidth_hz": 5000000}, None),
+        ({"noise_dbm": -100}, None),
+        ({}, "b_kb"),
+        ({"bandwidth_hz": 5000000}, "f_c_ghz"),
+    ], ids=["env-w-hz", "env-noise", "user-b-kb", "env-and-user"])
+    def test_int_number_has_its_round_trips_fingerprint(self, tmp_path, env, user_field):
+        """A Scenario built with an int for a float is saved as that float, as it loads back."""
+        scenario = generate(GenParams(n_users=3), 2)  # defaults: 5e6 Hz, -100 dBm, 5000 KB, 10 GHz
+        users = list(scenario.users)
+        if user_field:
+            users[1] = dataclasses.replace(users[1], **{user_field: int(getattr(users[1], user_field))})
+        built = dataclasses.replace(scenario, users=tuple(users), **env)
+        path = tmp_path / "scenario.json"
+        write_scenario(path, built)
+        assert scenario_fingerprint(built) == scenario_fingerprint(read_scenario(path))
+        assert scenario_fingerprint(built) == scenario_fingerprint(scenario)
+        assert path.read_text() == json.dumps(save_scenario(scenario), indent=2) + "\n"
+
     def test_file_round_trip(self, tmp_path):
         scenario = generate(GenParams(n_users=4, access_model=AccessModel.CONTENTION), 8)
         path = tmp_path / "scenario.json"
