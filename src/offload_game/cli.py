@@ -3,7 +3,8 @@
 Every invocation writes into one output directory: the scenario(s) involved,
 a `config.json` with the tool version and every option the command read, and
 CSV/JSON artifacts whose numbers are recomputable from (scenario, seed).  CSV
-files use a header row, '.' decimals and '\n' line endings.
+files use a header row, '.' decimals and '\n' line endings.  A trace's report.json
+names its scenario by `scenario_fingerprint`, computed once as the file is written.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .dco import RunReport, SlotRecord, run_dco
 from .errors import InstanceTooLarge, OffloadGameError, SchemaError
 from .metrics import poa_beneficial, poa_overhead
 from .model import _sum_in_order
-from .scenario import SEED_LIMIT, GenParams, generate, read_scenario, write_scenario
+from .scenario import (SEED_LIMIT, GenParams, Scenario, generate, read_scenario,
+                       scenario_fingerprint, write_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -151,13 +153,13 @@ def _write_config(out: Path, args: argparse.Namespace):
     _write_json(out / "config.json", {**TOOL_META, "command": args.command, "options": options})
 
 
-def report_document(report: RunReport) -> dict:
-    """JSON form of a run report; each slot is its SlotRecord, fields in declaration order."""
+def report_document(report: RunReport, scenario: Scenario) -> dict:
+    """JSON form of `report`, a run on `scenario`; each slot is its SlotRecord, in field order."""
     return {
         "meta": {
             **TOOL_META,
             "seed": report.seed,
-            "scenario_fingerprint": report.scenario_fingerprint,
+            "scenario_fingerprint": scenario_fingerprint(scenario),
             "config": {},
         },
         "result": {
@@ -175,15 +177,15 @@ def report_document(report: RunReport) -> dict:
 class _Column:
     """One SlotRecord field across slots.  A tuple as long as the last re-encodes only the entries
     that are not the very object the last held there: one object has one text, and `run_dco` hands
-    each unchanged entry on as the same object.  Another non-empty tuple is split from one C-encoder
-    call, so its entries must be JSON numbers, bools or None, as SlotRecord declares.  Anything
-    else is the stdlib's `indent=2` text."""
+    each unchanged entry on as the same object.  Any other field value is one C-encoder call, split
+    into entries for a non-empty tuple, so it must be a JSON number, bool or None, or a tuple of
+    them, as SlotRecord declares: for those the C encoder writes the stdlib's `indent=2` text."""
 
     prev, texts = (), None
 
     def encode(self, values, indent: str) -> str:
         if type(values) is not tuple or not values:
-            return json.dumps(values, indent=2).replace("\n", indent)
+            return json.dumps(values)
         if len(self.prev) == len(values):
             for i in itertools.compress(range(len(values)), map(operator.is_not, self.prev, values)):
                 self.texts[i] = json.dumps(values[i])
@@ -194,10 +196,10 @@ class _Column:
         return "[" + inner + ("," + inner).join(self.texts) + indent + "]"
 
 
-def write_report(path: Path, report: RunReport):
-    """`_write_json(path, report_document(report))`, streamed: each slot re-encodes only the
-    per-user entries that are new objects since the last, and no report-sized string is built."""
-    head = report_document(report)
+def write_report(path: Path, report: RunReport, scenario: Scenario):
+    """`_write_json(path, report_document(report, scenario))`, streamed: each slot re-encodes only
+    the per-user entries that are new objects since the last, and no report-sized string is built."""
+    head = report_document(report, scenario)
     del head["slots"]
     columns = [(f.name, "\n      " + json.dumps(f.name) + ": ", _Column()) for f in fields(SlotRecord)]
     with open(path, "w", encoding="utf-8") as fh:
@@ -228,7 +230,7 @@ def cmd_trace(args: argparse.Namespace, out: Path):
     scenario = read_scenario(args.scenario)
     report = run_dco(scenario, args.seed)
     write_scenario(out / "scenario.json", scenario)
-    write_report(out / "report.json", report)
+    write_report(out / "report.json", report, scenario)
     write_slots_csv(out / "slots.csv", report)
     print(
         f"converged after {report.update_slots} update slots; "
@@ -238,15 +240,16 @@ def cmd_trace(args: argparse.Namespace, out: Path):
 
 
 def _sweep_cell(cell) -> dict:
-    params, seed = cell
-    scenario = generate(params, seed)
+    """One runs.csv row: the scenario from `gen_seed`; DCO and the random baseline from `run_seed`."""
+    params, gen_seed, run_seed = cell
+    scenario = generate(params, gen_seed)
     evaluator = scenario.evaluator
-    report = run_dco(scenario, seed)
+    report = run_dco(scenario, run_seed)
     local_cost = float(evaluator.system_overheads([all_local(scenario)])[0])
-    random_profile = all_cloud_random(scenario, seed)
+    random_profile = all_cloud_random(scenario, run_seed)
     return {
         "n": params.n_users,
-        "seed": seed,
+        "seed": gen_seed,
         "dco_beneficial": report.beneficial_count,
         "dco_system_overhead": report.system_overhead,
         "dco_update_slots": report.update_slots,
@@ -286,7 +289,7 @@ def cmd_sweep(args: argparse.Namespace, out: Path):
         _from_fields(args, GenParams, "generator flags", n_users=n)
         for n in range(lo, hi + 1, args.step)
     ]
-    cells = [(params, seed) for params in size_params for seed in _seed_range(args)]
+    cells = [(params, seed, seed) for params in size_params for seed in _seed_range(args)]
     _run_cells(args, out, _sweep_cell, cells, _sweep_summary)
 
 

@@ -18,7 +18,7 @@ granted user's move and both μ of its descent check are the evaluator's
 bits a full rescoring of the profile would give.  Records share what did
 not change: a per-user decision or cost the slot left alone, to the bit, is
 the very object of the record before, so a streamed writer can find the few
-new entries by identity.
+new entries by identity.  A report is its seed and slots; it names no scenario.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundInapplicable
-from .scenario import Scenario, _check_seed, scenario_fingerprint
+from .scenario import Scenario, _check_seed
 
 __all__ = ["SlotRecord", "RunReport", "run_dco", "convergence_slot_bound"]
 
@@ -55,9 +55,8 @@ class SlotRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Complete, replayable record of one simulation run; its result is the last slot."""
+    """One run's record, replayable from its scenario and `seed`; its result is the last slot."""
 
-    scenario_fingerprint: str
     seed: int
     slots: tuple  # tuple[SlotRecord, ...], ending at a Nash equilibrium
 
@@ -151,9 +150,7 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
         moved = [d for d in (old_decision, new_decision) if d > 0]
         loads[moved], pair_terms[moved] = evaluator._channel_terms(profile, moved)
 
-    return RunReport(
-        scenario_fingerprint=scenario_fingerprint(scenario), seed=seed, slots=tuple(records)
-    )
+    return RunReport(seed=seed, slots=tuple(records))
 
 
 def convergence_slot_bound(scenario: Scenario) -> float:

@@ -43,7 +43,6 @@ from offload_game.model import (
     beneficial_threshold,
     local_overhead,
 )
-from offload_game.scenario import scenario_fingerprint
 
 
 def sum_in_order(values):
@@ -318,9 +317,7 @@ def run_dco_dense(scenario, seed: int) -> RunReport:
             raise RuntimeError(f"potential failed to decrease at slot {slot}")
         profile[0, pick] = new_decision
         potential_now = float(evaluator.potential(profile)[0])
-    return RunReport(
-        scenario_fingerprint=scenario_fingerprint(scenario), seed=seed, slots=tuple(records)
-    )
+    return RunReport(seed=seed, slots=tuple(records))
 
 
 # one profile scan per call

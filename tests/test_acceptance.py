@@ -14,8 +14,6 @@ from offload_game import (
     BoundInapplicable,
     GenParams,
     Objective,
-    ProfileEvaluator,
-    all_cloud_random,
     beneficial_threshold,
     cross_entropy_optimize,
     enumerate_nash,
@@ -26,6 +24,7 @@ from offload_game import (
     run_dco,
     convergence_slot_bound,
 )
+from offload_game.cli import _sweep_cell
 from offload_game.model import AccessModel
 import reference
 from support import integer_contention_scenario, random_instance, random_profile
@@ -159,39 +158,19 @@ def test_criterion_6_paper_scale_trace():
 
 @pytest.fixture(scope="module")
 def paper_sweep():
-    """Shared data for criteria 7 and 8: the full size sweep with all baselines."""
+    """Shared data for criteria 7 and 8: the CLI's sweep rows for every size, plus both CE results."""
     start = time.perf_counter()
     rows = []
     for n in SWEEP_SIZES:
+        params = GenParams(n_users=n)
         for s in range(SWEEP_SEEDS):
-            scenario = generate(GenParams(n_users=n), 101 * n + s)
-            evaluator = ProfileEvaluator(scenario.channel_env, scenario.user_profiles)
-            report = run_dco(scenario, s)
-            random_assignment = all_cloud_random(scenario, s)
-            _, ce_max = cross_entropy_optimize(scenario, Objective.MAX_BENEFICIAL, seed=s)
-            _, ce_min = cross_entropy_optimize(scenario, Objective.MIN_OVERHEAD, seed=s)
-            weights = evaluator.weights
-            finite = [t for t in evaluator.thresholds.tolist() if np.isfinite(t)]
-            rows.append(
-                {
-                    "n": n,
-                    "dco_beneficial": report.beneficial_count,
-                    "dco_overhead": report.system_overhead,
-                    "dco_slots": report.update_slots,
-                    "local_overhead": float(evaluator.system_overheads([(0,) * n])[0]),
-                    "random_beneficial": int(
-                        evaluator.beneficial_counts([random_assignment])[0]
-                    ),
-                    "random_overhead": float(
-                        evaluator.system_overheads([random_assignment])[0]
-                    ),
-                    "ce_max": ce_max,
-                    "ce_min": ce_min,
-                    "q_max": float(weights.max()),
-                    "q_min": float(weights.min()),
-                    "t_ref_max": max(0.0, max(finite)) if finite else 0.0,
-                }
+            row = _sweep_cell((params, 101 * n + s, s))
+            scenario = generate(params, 101 * n + s)
+            _, row["ce_beneficial"] = cross_entropy_optimize(
+                scenario, Objective.MAX_BENEFICIAL, seed=s
             )
+            _, row["ce_overhead"] = cross_entropy_optimize(scenario, Objective.MIN_OVERHEAD, seed=s)
+            rows.append(row)
     return {"rows": rows, "elapsed": time.perf_counter() - start}
 
 
@@ -203,10 +182,12 @@ def test_criterion_7_sweep_orderings_and_ce_dominance(paper_sweep):
         group = [r for r in rows if r["n"] == n]
         assert len(group) == SWEEP_SEEDS
         mean = lambda key: sum(r[key] for r in group) / len(group)
-        assert mean("dco_beneficial") >= mean("random_beneficial")
-        assert mean("dco_overhead") <= min(mean("local_overhead"), mean("random_overhead"))
-    ce_max_wins = sum(r["ce_max"] >= r["dco_beneficial"] for r in rows)
-    ce_min_wins = sum(r["ce_min"] <= r["dco_overhead"] + 1e-9 for r in rows)
+        assert mean("dco_beneficial") >= mean("all_cloud_beneficial")
+        assert mean("dco_system_overhead") <= min(
+            mean("all_local_overhead"), mean("all_cloud_overhead")
+        )
+    ce_max_wins = sum(r["ce_beneficial"] >= r["dco_beneficial"] for r in rows)
+    ce_min_wins = sum(r["ce_overhead"] <= r["dco_system_overhead"] + 1e-9 for r in rows)
     assert ce_max_wins >= 0.9 * len(rows)
     assert ce_min_wins >= 0.9 * len(rows)
     total_elapsed = paper_sweep["elapsed"] + (time.perf_counter() - start)
@@ -224,7 +205,7 @@ def test_criterion_8_convergence_grows_linearly(paper_sweep):
     means = []
     for n in SWEEP_SIZES:
         group = [r for r in rows if r["n"] == n]
-        means.append(sum(r["dco_slots"] for r in group) / len(group))
+        means.append(sum(r["dco_update_slots"] for r in group) / len(group))
     x = np.array(SWEEP_SIZES, dtype=float)
     y = np.array(means)
     slope, intercept = np.polyfit(x, y, 1)

@@ -10,7 +10,8 @@ from dataclasses import fields
 import pytest
 
 from offload_game import (
-    GenParams, SlotRecord, generate, load_scenario, run_dco, save_scenario, write_scenario,
+    GenParams, SlotRecord, generate, load_scenario, read_scenario, run_dco, save_scenario,
+    scenario_fingerprint, write_scenario,
 )
 from offload_game import cli
 from offload_game.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOO_LARGE, _worker_count, main
@@ -120,7 +121,9 @@ class TestTrace:
         assert doc["result"]["final_profile"] == list(report.final_profile)
         assert doc["result"]["update_slots"] == report.update_slots
         assert doc["result"]["is_nash"] is True
-        assert doc["meta"]["scenario_fingerprint"] == report.scenario_fingerprint
+        assert doc["meta"]["scenario_fingerprint"] == scenario_fingerprint(
+            read_scenario(out / "scenario.json")
+        )
         assert len(doc["slots"]) == report.total_slots
         names = [f.name for f in fields(SlotRecord)]
         assert all(list(slot) == names for slot in doc["slots"])
@@ -132,7 +135,7 @@ class TestTrace:
         scenario = load_scenario(json.loads((out / "scenario.json").read_text()))
         config = json.loads((out / "config.json").read_text())
         for name, doc in [
-            ("report.json", cli.report_document(run_dco(scenario, 7))),
+            ("report.json", cli.report_document(run_dco(scenario, 7), scenario)),
             ("scenario.json", save_scenario(scenario)),
             ("config.json", config),
         ]:

@@ -1,6 +1,6 @@
 """Tests for the slotted simulation and its convergence bound."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,8 +12,8 @@ from offload_game import (
     GenParams,
     SchemaError,
     generate,
+    RunReport,
     run_dco,
-    scenario_fingerprint,
     convergence_slot_bound,
     write_scenario,
 )
@@ -127,10 +127,21 @@ class TestRunDco:
     def test_report_metadata(self):
         scenario = small_paper_scenario(4, 2, seed=1)
         report = run_dco(scenario, seed=2)
-        assert report.scenario_fingerprint == scenario_fingerprint(scenario)
+        assert [f.name for f in fields(RunReport)] == ["seed", "slots"]
         assert report.seed == 2
         assert report.total_slots == report.update_slots + 1
         assert reference.is_nash(scenario.channel_env, scenario.user_profiles, report.final_profile)
+
+    @pytest.mark.parametrize("access", list(AccessModel), ids=lambda a: a.value)
+    def test_run_never_serializes_its_scenario(self, monkeypatch, access):
+        """The report names no scenario, so a run neither saves nor hashes the scenario document."""
+        scenario = generate(GenParams(n_users=8, channels=2, access_model=access), 3)
+
+        def refuse(_):
+            raise AssertionError("run_dco serialized its scenario")
+
+        monkeypatch.setattr("offload_game.scenario.save_scenario", refuse)
+        assert run_dco(scenario, 3).update_slots > 0
 
 
 def _generated(access, weight_choices=(1.0,)):

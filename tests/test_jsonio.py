@@ -41,11 +41,12 @@ def test_sweep_config_file(tmp_path):
     assert text == oracle(json.loads(text)) + "\n"
 
 
-def streamed_mismatch(tmp_path, report):
+def streamed_mismatch(tmp_path, report, scenario):
     """`difference` of the file `write_report` writes from the stdlib's bytes."""
     path = tmp_path / "report.json"
-    write_report(path, report)
-    return difference(path.read_bytes(), (json.dumps(report_document(report), indent=2) + "\n").encode())
+    write_report(path, report, scenario)
+    want = json.dumps(report_document(report, scenario), indent=2) + "\n"
+    return difference(path.read_bytes(), want.encode())
 
 
 @pytest.mark.parametrize("access", list(AccessModel), ids=lambda a: a.value)
@@ -55,8 +56,9 @@ def test_streamed_report_equals_stdlib(tmp_path, access):
     # the cloud is 50x slower than the slowest device, so all-local is already the equilibrium
     still = GenParams(n_users=6, channels=2, cloud_rate_ghz=0.01, access_model=access)
     for seed, params in enumerate([*cases, still], start=3):
-        report = run_dco(generate(params, seed), seed)
-        assert streamed_mismatch(tmp_path, report) is None, params
+        scenario = generate(params, seed)
+        report = run_dco(scenario, seed)
+        assert streamed_mismatch(tmp_path, report, scenario) is None, params
     assert report.total_slots == 1 and report.slots[0].updater is None
 
 
@@ -66,7 +68,8 @@ def test_streamed_report_equals_stdlib(tmp_path, access):
                   energy_weight_choices=(1.0,))),  # free uploads: +inf thresholds
 ], ids=["sub-ulp-descent", "free-upload"])
 def test_streamed_report_of_edge_scenarios(tmp_path, seed, params):
-    assert streamed_mismatch(tmp_path, run_dco(generate(params, seed), seed)) is None
+    scenario = generate(params, seed)
+    assert streamed_mismatch(tmp_path, run_dco(scenario, seed), scenario) is None
 
 
 def hand_report(profiles, overheads, senders) -> RunReport:
@@ -77,7 +80,11 @@ def hand_report(profiles, overheads, senders) -> RunReport:
                    updater=s[0] if s else None, new_decision=p[0] if s else None)
         for t, (p, o, s) in enumerate(zip(profiles, overheads, senders))
     )
-    return RunReport(scenario_fingerprint="hand-built", seed=0, slots=slots)
+    return RunReport(seed=0, slots=slots)
+
+
+# the scenario a hand-built report is written with; the writer reads only its fingerprint
+HAND_SCENARIO = generate(GenParams(n_users=1, channels=1), 0)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -91,7 +98,8 @@ def test_streamed_report_change_detection_edges(tmp_path):
                  (NAN, INF, -INF), (1.5, 2.0, 5e-324), (1.5, 2, 5e-324), (1, 2, 3),
                  (1.0, 2.0, 3.0), (1.5, 2.5, 1e-323), (1.5, 2.5, 1e-323)]
     senders = [(0, 1, 2), (1,), (), (), (2, 0), (0, 1, 2), (), (1,), (0, 1), (), (2,)]
-    assert streamed_mismatch(tmp_path, hand_report(profiles, overheads, senders)) is None
+    report = hand_report(profiles, overheads, senders)
+    assert streamed_mismatch(tmp_path, report, HAND_SCENARIO) is None
 
 
 # a slot's entries come from one pool: the ints, the floats, or both plus the bools, whose
@@ -107,4 +115,4 @@ COLUMNS = st.integers(0, 3).flatmap(lambda n: st.lists(
 def test_streamed_columns_of_look_alike_entries(tmp_path_factory, column):
     """Every column of one slot sequence drawn from entries that compare equal across types."""
     report = hand_report(column, column[::-1], column)
-    assert streamed_mismatch(tmp_path_factory.mktemp("report"), report) is None
+    assert streamed_mismatch(tmp_path_factory.mktemp("report"), report, HAND_SCENARIO) is None
