@@ -53,6 +53,10 @@ def all_cloud_random(scenario: Scenario, seed: int) -> tuple:
 
 
 def _check_cap(scenario: Scenario, profile_cap: int) -> None:
+    """InstanceTooLarge past the cap; ValueError for a cap that is not an int >= 1."""
+    _check_count("profile_cap", profile_cap)
+    if profile_cap < 1:
+        raise ValueError(f"profile_cap must be >= 1, got {profile_cap}")
     # the power is named, not printed: it can have more digits than str() converts
     if (scenario.channels + 1) ** scenario.n_users > profile_cap:
         raise InstanceTooLarge(f"{scenario.channels + 1}^{scenario.n_users} profiles exceed the cap {profile_cap}")
@@ -72,7 +76,8 @@ def exhaustive_optimize(
     MIN_OVERHEAD is unconstrained.  Ties resolve to the lexicographically
     smallest profile, which the scan order provides for free.  The cap
     counts all (channels+1)^n_users profiles, not the canonical ones scanned.
-    An objective that is not an Objective raises ValueError.
+    An objective that is not an Objective, or a cap that is not an int >= 1,
+    raises ValueError.
     """
     _check_objective(objective)
     _check_cap(scenario, profile_cap)
@@ -80,7 +85,7 @@ def exhaustive_optimize(
 
 
 def enumerate_nash(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> list:
-    """All Nash equilibria, in lexicographic order.  Never empty."""
+    """All Nash equilibria, in lexicographic order, never empty.  A cap not an int >= 1 raises ValueError."""
     _check_cap(scenario, profile_cap)
     return list(scenario.evaluator._scan.equilibria)
 
@@ -124,11 +129,13 @@ def cross_entropy_optimize(
     co-channel users only gain), so no optimum is ever repaired away.
     Deterministic per (scenario, params, seed); a seed that is not an int in
     [0, 2**128) raises SchemaError, an objective that is not an Objective
-    ValueError.
+    or params that are neither None nor a CrossEntropyParams ValueError.
     """
     _check_objective(objective)
     _check_seed(seed)
-    params = params or CrossEntropyParams()
+    params = CrossEntropyParams() if params is None else params
+    if not isinstance(params, CrossEntropyParams):
+        raise ValueError(f"params must be a CrossEntropyParams, got {params!r}")
     evaluator = scenario.evaluator
     n_users, n_decisions = scenario.n_users, scenario.channels + 1
     maximize = objective is Objective.MAX_BENEFICIAL

@@ -86,7 +86,6 @@ def _slot_rng(seed: int, slot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=slot))
 
 
-@np.errstate(over="ignore")  # a total of finite costs past the float range is +inf
 def run_dco(scenario: Scenario, seed: int) -> RunReport:
     """Run the slotted update process from the all-local profile to equilibrium.
 
@@ -97,7 +96,7 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
     The per-channel loads and potential pair terms are kept between slots and
     recomputed only for the two channels a move touches, so a slot costs
     O(N + M) rather than O(N·M), with the same bits as scoring the whole
-    profile afresh.
+    profile afresh; its total cost is the evaluator's `_totals`.
     """
     _check_seed(seed)
     evaluator = scenario.evaluator
@@ -110,13 +109,12 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
     entries, kept, last = [0] * scenario.n_users, [None] * scenario.n_users, None
     records = []
     for slot in itertools.count():
-        current = evaluator._costs(decisions, loads)
-        costs = current[:, 0]
-        bits = costs.view(np.int64)
+        costs = evaluator._costs(decisions, loads)
+        bits = costs[:, 0].view(np.int64)
         for i in (bits != last).nonzero()[0].tolist() if slot else range(len(kept)):
             kept[i] = costs.item(i)
         last = bits
-        senders = tuple(evaluator._improvers(current, loads).nonzero()[0].tolist())
+        senders = tuple(evaluator._improvers(costs, loads).nonzero()[0].tolist())
         pick = new_decision = None
         if senders:
             pick = senders[int(_slot_rng(seed, slot).integers(len(senders)))]
@@ -129,8 +127,8 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
                 slot=slot,
                 profile=tuple(entries),
                 potential=float(evaluator._phi(pair_terms[1:], profile)[0]),
-                system_overhead=float(costs.sum()),
-                beneficial_count=int(evaluator._beneficial(decisions, current).sum()),
+                system_overhead=float(evaluator._totals(costs)[0]),
+                beneficial_count=int(evaluator._beneficial(decisions, costs).sum()),
                 overheads=tuple(kept),
                 rtu_senders=senders,
                 updater=pick,

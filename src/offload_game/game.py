@@ -2,27 +2,23 @@
 
 Both access models reduce to the same structure through a per-user access
 weight: transmit power times channel gain under interference, the contention
-weight otherwise.  ProfileEvaluator is the one place rates, costs, channel
-loads and the potential are computed: it precomputes per-user constants so
-that batches of decision profiles can be scored with numpy.  Its cost kernel
-puts the user axis first, so a batch's C-ordered (n_users, k) arrays run each
-ufunc along the batch, one buffer per call, and a local user's μ is NaN, never
-a negative number; it also gives each user's best- and worst-case cloud cost
-for the price-of-anarchy overhead bound.  The potential is assembled from
-per-channel terms, so `dco.run_dco` can keep those terms between slots and
-refresh only the channels a move touches.  A `run_dco` slot is a batch of one
-column: it keeps `_loads`' (channels + 1, 1) loads, indexed by decision, so
-batches and slots pass the same arguments to one method per per-user rule: a
-user's cost (`_costs`), whether it has an improving move, checked on its own
-and the least-loaded channel only (`_improvers`), and whether it offloads at
-no loss (`_beneficial`); the granted user's move, its tie rule and the μ of
-its potential change come from `_best_response`.  A scenario builds its evaluator once, as
-`Scenario.evaluator`, and it scans the profiles at most once: one cached pass
-gives the Nash set and both exhaustive optima.  The pass scores only the
-canonical profiles, which number their channels in order of first use, one
-per channel relabelling, and expands the canonical equilibria into all
-their relabellings.  The module-level functions are single-profile views
-of it.
+weight otherwise.  ProfileEvaluator is the one place rates, costs, cost totals,
+channel loads and the potential are computed, for numpy batches of decision
+profiles.  Its cost kernel keeps the per-user constants as (n_users, 1) columns
+and puts the user axis first, so a batch's C-ordered (n_users, k) arrays run
+each ufunc along the batch, one buffer per call, and a local user's μ is NaN,
+never a negative number.  The potential is assembled from per-channel terms, so
+`dco.run_dco` can keep those terms between slots and refresh only the channels
+a move touches.  A `run_dco` slot is a batch of one column with `_loads`'
+(channels + 1, 1) loads, indexed by decision, so batches and slots share one
+method per rule: a user's cost (`_costs`), whether it has an improving move,
+checked on its own and the least-loaded channel only (`_improvers`), whether
+it offloads at no loss (`_beneficial`) and a profile's total cost (`_totals`);
+the granted user's move, its tie rule and the μ of its potential change come
+from `_best_response`.  A scenario builds its evaluator once, as
+`Scenario.evaluator`, and one cached pass over the canonical profiles, one per
+channel relabelling, gives the Nash set and both exhaustive optima.  The
+module-level functions are single-profile views of it.
 """
 
 from __future__ import annotations
@@ -177,12 +173,12 @@ class ProfileEvaluator:
         self._phi_thresholds = np.array(phi_thresholds)
         self._squared_weights = self.weights * self.weights
         self._local_phi_weights = self.weights * self._phi_thresholds
-        # the cost kernel's per-user constants: (n_users,) rows to index one user, (n_users, 1) columns for
-        # all users.  A rate's numerator is w, or under contention peak·w in Python floats (> 0: see _threshold)
+        # the cost kernel's per-user constants as (n_users, 1) columns.  A rate's numerator is w,
+        # or under contention peak·w in Python floats (> 0: see _threshold)
         numerators = self.weights if env.access is AccessModel.INTERFERENCE else np.array(
             [float(u.peak_rate_bps) * w for u, w in zip(users, weights)])
-        self._rows = (self.weights, numerators, self.rate_coeffs, self.fixed_cloud_costs, self.local_costs)
-        self._columns = tuple([row[:, np.newaxis] for row in self._rows])
+        self._columns = tuple([row[:, np.newaxis] for row in (
+            self.weights, numerators, self.rate_coeffs, self.fixed_cloud_costs, self.local_costs)])
         self._free_upload = 0.0 in coeffs  # some user's cloud cost ignores its rate
 
     def _as_batch(self, profiles) -> np.ndarray:
@@ -218,14 +214,14 @@ class ProfileEvaluator:
     # entries a caller discards may be NaN or a 0/0; an upload cost past the float range is +inf,
     # as at rate 0.  A decorator costs half a `with` block per call, and a slot makes three calls
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def _cloud_costs(self, received, user=None) -> np.ndarray:
+    def _cloud_costs(self, received, users=None) -> np.ndarray:
         """Cloud costs at co-channel weights `received`, every ufunc written into one buffer.
 
-        For all users (`user` None) the user axis comes first: `received` is
-        (n_users, k) or (1, k), a `run_dco` slot being a batch of one column.
-        For one user index it is an array of that user's μ values.  NaN μ costs NaN.
+        The user axis comes first: `received` is (n_users, k) or (1, k), a
+        `run_dco` slot being a batch of one column.  A slice `users` selects
+        those rows of the constants, one user's being a (1, 1) slice.  NaN μ costs NaN.
         """
-        w, numerator, coeff, fixed, _ = (row[user] for row in self._rows) if user is not None else self._columns
+        w, numerator, coeff, fixed, _ = self._columns if users is None else (c[users] for c in self._columns)
         if self.env.access is AccessModel.INTERFERENCE:
             costs = np.divide(numerator, self.env.noise_mw + received)
             np.add(1.0, costs, out=costs)
@@ -258,9 +254,17 @@ class ProfileEvaluator:
         """(k, n_users) per-user costs under each profile, C-ordered, so its row sums add in one order."""
         return np.ascontiguousarray(self._batch_costs(self._as_batch(profiles))[1].T)
 
-    @np.errstate(over="ignore")  # a total of finite costs past the float range is +inf
     def system_overheads(self, profiles) -> np.ndarray:
-        return self.overheads(profiles).sum(axis=1)
+        """(k,) total cost of each profile, by `_totals`."""
+        return self._totals(self._batch_costs(self._as_batch(profiles))[1])
+
+    @np.errstate(over="ignore")  # a total of finite costs past the float range is +inf
+    def _totals(self, costs: np.ndarray) -> np.ndarray:
+        """(k,) totals of (n_users, k) costs: the one numpy total, row sums of their C-ordered transpose.
+
+        Only the single-profile `system_overhead` sums in user order, as the bench's `poa` digest records.
+        """
+        return np.ascontiguousarray(costs.T).sum(axis=1)
 
     def beneficial_mask(self, profiles) -> np.ndarray:
         """(k, n_users) True where a user offloads at no loss versus local computing."""
@@ -320,14 +324,14 @@ class ProfileEvaluator:
     def _best_response(self, own: int, load: np.ndarray, user: int, current_cost: float) -> tuple:
         """(new_decision, mu_new, mu_old): the best response of `user`, now at decision `own`.
 
-        `load` is one profile's (channels + 1,) column of `_loads`.  The first
-        decision within BEST_RESPONSE_ATOL of the cheapest that strictly beats
+        `load` is one profile's (channels + 1,) column of `_loads`, costed as one (1, channels + 1)
+        row.  The first decision within BEST_RESPONSE_ATOL of the cheapest that strictly beats
         `current_cost`, and μ there and at `own`; μ at local is the clamped threshold.
         """
         mu = load.copy()
         mu[own] -= self.weights[user]
         mu[LOCAL] = self._phi_thresholds[user]
-        costs = self._cloud_costs(mu, user).tolist()
+        costs = self._cloud_costs(mu[np.newaxis], slice(user, user + 1))[0].tolist()
         costs[LOCAL] = float(self.local_costs[user])
         best = min(costs)
         new = next(
@@ -353,13 +357,12 @@ class ProfileEvaluator:
     def _scan(self) -> _ProfileScan:
         """One pass over the canonical profiles, cached; callers check the profile cap.
 
-        Per chunk, one `_batch_costs` call, `_improvers` and `_beneficial` give
+        Per chunk, `_batch_costs`, `_improvers`, `_beneficial` and `_totals` give
         the Nash mask, the offloader counts of rows where no offloader loses out
-        and the row totals, with the bits of the public methods.  A canonical
-        profile is the lexicographically first of its channel relabellings, so
-        ties still go to the lexicographically first profile: argmax/argmin and
-        `max`/`min` keep the first.  The canonical equilibria expand into all
-        their relabellings.
+        and the totals, with the bits of the public methods.  A canonical profile
+        is the first of its channel relabellings, so argmax/argmin and `max`/`min`,
+        which keep the first, break ties for the lexicographically first profile.
+        The canonical equilibria expand into all their relabellings.
         """
         # ChannelEnv gives every channel one bandwidth and one noise floor, so relabelling
         # the channels of a profile moves no load, cost or Nash flag of it
@@ -371,8 +374,7 @@ class ProfileEvaluator:
             offloading = decisions > 0
             feasible = np.all(self._beneficial(decisions, costs) == offloading, axis=0)
             counts = np.where(feasible, offloading.sum(axis=0), -1)
-            with np.errstate(over="ignore"):  # a total of finite costs past the float range is +inf
-                totals = np.ascontiguousarray(costs.T).sum(axis=1)  # `system_overheads`' row sums
+            totals = self._totals(costs)
             high, low = int(np.argmax(counts)), int(np.argmin(totals))
             most.append((tuple(chunk[high].tolist()), int(counts[high])))
             least.append((tuple(chunk[low].tolist()), float(totals[low])))

@@ -112,6 +112,18 @@ class TestExhaustive:
         with pytest.raises(InstanceTooLarge, match=r"^2\^15000 profiles exceed the cap 10000000$"):
             enumerate_nash(small_paper_scenario(15000, 1, seed=0))
 
+    @pytest.mark.parametrize("cap", [0, -5, True, 2.5, None, "x"])
+    @pytest.mark.parametrize("entry", [
+        enumerate_nash,
+        lambda scenario, cap: exhaustive_optimize(scenario, Objective.MIN_OVERHEAD, cap),
+        poa_beneficial,
+        poa_overhead,
+    ], ids=["enumerate_nash", "exhaustive_optimize", "poa_beneficial", "poa_overhead"])
+    def test_cap_that_is_not_a_positive_int_is_rejected(self, entry, cap):
+        """0, -5, True and 2.5 used to read as InstanceTooLarge, None and "x" as a bare TypeError."""
+        with pytest.raises(ValueError, match="^profile_cap must be"):
+            entry(small_paper_scenario(4, 2, seed=0), cap)
+
 
 class TestEnumerateNash:
     def test_single_user_two_channels(self):
@@ -388,6 +400,13 @@ class TestCrossEntropy:
             cross_entropy_optimize(scenario, objective)
         with pytest.raises(ValueError, match="must be an Objective"):
             exhaustive_optimize(scenario, objective)
+
+    @pytest.mark.parametrize("params", [{}, CrossEntropyParams, {"samples": 5}])
+    def test_rejects_params_that_are_not_cross_entropy_params(self, params):
+        """`{}` and the class itself used to run the defaults; `{"samples": 5}` ended in AttributeError."""
+        scenario = generate(GenParams(n_users=6, channels=2), 1)
+        with pytest.raises(ValueError, match="^params must be a CrossEntropyParams"):
+            cross_entropy_optimize(scenario, Objective.MIN_OVERHEAD, params)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

@@ -131,20 +131,23 @@ def test_local_users_reach_the_cost_kernel_as_nan(scenario, monkeypatch):
 
     Both inputs, a batch and every slot of `run_dco`, reach the kernel as
     2-D all-user calls: the own-channel μ, then in a slot the (1, 1) least load.
+    The granted user's candidates are one (1, M+1) row against its (1, 1) constants.
     """
-    received = []
+    calls = []
     cloud_costs = ProfileEvaluator._cloud_costs
 
-    def spy(self, mu, user=None):
-        if user is None:
-            received.append(np.array(mu))
-        return cloud_costs(self, mu, user)
+    def spy(self, mu, users=None):
+        calls.append((np.array(mu), users))
+        return cloud_costs(self, mu, users)
 
     monkeypatch.setattr(ProfileEvaluator, "_cloud_costs", spy)
     batch = np.random.default_rng(8).integers(0, 4, size=(50, 9))
     scenario.evaluator.overheads(batch)
-    assert np.array_equal(np.isnan(received[0]), batch.T == 0)
     report = run_dco(scenario, 0)
+    assert [(mu.shape, users) for mu, users in calls if users is not None] == [
+        ((1, scenario.channels + 1), slice(rec.updater, rec.updater + 1)) for rec in report.slots[:-1]]
+    received = [mu for mu, users in calls if users is None]
+    assert np.array_equal(np.isnan(received[0]), batch.T == 0)
     slot_calls = received[1:]
     assert len(slot_calls) == 2 * report.total_slots
     for slot, own_mu, least_load in zip(report.slots, slot_calls[::2], slot_calls[1::2]):

@@ -183,6 +183,21 @@ class TestSlotStatistics:
                     assert rec.new_decision == min(responses[rec.updater])
 
 
+class TestSlotTotal:
+    """A slot's total cost is its profile's `system_overheads`, one numpy total for both."""
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_every_slot_total_is_the_batch_total_bit_for_bit(self, access):
+        """numpy's pairwise sum changes path at 8 and at 128 terms, so N crosses both."""
+        for n_users in (1, 2, 7, 8, 9, 64, 127, 128, 129, 300, 1000, 2000):
+            params = GenParams(n_users=n_users, channels=1 + n_users // 25, access_model=access)
+            scenario = generate(params, n_users)
+            evaluator = scenario.evaluator
+            for rec in run_dco(scenario, n_users).slots:
+                total = evaluator.system_overheads([rec.profile])[0]
+                assert np.float64(rec.system_overhead).tobytes() == total.tobytes(), (n_users, rec.slot)
+
+
 # (N, M) shapes for the differential test: one channel, two, fewer users than
 # channels, and many users on few channels
 SHAPES = [(1, 1), (6, 1), (12, 1), (3, 2), (9, 2), (40, 2), (2, 5), (3, 8), (8, 3), (25, 4)]
@@ -336,6 +351,19 @@ class TestTwoCandidates:
         for profile in [(0,) * 5, (1, 0, 1, 0, 0), (1,) * 5]:
             assert_two_candidates_match(scenario, profile)
 
+    def test_a_thousand_channels_with_exact_ties(self):
+        """Contention with weights 1 and 2: every load is an exact integer, so hundreds of channels tie.
+
+        A random profile leaves some channels empty; a round-robin one loads every channel.
+        """
+        scenario = generate(GenParams(n_users=1500, channels=1000, access_model=AccessModel.CONTENTION,
+                                      contention_weight_choices=(1.0, 2.0)), 17)
+        random_profile = np.random.default_rng(17).integers(0, 1001, 1500).tolist()
+        for profile in (tuple(random_profile), tuple(1 + n % 1000 for n in range(1500))):
+            cloud = scenario.evaluator.candidate_overheads([profile])[0, :, 1:]
+            assert np.count_nonzero((cloud == cloud.min(axis=1, keepdims=True)).sum(axis=1) > 1) >= 1000
+            assert assert_two_candidates_match(scenario, profile) > 1000
+
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_random_profiles(self, access):
         rng = np.random.default_rng(40)
@@ -363,7 +391,7 @@ class TestBestResponseTieRule:
     def test_lower_channel_within_tolerance_wins(self):
         evaluator = near_tie_scenario().evaluator
         load = np.array([np.nan, np.nextafter(2.0, np.inf), 2.0])  # channel 1 one ulp heavier
-        costs = evaluator._cloud_costs(load[1:], 0).tolist()
+        costs = evaluator._cloud_costs(load[np.newaxis, 1:], slice(0, 1))[0].tolist()
         assert 0.0 < costs[0] - costs[1] <= BEST_RESPONSE_ATOL
         move = evaluator._best_response(0, load, 0, float(evaluator.local_costs[0]))
         assert move == (1, float(load[1]), float(evaluator._phi_thresholds[0]))
@@ -372,7 +400,7 @@ class TestBestResponseTieRule:
         evaluator = near_tie_scenario().evaluator
         # user 0 on channel 1 facing μ = 3; channel 2 just below its threshold
         load = np.array([np.nan, 4.0, np.nextafter(evaluator.thresholds[0], -np.inf)])
-        own_cost, cheapest = evaluator._cloud_costs(load[1:] - [1.0, 0.0], 0).tolist()
+        own_cost, cheapest = evaluator._cloud_costs(load[np.newaxis, 1:] - [1.0, 0.0], slice(0, 1))[0]
         local = float(evaluator.local_costs[0])
         assert cheapest < local < own_cost and local - cheapest <= BEST_RESPONSE_ATOL
         move = evaluator._best_response(1, load, 0, own_cost)
