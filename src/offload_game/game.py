@@ -17,7 +17,8 @@ it offloads at no loss (`_beneficial`) and a profile's total cost (`_totals`);
 the granted user's move, its tie rule and the μ of its potential change come
 from `_best_response`.  A scenario builds its evaluator once, as
 `Scenario.evaluator`, and one cached pass over the canonical profiles, one per
-channel relabelling, gives the Nash set and both exhaustive optima.  The
+channel relabelling, gives the Nash set and both exhaustive optima; the
+profiles of a size that fits one chunk are built once per process.  The
 module-level functions are single-profile views of it.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -79,6 +80,21 @@ def _grow(block: np.ndarray, top: np.ndarray, columns: int, channels: int) -> tu
     return block, top
 
 
+def _completions(n_users: int, channels: int) -> list:
+    """completions[s][t]: canonical suffixes of length s after a prefix whose top channel is t.
+
+    completions[n_users][0] counts the canonical profiles.  No profile uses
+    more channels than it has users, so t runs to min(channels, n_users).
+    """
+    reach = min(channels, n_users)
+    completions = [[1] * (reach + 1)]
+    for _ in range(n_users):
+        last = completions[-1]
+        completions.append([(t + 1) * last[t] + (last[t + 1] if t < reach else 0)
+                            for t in range(reach + 1)])
+    return completions
+
+
 def _canonical_chunks(n_users: int, channels: int) -> Iterator[np.ndarray]:
     """Yield the canonical profiles in lexicographic order, at most _CHUNK rows at a time.
 
@@ -87,16 +103,10 @@ def _canonical_chunks(n_users: int, channels: int) -> Iterator[np.ndarray]:
     is the lexicographically smallest profile its channel relabellings reach.
     The first columns are the shortest prefix that no canonical prefix
     completes in more than _CHUNK ways; consecutive prefixes share a chunk
-    while their completions fit.
+    while their completions fit.  Every call builds its chunks anew; the scan
+    reads them through `_profile_blocks`, which keeps a single-chunk size's.
     """
-    # completions[s][t]: canonical suffixes of length s after a prefix whose top channel is t;
-    # no profile uses more channels than it has users
-    reach = min(channels, n_users)
-    completions = [[1] * (reach + 1)]
-    for _ in range(n_users):
-        last = completions[-1]
-        completions.append([(t + 1) * last[t] + (last[t + 1] if t < reach else 0)
-                            for t in range(reach + 1)])
+    completions, reach = _completions(n_users, channels), min(channels, n_users)
     prefix = next(p for p in range(n_users + 1) if completions[n_users - p][min(p, reach)] <= _CHUNK)
     suffix = n_users - prefix
     heads, tops = _grow(np.empty((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64), prefix, channels)
@@ -108,6 +118,31 @@ def _canonical_chunks(n_users: int, channels: int) -> Iterator[np.ndarray]:
             start, rows = end, 0
         rows += count
     yield _grow(heads[start:], tops[start:], suffix, channels)[0]
+
+
+@lru_cache(maxsize=4)
+def _single_block(n_users: int, channels: int) -> tuple:
+    """A single-chunk size's canonical profiles (k, n_users) and their C-ordered transpose, read-only."""
+    profiles = next(_canonical_chunks(n_users, channels))
+    decisions = np.ascontiguousarray(profiles.T)
+    for array in (profiles, decisions):
+        array.flags.writeable = False
+    return profiles, decisions
+
+
+def _profile_blocks(n_users: int, channels: int) -> Iterator[tuple]:
+    """Yield (profiles, decisions) per canonical chunk: (k, n_users) rows and their (n_users, k) transpose.
+
+    A size whose canonical profiles fit in one _CHUNK (M=3 up to N=9, M=5 up
+    to N=8) is built once per process and kept, read-only, in an LRU of four
+    sizes, each at most 17 MB (N=16, M=1); larger sizes stream from
+    `_canonical_chunks` and keep nothing.
+    """
+    if _completions(n_users, channels)[n_users][0] <= _CHUNK:
+        yield _single_block(n_users, channels)
+        return
+    for profiles in _canonical_chunks(n_users, channels):
+        yield profiles, np.ascontiguousarray(profiles.T)
 
 
 def _relabellings(profiles: np.ndarray, channels: int) -> tuple:
@@ -138,10 +173,12 @@ class ProfileEvaluator:
 
     Profiles are passed as an int array of shape (k, n_users); every method
     is read-only and the cached scan has the same value whichever thread
-    stores it, so one evaluator can serve any number of threads.  The
-    per-user interference is derived from channel loads by subtracting the
-    user's own weight, mirroring the measurement feedback a running system
-    would use.
+    stores it, so one evaluator can serve any number of threads.  The scan's
+    canonical profiles depend only on (n_users, channels): evaluators of one
+    size share them, read-only, when they fit one chunk (`_profile_blocks`).
+    The per-user interference is derived from channel loads by subtracting
+    the user's own weight, mirroring the measurement feedback a running
+    system would use.
     """
 
     def __init__(self, env: ChannelEnv, users: Sequence[UserProfile]):
@@ -262,7 +299,7 @@ class ProfileEvaluator:
     def _totals(self, costs: np.ndarray) -> np.ndarray:
         """(k,) totals of (n_users, k) costs: the one numpy total, row sums of their C-ordered transpose.
 
-        Only the single-profile `system_overhead` sums in user order, as the bench's `poa` digest records.
+        Only a single profile's `_total_in_order` sums in user order, as the bench's `poa` digest records.
         """
         return np.ascontiguousarray(costs.T).sum(axis=1)
 
@@ -357,18 +394,21 @@ class ProfileEvaluator:
     def _scan(self) -> _ProfileScan:
         """One pass over the canonical profiles, cached; callers check the profile cap.
 
-        Per chunk, `_batch_costs`, `_improvers`, `_beneficial` and `_totals` give
-        the Nash mask, the offloader counts of rows where no offloader loses out
-        and the totals, with the bits of the public methods.  A canonical profile
-        is the first of its channel relabellings, so argmax/argmin and `max`/`min`,
-        which keep the first, break ties for the lexicographically first profile.
-        The canonical equilibria expand into all their relabellings.
+        Per block of `_profile_blocks`, `_loads`, `_costs`, `_improvers`,
+        `_beneficial` and `_totals` give the Nash mask, the offloader counts of
+        rows where no offloader loses out and the totals, with the bits of the
+        public methods, which call the same kernels through `_batch_costs`.  A
+        canonical profile is the first of its channel relabellings, so
+        argmax/argmin and `max`/`min`, which keep the first, break ties for the
+        lexicographically first profile.  The canonical equilibria expand into
+        all their relabellings.
         """
         # ChannelEnv gives every channel one bandwidth and one noise floor, so relabelling
         # the channels of a profile moves no load, cost or Nash flag of it
         equilibria, most, least = [], [], []  # most/least: (profile, value) per chunk
-        for chunk in _canonical_chunks(self.n_users, self.channels):
-            decisions, costs, loads = self._batch_costs(chunk)
+        for chunk, decisions in _profile_blocks(self.n_users, self.channels):
+            loads = self._loads(chunk)
+            costs = self._costs(decisions, loads)
             nash = ~np.any(self._improvers(costs, loads), axis=0)
             equilibria.append(chunk[nash])
             offloading = decisions > 0
@@ -435,5 +475,13 @@ def count_beneficial(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[
 
 def system_overhead(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> float:
     """Total cost across all users under profile a."""
-    # summed in user order, not by numpy's row sum, so the bench's recorded poa digest holds
-    return _sum_in_order(ProfileEvaluator(env, users).overheads([a])[0].tolist())
+    return _total_in_order(ProfileEvaluator(env, users), a)
+
+
+def _total_in_order(evaluator: ProfileEvaluator, a: Sequence[int]) -> float:
+    """Total cost of one profile a, summed in user order, not by numpy's row sum.
+
+    The `system_overhead` view and `metrics.poa_overhead` both sum through
+    it, so the bench's recorded poa digest holds.
+    """
+    return _sum_in_order(evaluator.overheads([a])[0].tolist())

@@ -3,7 +3,9 @@
 Both ratios come from full Nash enumeration against the exhaustive optimum,
 so they are only computed on instances small enough to enumerate; both read
 one cached profile scan per scenario, so a scenario costs one pass over its
-canonical profiles.  The analytic bounds attach when their preconditions
+canonical profiles.  Each equilibrium is scored by one-row calls on
+`Scenario.evaluator`, the calls the single-profile views make, so no further
+evaluator is built.  The analytic bounds attach when their preconditions
 hold and are reported as None otherwise; the measured ratio is always
 reported.  The bounds read their per-user weights, thresholds, local costs
 and cloud-cost extremes from `Scenario.evaluator`.
@@ -15,7 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .baselines import DEFAULT_PROFILE_CAP, Objective, enumerate_nash, exhaustive_optimize
-from .game import count_beneficial, system_overhead
+from .game import _total_in_order
+# not called here: bench/spans.py patches both names in this module, and tests/test_package.py checks they exist
+from .game import count_beneficial, system_overhead  # noqa: F401
 from .model import AccessModel, _sum_in_order
 from .scenario import Scenario
 
@@ -58,8 +62,7 @@ def poa_beneficial(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -
     and nonnegative and every weight positive, and t_max / q_min must not
     overflow.
     """
-    env, users = scenario.channel_env, scenario.user_profiles
-    worst = min(count_beneficial(env, users, a) for a in enumerate_nash(scenario, profile_cap))
+    worst = min(int(scenario.evaluator.beneficial_counts([a])[0]) for a in enumerate_nash(scenario, profile_cap))
     _, optimum = exhaustive_optimize(scenario, Objective.MAX_BENEFICIAL, profile_cap)
     extremes = _instance_extremes(scenario)
     q_max, q_min, t_max, t_min = extremes.values()
@@ -86,11 +89,10 @@ def poa_overhead(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> 
     or two below 1 until both come from one sum.  The analytic upper bound
     exists only under the interference model.
     """
-    env, users = scenario.channel_env, scenario.user_profiles
-    worst = max(system_overhead(env, users, a) for a in enumerate_nash(scenario, profile_cap))
+    worst = max(_total_in_order(scenario.evaluator, a) for a in enumerate_nash(scenario, profile_cap))
     _, optimum = exhaustive_optimize(scenario, Objective.MIN_OVERHEAD, profile_cap)
     bound_high = None
-    if env.access is AccessModel.INTERFERENCE:
+    if scenario.channel_env.access is AccessModel.INTERFERENCE:
         k_min, k_max = scenario.evaluator.cloud_cost_extremes().tolist()
         local = scenario.evaluator.local_costs.tolist()
         numerator = _sum_in_order(min(k_local, k) for k_local, k in zip(local, k_max))

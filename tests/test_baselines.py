@@ -216,7 +216,11 @@ class TestSharedScan:
 
 
 class TestScanCache:
-    """One scan per scenario object; every call still checks its own cap and gets its own list."""
+    """One scan per scenario object; every call still checks its own cap and gets its own list.
+
+    A scan is counted at its entry point, `game._profile_blocks`, which runs
+    once per scan whether the size's canonical profiles are kept or streamed.
+    """
 
     def test_cap_is_checked_after_the_scan_is_cached(self):
         scenario = small_paper_scenario(5, 2, seed=0)  # 3^5 = 243 profiles
@@ -238,14 +242,14 @@ class TestScanCache:
 
     @staticmethod
     def count_scans(monkeypatch) -> list:
-        """Route `game._canonical_chunks` through a recorder; one entry per scan."""
-        chunks, calls = game._canonical_chunks, []
+        """Route `game._profile_blocks` through a recorder; one entry per scan."""
+        blocks, calls = game._profile_blocks, []
 
         def counted(*args):
             calls.append(args)
-            return chunks(*args)
+            return blocks(*args)
 
-        monkeypatch.setattr(game, "_canonical_chunks", counted)
+        monkeypatch.setattr(game, "_profile_blocks", counted)
         return calls
 
     def test_every_enumerator_shares_one_scan_per_scenario(self, monkeypatch):
@@ -266,6 +270,65 @@ class TestScanCache:
         assert fresh == scenario and fresh is not scenario
         assert enumerate_nash(fresh) == enumerate_nash(scenario)
         assert len(calls) == 2
+
+
+class TestKeptProfiles:
+    """A single-chunk size's canonical profiles are built once per process and shared by every scan."""
+
+    @staticmethod
+    def single_chunk_sizes():
+        """Every single-chunk (N, M) for M up to 9; from M = N on, more channels add no profile."""
+        for m in range(1, 10):
+            n = 1
+            while game._completions(n, m)[n][0] <= game._CHUNK:
+                yield n, m
+                n += 1
+
+    def test_kept_blocks_reject_writes(self):
+        sizes = list(self.single_chunk_sizes())
+        assert {(9, 3), (8, 5)} <= set(sizes) and (10, 3) not in sizes and (9, 5) not in sizes
+        for n, m in sizes:
+            (profiles, decisions), = game._profile_blocks(n, m)
+            assert profiles.shape[1] == n and decisions.shape == profiles.shape[::-1]
+            assert decisions.flags.c_contiguous and (decisions == profiles.T).all()
+            for array in (profiles, decisions):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 1
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_a_scan_reads_only_its_own_instance(self, access):
+        """A, then B of the same size, then a fresh copy of A: each scan gives its own instance's result."""
+        params = GenParams(n_users=6, channels=3, access_model=access,
+                           contention_weight_choices=(1.0, 2.0, 3.0))
+
+        def scanned(scenario):
+            return [enumerate_nash(scenario)] + [exhaustive_optimize(scenario, o) for o in Objective]
+
+        def separate(scenario):
+            return [reference.enumerate_nash_separate(scenario)] + [
+                reference.exhaustive_optimize_separate(scenario, o) for o in Objective]
+
+        first, other = generate(params, 11), generate(params, 12)
+        expected = scanned(first)
+        assert scanned(other) == separate(other) != expected
+        again = generate(params, 11)
+        assert again == first and again is not first
+        assert scanned(again) == expected == separate(first)
+
+    def test_a_multi_chunk_size_keeps_nothing(self):
+        """N=10, M=3 has 175,275 canonical profiles, three chunks, streamed and dropped after the scan.
+
+        N=8, M=3 fits one chunk: its first scan keeps it and the next reads it.
+        """
+        assert game._completions(10, 3)[10][0] == 175_275
+        game._single_block.cache_clear()
+        scenario = small_paper_scenario(10, 3, seed=0)
+        assert enumerate_nash(scenario) == reference.enumerate_nash_separate(scenario)
+        assert game._single_block.cache_info().currsize == 0
+        for seed in range(2):
+            enumerate_nash(small_paper_scenario(8, 3, seed=seed))
+        info = game._single_block.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
 
 class TestMetamorphic:

@@ -303,6 +303,18 @@ class TestOracleAndPoa:
         assert rows[2][by["beneficial_bound_low"]] == ""
 
     @pytest.mark.parametrize("command", ["oracle", "poa"])
+    def test_parallel_equals_serial(self, tmp_path, command):
+        """Each worker process keeps its own canonical profiles; the table does not depend on the split."""
+        tables = []
+        for workers in (1, 2):
+            out = tmp_path / f"{command}{workers}"
+            assert main([command, "--n", "6", "--m", "3", "--seeds", "4", "--workers", str(workers),
+                         "--out", str(out)]) == EXIT_OK
+            tables.append((out / "summary.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert tables[0].count(b"\n") == 5  # header + 4 seeds
+
+    @pytest.mark.parametrize("command", ["oracle", "poa"])
     def test_nonpositive_seeds_or_workers_rejected(self, tmp_path, command):
         base = [command, "--n", "3", "--m", "2", "--out", str(tmp_path / command)]
         assert main(base + ["--seeds", "0"]) == EXIT_CONFIG

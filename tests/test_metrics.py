@@ -12,12 +12,14 @@ from offload_game import (
     Objective,
     ProfileEvaluator,
     access_weight,
+    count_beneficial,
     enumerate_nash,
     exhaustive_optimize,
     generate,
     local_overhead,
     poa_beneficial,
     poa_overhead,
+    system_overhead,
 )
 from offload_game.metrics import BENEFICIAL_USERS, SYSTEM_OVERHEAD
 from offload_game.model import AccessModel
@@ -200,3 +202,32 @@ class TestReportConsistency:
         worst = max(reference.system_overhead(env, users, a) for a in enumerate_nash(scenario))
         assert overhead.optimum == pytest.approx(optimum, rel=1e-15)
         assert overhead.worst_equilibrium == pytest.approx(worst, rel=1e-15)
+
+
+class TestScenarioEvaluatorOnly:
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_equilibria_are_scored_without_a_new_evaluator(self, access, monkeypatch):
+        """Both ratios score every equilibrium on `scenario.evaluator`, with the bits of the views.
+
+        The single-profile views build an evaluator per call: 62 builds for
+        two N=8, M=3 cells, were the ratios to score through them.
+        """
+        params = GenParams(n_users=8, channels=3, access_model=access,
+                           contention_weight_choices=(1.0, 2.0, 3.0))
+        scenarios = [generate(params, seed) for seed in range(2)]  # each builds its evaluator
+        built = []
+        init = ProfileEvaluator.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(ProfileEvaluator, "__init__", spy)
+        reports = [(poa_beneficial(s), poa_overhead(s)) for s in scenarios]
+        assert built == []
+        monkeypatch.undo()
+        for scenario, (beneficial, overhead) in zip(scenarios, reports):
+            env, users = scenario.channel_env, scenario.user_profiles
+            equilibria = enumerate_nash(scenario)
+            assert beneficial.worst_equilibrium == min(count_beneficial(env, users, a) for a in equilibria)
+            assert overhead.worst_equilibrium == max(system_overhead(env, users, a) for a in equilibria)
