@@ -161,9 +161,13 @@ def _relabellings(profiles: np.ndarray, channels: int) -> tuple:
 
 
 class _ProfileScan(NamedTuple):
-    """The Nash set and both exhaustive optima, from one pass over the canonical profiles."""
+    """The Nash set, its canonical members and both exhaustive optima, from one pass over the canonical profiles.
+
+    `metrics` scores the canonical equilibria alone, one per class of channel relabellings.
+    """
 
     equilibria: tuple  # in lexicographic order
+    canonical_equilibria: tuple  # in lexicographic order
     max_beneficial: tuple  # (profile, most offloaders with none losing out)
     min_overhead: tuple  # (profile, least total cost)
 
@@ -400,8 +404,8 @@ class ProfileEvaluator:
         public methods, which call the same kernels through `_batch_costs`.  A
         canonical profile is the first of its channel relabellings, so
         argmax/argmin and `max`/`min`, which keep the first, break ties for the
-        lexicographically first profile.  The canonical equilibria expand into
-        all their relabellings.
+        lexicographically first profile.  The canonical equilibria are kept and
+        expand into all their relabellings.
         """
         # ChannelEnv gives every channel one bandwidth and one noise floor, so relabelling
         # the channels of a profile moves no load, cost or Nash flag of it
@@ -418,7 +422,8 @@ class ProfileEvaluator:
             high, low = int(np.argmax(counts)), int(np.argmin(totals))
             most.append((tuple(chunk[high].tolist()), int(counts[high])))
             least.append((tuple(chunk[low].tolist()), float(totals[low])))
-        return _ProfileScan(_relabellings(np.concatenate(equilibria), self.channels),
+        canonical = np.concatenate(equilibria)
+        return _ProfileScan(_relabellings(canonical, self.channels), tuple(map(tuple, canonical.tolist())),
                             max(most, key=itemgetter(1)), min(least, key=itemgetter(1)))
 
     def _channel_terms(self, batch: np.ndarray, channels) -> tuple:
@@ -481,7 +486,7 @@ def system_overhead(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[i
 def _total_in_order(evaluator: ProfileEvaluator, a: Sequence[int]) -> float:
     """Total cost of one profile a, summed in user order, not by numpy's row sum.
 
-    The `system_overhead` view and `metrics.poa_overhead` both sum through
-    it, so the bench's recorded poa digest holds.
+    The `system_overhead` view and `metrics.poa_overhead`, on each canonical
+    equilibrium, both sum through it, so the bench's recorded poa digest holds.
     """
     return _sum_in_order(evaluator.overheads([a])[0].tolist())

@@ -3,12 +3,15 @@
 Both ratios come from full Nash enumeration against the exhaustive optimum,
 so they are only computed on instances small enough to enumerate; both read
 one cached profile scan per scenario, so a scenario costs one pass over its
-canonical profiles.  Each equilibrium is scored by one-row calls on
+canonical profiles.  Only the scan's canonical equilibria, one per class of
+channel relabellings, are scored, each by one-row calls on
 `Scenario.evaluator`, the calls the single-profile views make, so no further
-evaluator is built.  The analytic bounds attach when their preconditions
-hold and are reported as None otherwise; the measured ratio is always
-reported.  The bounds read their per-user weights, thresholds, local costs
-and cloud-cost extremes from `Scenario.evaluator`.
+evaluator is built.  Every relabelling scores to the bits of its canonical
+form, so the worst of them is the worst of the whole Nash set.  The analytic
+bounds attach when their preconditions hold and are reported as None
+otherwise; the measured ratio is always reported.  The bounds read their
+per-user weights, thresholds, local costs and cloud-cost extremes from
+`Scenario.evaluator`.
 """
 
 from __future__ import annotations
@@ -54,15 +57,24 @@ def _instance_extremes(scenario: Scenario) -> dict:
             "threshold_min": min(thresholds) if finite else None}
 
 
+def _canonical_equilibria(scenario: Scenario, profile_cap: int) -> tuple:
+    """The scan's canonical equilibria, after `enumerate_nash`'s cap check; bench/spans.py counts its list."""
+    enumerate_nash(scenario, profile_cap)
+    return scenario.evaluator._scan.canonical_equilibria
+
+
 def poa_beneficial(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> PoaReport:
     """Ratio of the fewest offloaders at any equilibrium to the optimum count.
 
-    Always in (0, 1]; defined as 1 when the optimum itself is 0 (nobody can
-    ever benefit).  The analytic lower bound needs every threshold finite
-    and nonnegative and every weight positive, and t_max / q_min must not
-    overflow.
+    Always in [0, 1]; defined as 1 when the optimum itself is 0 (nobody can
+    ever benefit).  It is 0 only on a tie: when no user's cloud cost alone on
+    a channel is below its local cost and some user's equals it, all-local is
+    an equilibrium while that user offloading is optimal.  The analytic lower
+    bound needs every threshold finite and nonnegative and every weight
+    positive, and t_max / q_min must not overflow.
     """
-    worst = min(int(scenario.evaluator.beneficial_counts([a])[0]) for a in enumerate_nash(scenario, profile_cap))
+    equilibria = _canonical_equilibria(scenario, profile_cap)
+    worst = min(int(scenario.evaluator.beneficial_counts([a])[0]) for a in equilibria)
     _, optimum = exhaustive_optimize(scenario, Objective.MAX_BENEFICIAL, profile_cap)
     extremes = _instance_extremes(scenario)
     q_max, q_min, t_max, t_min = extremes.values()
@@ -89,7 +101,8 @@ def poa_overhead(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> 
     or two below 1 until both come from one sum.  The analytic upper bound
     exists only under the interference model.
     """
-    worst = max(_total_in_order(scenario.evaluator, a) for a in enumerate_nash(scenario, profile_cap))
+    equilibria = _canonical_equilibria(scenario, profile_cap)
+    worst = max(_total_in_order(scenario.evaluator, a) for a in equilibria)
     _, optimum = exhaustive_optimize(scenario, Objective.MIN_OVERHEAD, profile_cap)
     bound_high = None
     if scenario.channel_env.access is AccessModel.INTERFERENCE:

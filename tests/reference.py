@@ -16,7 +16,9 @@ every profile (`profile_chunks`) per call through the evaluator's public
 methods, as the enumerators were before they shared one cached scan of the
 canonical profiles per scenario.  `UserLastKernel` is the evaluator's batch
 kernel as it was before it went user-major, the bit-exact oracle of every
-batch method and of the profile scan.
+batch method and of the profile scan.  `worst_equilibria` is the
+price-of-anarchy metrics' scoring loop as it was before it scored the
+canonical equilibria alone: every member of the Nash set, one-row calls each.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from offload_game import game
-from offload_game.baselines import DEFAULT_PROFILE_CAP, Objective, _check_cap
+from offload_game.baselines import DEFAULT_PROFILE_CAP, Objective, _check_cap, enumerate_nash
 from offload_game.dco import RunReport, SlotRecord, _slot_rng
 from offload_game.game import BEST_RESPONSE_ATOL
 from offload_game.model import (
@@ -373,6 +375,17 @@ def enumerate_nash_separate(scenario, profile_cap: int = DEFAULT_PROFILE_CAP) ->
     return found
 
 
+def worst_equilibria(scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> tuple:
+    """(fewest offloaders, costliest user-order total) over the whole Nash set.
+
+    `metrics.poa_beneficial` and `poa_overhead` as they were: the same one-row
+    calls on `scenario.evaluator`, made on every equilibrium.
+    """
+    evaluator, equilibria = scenario.evaluator, enumerate_nash(scenario, profile_cap)
+    return (min(int(evaluator.beneficial_counts([a])[0]) for a in equilibria),
+            max(game._total_in_order(evaluator, a) for a in equilibria))
+
+
 # the user-last batch kernel
 
 
@@ -456,5 +469,6 @@ class UserLastKernel:
             high, low = int(np.argmax(counts)), int(np.argmin(totals))
             most.append((tuple(chunk[high].tolist()), int(counts[high])))
             least.append((tuple(chunk[low].tolist()), float(totals[low])))
-        return game._ProfileScan(game._relabellings(np.concatenate(equilibria), ev.channels),
+        canonical = np.concatenate(equilibria)
+        return game._ProfileScan(game._relabellings(canonical, ev.channels), tuple(map(tuple, canonical.tolist())),
                                  max(most, key=lambda pair: pair[1]), min(least, key=lambda pair: pair[1]))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from offload_game import (
 )
 from offload_game.metrics import BENEFICIAL_USERS, SYSTEM_OVERHEAD
 from offload_game.model import AccessModel
+from offload_game.scenario import Scenario, ScenarioUser
 import reference
 from support import (
     contention_scenario_from_users,
@@ -77,6 +79,16 @@ class TestPoaBeneficial:
             report = poa_beneficial(scenario)
             assert report.bound_low is not None
             assert report.bound_low - 1e-12 <= report.ratio <= 1.0 + 1e-12
+
+    def test_ratio_is_zero_when_a_lone_cloud_cost_ties_the_local_cost(self):
+        """One user, one channel: upload 1 s plus cloud 1 s ties 2 s local, so local is an equilibrium too."""
+        user = ScenarioUser(q_mw=100.0, g=1.0, b_kb=125.0, d_megacycles=1000.0, f_m_ghz=0.5, f_c_ghz=1.0,
+                            gamma_j_per_cycle=0.0, L_j=0.0, lambda_e=0.0, W=1.0, R_bps=1e6)
+        scenario = contention_scenario_from_users([user], channels=1)
+        assert enumerate_nash(scenario) == [(0,), (1,)]
+        report = poa_beneficial(scenario)
+        assert (report.worst_equilibrium, report.optimum) == (0.0, 1.0)
+        assert report.ratio == 0.0 and report.bound_low == 0.0
 
     def test_worst_equilibrium_is_the_min_over_the_nash_set(self):
         scenario = small_paper_scenario(4, 2, seed=9, time_only=True)
@@ -207,7 +219,7 @@ class TestReportConsistency:
 class TestScenarioEvaluatorOnly:
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_equilibria_are_scored_without_a_new_evaluator(self, access, monkeypatch):
-        """Both ratios score every equilibrium on `scenario.evaluator`, with the bits of the views.
+        """Both ratios score the canonical equilibria on `scenario.evaluator`, with the bits of the views.
 
         The single-profile views build an evaluator per call: 62 builds for
         two N=8, M=3 cells, were the ratios to score through them.
@@ -231,3 +243,75 @@ class TestScenarioEvaluatorOnly:
             equilibria = enumerate_nash(scenario)
             assert beneficial.worst_equilibrium == min(count_beneficial(env, users, a) for a in equilibria)
             assert overhead.worst_equilibrium == max(system_overhead(env, users, a) for a in equilibria)
+
+
+def _numbers_channels_in_order(profile) -> bool:
+    """True when every entry is 0 or at most one above the largest entry before it."""
+    top = 0
+    for d in profile:
+        if d > top + 1:
+            return False
+        top = max(top, d)
+    return True
+
+
+def _never_beneficial_scenario(access) -> Scenario:
+    """Cloud execution alone outlasts local computing for every user, so no user ever benefits."""
+    user = ScenarioUser(q_mw=100.0, g=1.0, b_kb=1.0, d_megacycles=10.0, f_m_ghz=1.0, f_c_ghz=0.5,
+                        gamma_j_per_cycle=0.0, L_j=0.0, lambda_e=0.0, W=1.0, R_bps=8000.0)
+    return replace(contention_scenario_from_users([user] * 4, channels=2), access_model=access)
+
+
+class TestCanonicalScoring:
+    """The ratios score one equilibrium per class of channel relabellings."""
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    @pytest.mark.parametrize("n_users, channels, seeds", [
+        (8, 3, (0, 1)), (7, 5, (0, 1)), (1, 1, (0, 1)), (3, 1, (0, 1)),
+        (10, 3, (2, 3)),  # more canonical profiles than one chunk holds: the scan streams
+    ], ids=["8x3", "7x5", "1x1", "3x1", "10x3"])
+    def test_worst_equilibria_match_scoring_the_whole_nash_set(self, access, n_users, channels, seeds):
+        for seed in seeds:
+            for energy_weights in ((1.0, 0.5, 0.0), (0.0,)):
+                params = GenParams(n_users=n_users, channels=channels, access_model=access,
+                                   contention_weight_choices=(1.0, 2.0, 3.0), energy_weight_choices=energy_weights)
+                self._check(generate(params, seed))
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_worst_equilibria_when_no_user_ever_benefits(self, access):
+        scenario = _never_beneficial_scenario(access)
+        assert enumerate_nash(scenario) == [(0, 0, 0, 0)]
+        beneficial = self._check(scenario)
+        assert (beneficial.worst_equilibrium, beneficial.optimum, beneficial.ratio) == (0.0, 0.0, 1.0)
+
+    @staticmethod
+    def _check(scenario):
+        """Both worst equilibria equal the old whole-set loop's, bit for bit; returns the beneficial report."""
+        beneficial, overhead = poa_beneficial(scenario), poa_overhead(scenario)
+        fewest, costliest = reference.worst_equilibria(scenario)
+        assert beneficial.worst_equilibrium == float(fewest)
+        assert np.float64(overhead.worst_equilibrium).tobytes() == np.float64(costliest).tobytes()
+        equilibria = enumerate_nash(scenario)
+        canonical = scenario.evaluator._scan.canonical_equilibria
+        assert canonical == tuple(a for a in equilibria if _numbers_channels_in_order(a))
+        return beneficial
+
+    def test_one_row_calls_are_two_per_canonical_equilibrium(self, monkeypatch):
+        """At N=7, M=5 the Nash set is 120 times its canonical set; only the canonical members are scored."""
+        params = GenParams(n_users=7, channels=5, contention_weight_choices=(1.0, 2.0, 3.0),
+                           energy_weight_choices=(0.0,))
+        scenario = generate(params, 1)
+        equilibria = enumerate_nash(scenario)  # the scan is cached before the spy goes in
+        canonical = scenario.evaluator._scan.canonical_equilibria
+        assert len(canonical) > 1 and len(equilibria) == 120 * len(canonical)
+        rows = []
+        batch_costs = ProfileEvaluator._batch_costs
+
+        def spy(self, batch):
+            rows.append(len(batch))
+            return batch_costs(self, batch)
+
+        monkeypatch.setattr(ProfileEvaluator, "_batch_costs", spy)
+        poa_beneficial(scenario)
+        poa_overhead(scenario)
+        assert rows == [1] * (2 * len(canonical))
