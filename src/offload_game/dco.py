@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundInapplicable
+from .model import LOCAL
 from .scenario import Scenario, _check_seed
 
 __all__ = ["SlotRecord", "RunReport", "run_dco", "convergence_slot_bound"]
@@ -81,9 +82,23 @@ class RunReport:
         return self.slots[-1].system_overhead
 
 
-def _slot_rng(seed: int, slot: int) -> np.random.Generator:
-    """Counter-based stream: the pick at slot t never depends on earlier draws."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=slot))
+def _slot_picker(seed: int):
+    """pick(slot, n): a uniform draw from range(n) that never depends on earlier draws.
+
+    One Philox keyed by the seed serves the run.  Before each pick its
+    counter is set to (slot, 0, 0, 0) with an empty buffer, the state of a
+    fresh `Philox(key=seed, counter=slot)`, which costs several times as
+    much to build.
+    """
+    bit_generator = np.random.Philox(key=seed)
+    rng, state = np.random.Generator(bit_generator), bit_generator.state  # fresh: buffer_pos 4, has_uint32 0
+
+    def pick(slot: int, n: int) -> int:
+        state["state"]["counter"][0] = slot
+        bit_generator.state = state
+        return int(rng.integers(n))
+
+    return pick
 
 
 def run_dco(scenario: Scenario, seed: int) -> RunReport:
@@ -99,17 +114,19 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
     profile afresh; its total cost is the evaluator's `_totals`.
     """
     _check_seed(seed)
-    evaluator = scenario.evaluator
+    evaluator, pick_from = scenario.evaluator, _slot_picker(seed)
     profile = np.zeros((1, scenario.n_users), dtype=np.int64)
-    decisions = profile.T  # the slot is a one-column batch
-    # `_loads`' layout, indexed by decision; all-local, every channel's load and pair term is 0
-    loads = evaluator._loads(profile)
+    # the slot is a one-column batch, whose flat index of loads[d, 0] is d
+    decisions = profile.T
+    # `_loads`' layout, indexed by decision; all-local, no channel carries a user and every pair term is 0
+    loads = evaluator._loads((), 1)
     pair_terms = np.zeros_like(loads)  # row 0 (local) stays 0
     # the records' decisions and costs as Python objects, renewed only where a move or a cost's bits change
     entries, kept, last = [0] * scenario.n_users, [None] * scenario.n_users, None
     records = []
     for slot in itertools.count():
-        costs = evaluator._costs(decisions, loads)
+        local = decisions == LOCAL
+        costs = evaluator._costs(decisions, local, loads)
         bits = costs[:, 0].view(np.int64)
         for i in (bits != last).nonzero()[0].tolist() if slot else range(len(kept)):
             kept[i] = costs.item(i)
@@ -117,7 +134,7 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
         senders = tuple(evaluator._improvers(costs, loads).nonzero()[0].tolist())
         pick = new_decision = None
         if senders:
-            pick = senders[int(_slot_rng(seed, slot).integers(len(senders)))]
+            pick = senders[pick_from(slot, len(senders))]
             old_decision = entries[pick]
             new_decision, mu_new, mu_old = evaluator._best_response(
                 old_decision, loads[:, 0], pick, kept[pick]
@@ -128,7 +145,7 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
                 profile=tuple(entries),
                 potential=float(evaluator._phi(pair_terms[1:], profile)[0]),
                 system_overhead=float(evaluator._totals(costs)[0]),
-                beneficial_count=int(evaluator._beneficial(decisions, costs).sum()),
+                beneficial_count=int(evaluator._beneficial(local, costs).sum()),
                 overheads=tuple(kept),
                 rtu_senders=senders,
                 updater=pick,

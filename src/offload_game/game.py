@@ -17,9 +17,12 @@ it offloads at no loss (`_beneficial`) and a profile's total cost (`_totals`);
 the granted user's move, its tie rule and the μ of its potential change come
 from `_best_response`.  A scenario builds its evaluator once, as
 `Scenario.evaluator`, and one cached pass over the canonical profiles, one per
-channel relabelling, gives the Nash set and both exhaustive optima; the
-profiles of a size that fits one chunk are built once per process.  The
-module-level functions are single-profile views of it.
+channel relabelling, gives the Nash set and both exhaustive optima.  The pass
+reads a scan plan per chunk of those profiles: each channel's one-hot matrix,
+for the chunk's loads, and column blocks of at most _BLOCK_CELLS user entries,
+which the per-user rules run over one at a time; a size that fits one chunk
+builds its plan once per process.  The module-level functions are
+single-profile views of it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import itertools
 import math
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +54,8 @@ __all__ = ["user_overhead", "is_nash", "count_beneficial", "system_overhead", "P
 # the improvement test against the status quo stays an exact float comparison.
 BEST_RESPONSE_ATOL = 1e-12
 _CHUNK = 1 << 16
+# a scan's per-user temporaries stay within 128 KB of float64, small enough for the heap to reuse
+_BLOCK_CELLS = 1 << 14
 
 
 def _clamped(thresholds: Sequence[float], weights: Sequence[float]) -> list:
@@ -104,7 +109,7 @@ def _canonical_chunks(n_users: int, channels: int) -> Iterator[np.ndarray]:
     The first columns are the shortest prefix that no canonical prefix
     completes in more than _CHUNK ways; consecutive prefixes share a chunk
     while their completions fit.  Every call builds its chunks anew; the scan
-    reads them through `_profile_blocks`, which keeps a single-chunk size's.
+    reads them as plans through `_profile_blocks`, which keeps a single-chunk size's.
     """
     completions, reach = _completions(n_users, channels), min(channels, n_users)
     prefix = next(p for p in range(n_users + 1) if completions[n_users - p][min(p, reach)] <= _CHUNK)
@@ -120,29 +125,82 @@ def _canonical_chunks(n_users: int, channels: int) -> Iterator[np.ndarray]:
     yield _grow(heads[start:], tops[start:], suffix, channels)[0]
 
 
+def _one_hot(batch: np.ndarray, channels: int) -> Iterator[np.ndarray]:
+    """`batch == m` for channels m = 1..channels, one (k, n_users) bool matrix at a time."""
+    return (batch == m for m in range(1, channels + 1))
+
+
+def _flat_index(decisions: np.ndarray, rows: int, start: int = 0) -> np.ndarray:
+    """Each user's flat index, decision·rows + column, into `_loads`' (channels + 1, rows) loads.
+
+    `decisions` is (n_users, b), in any memory order, and holds the columns from `start` on.
+    """
+    index = np.multiply(decisions, rows, order="C")
+    index += np.arange(start, start + decisions.shape[1])
+    return index
+
+
+class _Block(NamedTuple):
+    """A column block of a scan plan: at most _BLOCK_CELLS user entries of the chunk's canonical profiles."""
+
+    columns: slice  # of the chunk
+    decisions: np.ndarray  # (n_users, b), C-ordered
+    index: np.ndarray  # `_flat_index` into the chunk's `_loads`
+    local: np.ndarray  # decisions == LOCAL
+    offloaders: np.ndarray  # (b,) offloading users per profile
+
+
+class _Plan(NamedTuple):
+    """The scan plan of one chunk of k canonical profiles: tuples when kept, else built as the scan reads them."""
+
+    rows: int  # k
+    one_hot: Iterable  # (k, n_users) C-ordered float64 `profiles == m` per channel m the profiles reach
+    blocks: Iterable  # _Block, in column order
+
+
+def _plan(profiles: np.ndarray, channels: int) -> _Plan:
+    """The scan plan of the canonical `profiles` (k, n_users), each part built as it is read.
+
+    The one-hot matrices are the float64 the bool `profiles == m` casts to in
+    `_loads`' product, so the loads keep their bits.  A canonical profile uses
+    no channel past min(channels, n_users); those carry no one-hot and no load.
+    """
+    rows, n_users = profiles.shape
+
+    def block(columns: slice) -> _Block:
+        decisions = np.ascontiguousarray(profiles[columns].T)
+        return _Block(columns, decisions, _flat_index(decisions, rows, columns.start), decisions == LOCAL,
+                      np.count_nonzero(decisions, axis=0))
+
+    step = max(1, _BLOCK_CELLS // n_users)
+    return _Plan(rows, (on.astype(np.float64) for on in _one_hot(profiles, min(channels, n_users))),
+                 (block(slice(start, min(start + step, rows))) for start in range(0, rows, step)))
+
+
 @lru_cache(maxsize=4)
-def _single_block(n_users: int, channels: int) -> tuple:
-    """A single-chunk size's canonical profiles (k, n_users) and their C-ordered transpose, read-only."""
-    profiles = next(_canonical_chunks(n_users, channels))
-    decisions = np.ascontiguousarray(profiles.T)
-    for array in (profiles, decisions):
+def _single_block(n_users: int, channels: int) -> _Plan:
+    """A single-chunk size's scan plan, built whole, every array read-only."""
+    rows, one_hot, blocks = _plan(next(_canonical_chunks(n_users, channels)), channels)
+    plan = _Plan(rows, tuple(one_hot), tuple(blocks))
+    for array in (*plan.one_hot, *(array for block in plan.blocks for array in block[1:])):
         array.flags.writeable = False
-    return profiles, decisions
+    return plan
 
 
-def _profile_blocks(n_users: int, channels: int) -> Iterator[tuple]:
-    """Yield (profiles, decisions) per canonical chunk: (k, n_users) rows and their (n_users, k) transpose.
+def _profile_blocks(n_users: int, channels: int) -> Iterator[_Plan]:
+    """Yield the scan plan of each canonical chunk, in order.
 
     A size whose canonical profiles fit in one _CHUNK (M=3 up to N=9, M=5 up
-    to N=8) is built once per process and kept, read-only, in an LRU of four
-    sizes, each at most 17 MB (N=16, M=1); larger sizes stream from
-    `_canonical_chunks` and keep nothing.
+    to N=8) builds its plan once per process and keeps it, read-only, in an
+    LRU of four sizes, each at most 27 MB (N=16, M=1: k·N·(8·min(M, N) + 17)
+    bytes for k profiles); larger sizes build each chunk's plan from
+    `_canonical_chunks` one matrix and one block at a time and keep none of it.
     """
     if _completions(n_users, channels)[n_users][0] <= _CHUNK:
         yield _single_block(n_users, channels)
         return
     for profiles in _canonical_chunks(n_users, channels):
-        yield profiles, np.ascontiguousarray(profiles.T)
+        yield _plan(profiles, channels)
 
 
 def _relabellings(profiles: np.ndarray, channels: int) -> tuple:
@@ -178,8 +236,9 @@ class ProfileEvaluator:
     Profiles are passed as an int array of shape (k, n_users); every method
     is read-only and the cached scan has the same value whichever thread
     stores it, so one evaluator can serve any number of threads.  The scan's
-    canonical profiles depend only on (n_users, channels): evaluators of one
-    size share them, read-only, when they fit one chunk (`_profile_blocks`).
+    plan of the canonical profiles depends only on (n_users, channels):
+    evaluators of one size share it, read-only, when the profiles fit one
+    chunk (`_profile_blocks`).
     The per-user interference is derived from channel loads by subtracting
     the user's own weight, mirroring the measurement feedback a running
     system would use.
@@ -242,14 +301,22 @@ class ProfileEvaluator:
 
     def channel_loads(self, profiles) -> np.ndarray:
         """(k, channels) array of summed access weights per channel."""
-        return self._loads(self._as_batch(profiles))[1:].T
+        batch = self._as_batch(profiles)
+        return self._loads(_one_hot(batch, self.channels), len(batch))[1:].T
 
-    def _loads(self, batch: np.ndarray) -> np.ndarray:
-        """(channels + 1, k) loads of a checked batch, channel-major; row 0 (local) is NaN."""
-        loads = np.empty((self.channels + 1, len(batch)))
+    def _loads(self, one_hot: Iterable[np.ndarray], rows: int) -> np.ndarray:
+        """(channels + 1, rows) loads, channel-major, from the one-hot matrices of channels 1, 2, ….
+
+        Each channel's load is one product of its whole one-hot matrix with
+        the weights, whose bits depend on the row count.  Row 0 (local) is
+        NaN, and channels past the last matrix carry no user.
+        """
+        loads = np.empty((self.channels + 1, rows))
         loads[LOCAL] = np.nan
-        for m in range(1, self.channels + 1):
-            loads[m] = (batch == m) @ self.weights
+        m = LOCAL
+        for m, on in enumerate(one_hot, 1):
+            np.matmul(on, self.weights, out=loads[m])
+        loads[m + 1:] = 0.0
         return loads
 
     # entries a caller discards may be NaN or a 0/0; an upload cost past the float range is +inf,
@@ -328,22 +395,26 @@ class ProfileEvaluator:
         """
         batch = self._as_batch(profiles)
         own = batch.T[:, np.newaxis, :] == np.arange(1, self.channels + 1)[:, np.newaxis]
-        mu = self._loads(batch)[1:] - self.weights[:, np.newaxis, np.newaxis] * own  # (n_users, channels, k)
+        loads = self._loads(_one_hot(batch, self.channels), len(batch))
+        mu = loads[1:] - self.weights[:, np.newaxis, np.newaxis] * own  # (n_users, channels, k)
         cloud_costs = self._cloud_costs(mu.reshape(self.n_users, -1)).reshape(mu.shape)
         out = np.empty((len(batch), self.n_users, self.channels + 1))  # once temporaries are freed
         out[:, :, 0] = self.local_costs
         out[:, :, 1:] = cloud_costs.transpose(2, 0, 1)
         return out
 
-    def _costs(self, decisions: np.ndarray, loads: np.ndarray) -> np.ndarray:
-        """(n_users, k) cost of each user under (n_users, k) `decisions` and `_loads`-layout `loads`.
+    def _costs(self, index: np.ndarray, local: np.ndarray, loads: np.ndarray) -> np.ndarray:
+        """(n_users, k) cost of each user; `local` is True where it computes locally.
 
-        The one own-channel μ gather, load − w, which row 0 makes NaN for a local user.
+        The one own-channel μ gather, load − w: one flat take of `index`,
+        each user's `_flat_index` into `_loads`' (channels + 1, k) `loads`,
+        whose row 0 makes μ NaN for a local user.  A `run_dco` slot's index is
+        its (n_users, 1) decisions, a scan block's is kept in its plan.
         """
-        own_mu = loads[decisions, np.arange(decisions.shape[1])]
+        own_mu = loads.take(index)
         own_mu -= self._columns[0]
         costs = self._cloud_costs(own_mu)
-        np.copyto(costs, self._columns[4], where=decisions == LOCAL)
+        np.copyto(costs, self._columns[4], where=local)
         return costs
 
     def _improvers(self, costs: np.ndarray, loads: np.ndarray) -> np.ndarray:
@@ -358,9 +429,9 @@ class ProfileEvaluator:
         np.minimum(self._columns[4], best, out=best)
         return best < costs
 
-    def _beneficial(self, decisions: np.ndarray, costs: np.ndarray) -> np.ndarray:
-        """True where a user offloads and its cost `costs` is at most its local cost."""
-        return (decisions > 0) & (costs <= self._columns[4])
+    def _beneficial(self, local: np.ndarray, costs: np.ndarray) -> np.ndarray:
+        """True where a user offloads (is not `local`) and its cost `costs` is at most its local cost."""
+        return ~local & (costs <= self._columns[4])
 
     def _best_response(self, own: int, load: np.ndarray, user: int, current_cost: float) -> tuple:
         """(new_decision, mu_new, mu_old): the best response of `user`, now at decision `own`.
@@ -381,13 +452,14 @@ class ProfileEvaluator:
         return new, float(mu[new]), float(mu[own])
 
     def _batch_costs(self, batch: np.ndarray) -> tuple:
-        """(decisions, costs, loads) of a checked batch: C-ordered (n_users, k) and `_loads`' (channels + 1, k).
+        """(local, costs, loads) of a checked batch: C-ordered (n_users, k) and `_loads`' (channels + 1, k).
 
-        With `_improvers` it gives the Nash mask, so no (k, n_users, channels+1) block is built.
+        `local` is True where a user computes locally.  With `_improvers` it
+        gives the Nash mask, so no (k, n_users, channels+1) block is built.
         """
-        decisions = np.ascontiguousarray(batch.T)
-        loads = self._loads(batch)
-        return decisions, self._costs(decisions, loads), loads
+        local = np.equal(batch.T, LOCAL, order="C")
+        loads = self._loads(_one_hot(batch, self.channels), len(batch))
+        return local, self._costs(_flat_index(batch.T, len(batch)), local, loads), loads
 
     def nash_mask(self, profiles) -> np.ndarray:
         """(k,) True where no user has a strictly improving unilateral deviation."""
@@ -398,30 +470,36 @@ class ProfileEvaluator:
     def _scan(self) -> _ProfileScan:
         """One pass over the canonical profiles, cached; callers check the profile cap.
 
-        Per block of `_profile_blocks`, `_loads`, `_costs`, `_improvers`,
-        `_beneficial` and `_totals` give the Nash mask, the offloader counts of
-        rows where no offloader loses out and the totals, with the bits of the
-        public methods, which call the same kernels through `_batch_costs`.  A
-        canonical profile is the first of its channel relabellings, so
-        argmax/argmin and `max`/`min`, which keep the first, break ties for the
-        lexicographically first profile.  The canonical equilibria are kept and
-        expand into all their relabellings.
+        Per plan of `_profile_blocks`, `_loads` gives the chunk's loads from
+        its one-hot matrices, over the whole chunk as the bits of a load
+        depend on the row count.  Then per column block, `_costs`,
+        `_improvers`, `_beneficial` and `_totals` give the Nash mask, the
+        offloader counts of rows where no offloader loses out and the totals,
+        with the bits of the public methods, which call the same kernels
+        through `_batch_costs`; a block's temporaries stay small enough for
+        the heap to reuse, where a chunk's would fault in fresh pages on
+        every scan.  A canonical profile is the first of its channel
+        relabellings, so argmax/argmin and `max`/`min`, which keep the first,
+        break ties for the lexicographically first profile, across blocks as
+        within one.  The canonical equilibria are kept and expand into all
+        their relabellings.
         """
         # ChannelEnv gives every channel one bandwidth and one noise floor, so relabelling
         # the channels of a profile moves no load, cost or Nash flag of it
-        equilibria, most, least = [], [], []  # most/least: (profile, value) per chunk
-        for chunk, decisions in _profile_blocks(self.n_users, self.channels):
-            loads = self._loads(chunk)
-            costs = self._costs(decisions, loads)
-            nash = ~np.any(self._improvers(costs, loads), axis=0)
-            equilibria.append(chunk[nash])
-            offloading = decisions > 0
-            feasible = np.all(self._beneficial(decisions, costs) == offloading, axis=0)
-            counts = np.where(feasible, offloading.sum(axis=0), -1)
-            totals = self._totals(costs)
-            high, low = int(np.argmax(counts)), int(np.argmin(totals))
-            most.append((tuple(chunk[high].tolist()), int(counts[high])))
-            least.append((tuple(chunk[low].tolist()), float(totals[low])))
+        equilibria, most, least = [], [], []  # most/least: (profile, value) per block
+        for plan in _profile_blocks(self.n_users, self.channels):
+            loads = self._loads(plan.one_hot, plan.rows)
+            for block in plan.blocks:
+                costs = self._costs(block.index, block.local, loads)
+                nash = ~np.any(self._improvers(costs, loads[:, block.columns]), axis=0)
+                equilibria.append(block.decisions.T[nash])
+                # no offloader loses out: beneficial exactly where not local
+                feasible = np.all(self._beneficial(block.local, costs) != block.local, axis=0)
+                counts = np.where(feasible, block.offloaders, -1)
+                totals = self._totals(costs)
+                high, low = int(np.argmax(counts)), int(np.argmin(totals))
+                most.append((tuple(block.decisions[:, high].tolist()), int(counts[high])))
+                least.append((tuple(block.decisions[:, low].tolist()), float(totals[low])))
         canonical = np.concatenate(equilibria)
         return _ProfileScan(_relabellings(canonical, self.channels), tuple(map(tuple, canonical.tolist())),
                             max(most, key=itemgetter(1)), min(least, key=itemgetter(1)))

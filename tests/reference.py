@@ -33,7 +33,7 @@ import numpy as np
 
 from offload_game import game
 from offload_game.baselines import DEFAULT_PROFILE_CAP, Objective, _check_cap, enumerate_nash
-from offload_game.dco import RunReport, SlotRecord, _slot_rng
+from offload_game.dco import RunReport, SlotRecord
 from offload_game.game import BEST_RESPONSE_ATOL
 from offload_game.model import (
     LOCAL,
@@ -276,6 +276,11 @@ def nash_mask_dense(evaluator, profiles) -> np.ndarray:
     return ~np.any(cand.min(axis=2) < current, axis=1)
 
 
+def slot_rng(seed: int, slot: int) -> np.random.Generator:
+    """A fresh counter-based stream per slot, as `run_dco` drew its picks before it kept one Philox per run."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=slot))
+
+
 def run_dco_dense(scenario, seed: int) -> RunReport:
     """`run_dco` as it was before the incremental engine: every candidate cost each slot."""
     evaluator = scenario.evaluator
@@ -298,7 +303,7 @@ def run_dco_dense(scenario, seed: int) -> RunReport:
         senders = tuple(int(n) for n in np.flatnonzero(best < current))
         pick = new_decision = None
         if senders:
-            pick = senders[int(_slot_rng(seed, slot).integers(len(senders)))]
+            pick = senders[int(slot_rng(seed, slot).integers(len(senders)))]
             new_decision = best_responses(candidates[pick].tolist(), float(current[pick]))[0]
         records.append(
             SlotRecord(

@@ -30,7 +30,13 @@ from offload_game import game, metrics
 from offload_game.model import AccessModel
 import reference
 import test_game
-from support import integer_contention_scenario, never_beneficial_user, small_paper_scenario
+from support import (
+    integer_contention_scenario,
+    never_beneficial_user,
+    random_instance,
+    simple_user,
+    small_paper_scenario,
+)
 from test_dco import all_never_beneficial_scenario
 
 
@@ -285,15 +291,31 @@ class TestKeptProfiles:
                 n += 1
 
     def test_kept_blocks_reject_writes(self):
+        """Every kept plan array is read-only and holds what the scan reads of the canonical profiles."""
         sizes = list(self.single_chunk_sizes())
         assert {(9, 3), (8, 5)} <= set(sizes) and (10, 3) not in sizes and (9, 5) not in sizes
         for n, m in sizes:
-            (profiles, decisions), = game._profile_blocks(n, m)
-            assert profiles.shape[1] == n and decisions.shape == profiles.shape[::-1]
-            assert decisions.flags.c_contiguous and (decisions == profiles.T).all()
-            for array in (profiles, decisions):
+            (plan,), (profiles,) = game._profile_blocks(n, m), game._canonical_chunks(n, m)
+            k = len(profiles)
+            assert len(plan.one_hot) == min(n, m)
+            for channel, on in enumerate(plan.one_hot, 1):
+                assert on.dtype == np.float64 and on.flags.c_contiguous
+                assert (on == (profiles == channel)).all()
+            starts = [block.columns.start for block in plan.blocks]
+            assert starts == list(range(0, k, max(1, game._BLOCK_CELLS // n)))
+            assert [block.columns.stop for block in plan.blocks] == starts[1:] + [k]
+            for block in plan.blocks:
+                decisions = profiles[block.columns].T
+                assert block.decisions.flags.c_contiguous and (block.decisions == decisions).all()
+                assert block.decisions.size <= max(n, game._BLOCK_CELLS)
+                assert (block.index == decisions * k + np.arange(k)[block.columns]).all()
+                assert (block.local == (decisions == 0)).all()
+                assert (block.offloaders == (decisions > 0).sum(axis=0)).all()
+            arrays = [*plan.one_hot, *(array for block in plan.blocks for array in block[1:])]
+            assert len(arrays) == len(plan.one_hot) + 4 * len(plan.blocks)
+            for array in arrays:
                 with pytest.raises(ValueError, match="read-only"):
-                    array[0, 0] = 1
+                    array[(0,) * array.ndim] = 1
 
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_a_scan_reads_only_its_own_instance(self, access):
@@ -316,7 +338,7 @@ class TestKeptProfiles:
         assert scanned(again) == expected == separate(first)
 
     def test_a_multi_chunk_size_keeps_nothing(self):
-        """N=10, M=3 has 175,275 canonical profiles, three chunks, streamed and dropped after the scan.
+        """N=10, M=3 has 175,275 canonical profiles, four chunks, streamed and dropped after the scan.
 
         N=8, M=3 fits one chunk: its first scan keeps it and the next reads it.
         """
@@ -329,6 +351,106 @@ class TestKeptProfiles:
             enumerate_nash(small_paper_scenario(8, 3, seed=seed))
         info = game._single_block.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
+class TestScanBlocks:
+    """The scan runs its per-user rules one column block of its plan at a time.
+
+    The seam tests cut `_BLOCK_CELLS` to 7 rows a block (1 at N=1), so no
+    canonical count is a multiple of the block rows and equilibria and equal
+    optima fall into different blocks; with `_CHUNK` cut to 97 rows the same
+    sizes stream, building a plan per chunk.
+    """
+
+    ROWS = 7
+
+    @pytest.fixture(autouse=True)
+    def fresh_plans(self):
+        """A plan kept under a patched block size must not outlive the test."""
+        game._single_block.cache_clear()
+        yield
+        game._single_block.cache_clear()
+
+    @staticmethod
+    def instances(access):
+        """(label, scenario): instances with exact cost ties, the M=1 and the N=1 edges.
+
+        Under interference, two users whose upload is free (its cost ignores
+        the rate) and whose weight is 0 cost the same on every channel.
+        """
+        if access is AccessModel.CONTENTION:
+            for n, m, seed in ((7, 2, 0), (7, 2, 2), (5, 3, 2), (6, 1, 1), (6, 1, 2), (1, 1, 0), (1, 3, 0)):
+                yield f"integer N={n}, M={m}, seed {seed}", integer_contention_scenario(n, m, seed)
+            return
+        free = simple_user(transmit_power_mw=0.0, time_weight=0.0, energy_weight=1.0, tail_energy_j=0.1,
+                           energy_per_cycle_j=1.0)
+        for seed in range(4):
+            env, users = random_instance(np.random.default_rng(seed), access=access, n_range=(4, 5), m_range=(2, 3))
+            yield f"two free uploads, seed {seed}", hand_built_scenario(env, users + [free, free])
+        for n, m, seed in ((7, 2, 1), (6, 1, 0), (1, 1, 0), (1, 3, 0)):
+            yield f"paper N={n}, M={m}, seed {seed}", small_paper_scenario(n, m, seed)
+
+    @staticmethod
+    def seams_crossed(scenario, rows: int) -> set:
+        """Which of the Nash set and the two optima have members in more than one block of `rows` rows."""
+        evaluator, found = scenario.evaluator, {"nash": [], "max_beneficial": [], "min_overhead": []}
+        for c, profiles in enumerate(game._canonical_chunks(scenario.n_users, scenario.channels)):
+            blocks = [(c, i // rows) for i in range(len(profiles))]
+            offloading = profiles > 0
+            feasible = (evaluator.beneficial_mask(profiles) == offloading).all(axis=1)
+            found["nash"] += zip(evaluator.nash_mask(profiles).tolist(), blocks)
+            found["max_beneficial"] += zip(np.where(feasible, offloading.sum(axis=1), -1).tolist(), blocks)
+            found["min_overhead"] += zip((-evaluator.system_overheads(profiles)).tolist(), blocks)
+        return {key for key, pairs in found.items()
+                if len({block for value, block in pairs if value == max(pairs)[0]}) > 1}
+
+    @pytest.mark.parametrize("chunk", [game._CHUNK, 97])
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_equals_the_separate_scans_across_block_seams(self, access, chunk, monkeypatch):
+        monkeypatch.setattr(game, "_CHUNK", chunk)
+        crossed = set()
+        for label, scenario in self.instances(access):
+            n, m = scenario.n_users, scenario.channels
+            rows = 1 if n == 1 else self.ROWS
+            assert n == 1 or game._completions(n, m)[n][0] % rows != 0, label
+            monkeypatch.setattr(game, "_BLOCK_CELLS", rows * n)
+            game._single_block.cache_clear()
+            assert enumerate_nash(scenario) == reference.enumerate_nash_separate(scenario), label
+            for objective in Objective:
+                expected = reference.exhaustive_optimize_separate(scenario, objective)
+                assert exhaustive_optimize(scenario, objective) == expected, label
+            crossed |= self.seams_crossed(scenario, rows)
+        assert crossed == {"nash", "max_beneficial", "min_overhead"}
+
+    def test_no_cost_call_of_a_scan_exceeds_a_block(self, monkeypatch):
+        """Kept (N=8, M=3) or streamed (N=10, M=3), a scan costs two blocks of at most _BLOCK_CELLS at a time.
+
+        Each block costs its users once on their own channel and once at the
+        least load.  The loads come from one `_loads` call per chunk, over all
+        its rows, since a load's bits depend on the row count.
+        """
+        sizes, rows_loaded = [], []
+        cloud_costs, loads = ProfileEvaluator._cloud_costs, ProfileEvaluator._loads
+
+        def spy(self, received, users=None):
+            costs = cloud_costs(self, received, users)
+            sizes.append(costs.size)
+            return costs
+
+        def loads_spy(self, one_hot, rows):
+            rows_loaded.append(rows)
+            return loads(self, one_hot, rows)
+
+        monkeypatch.setattr(ProfileEvaluator, "_cloud_costs", spy)
+        monkeypatch.setattr(ProfileEvaluator, "_loads", loads_spy)
+        blocks, chunk_rows = 0, []
+        for n in (8, 10):
+            small_paper_scenario(n, 3, seed=0).evaluator._scan
+            rows = [len(chunk) for chunk in game._canonical_chunks(n, 3)]
+            blocks += sum(-(-k // (game._BLOCK_CELLS // n)) for k in rows)
+            chunk_rows += rows
+        assert rows_loaded == chunk_rows and len(chunk_rows) == 5  # one kept chunk, four streamed
+        assert len(sizes) == 2 * blocks and max(sizes) <= game._BLOCK_CELLS
 
 
 class TestMetamorphic:

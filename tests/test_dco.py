@@ -19,6 +19,7 @@ from offload_game import (
 )
 from offload_game._version import __version__
 from offload_game.cli import main
+from offload_game import dco, game
 from offload_game.game import BEST_RESPONSE_ATOL, ProfileEvaluator
 from offload_game.model import AccessModel
 from offload_game.scenario import Scenario, ScenarioUser
@@ -228,6 +229,26 @@ class TestIncrementalEngine:
         assert report.update_slots > 50
         assert report == reference.run_dco_dense(scenario, 3)
 
+    def test_one_philox_per_run_picks_as_a_fresh_one_per_slot(self):
+        """15,000 (seed, slot, n) picks, slots out of order, against `Philox(key=seed, counter=slot)` each.
+
+        n runs from 1 to past 2**32, where `integers` switches from 32-bit draws,
+        which buffer half a word, to 64-bit ones; a pick left to read a buffer
+        of the pick before it would draw otherwise.
+        """
+        rng = np.random.default_rng(27)
+        edges = [1, 2, 3, 255, 256, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63]
+        seeds = [0, 1, 2**64 - 1, 2**64, 2**128 - 1] + rng.integers(0, 2**63, size=20).tolist()
+        triples = 0
+        for seed in seeds:
+            pick = dco._slot_picker(seed)
+            slots = rng.permutation(np.concatenate([np.arange(40), rng.integers(40, 2**40, size=160)])).tolist()
+            for slot in slots:
+                for n in (edges[rng.integers(len(edges))], int(2 ** rng.uniform(0, 40)) + 1, int(2 ** rng.uniform(0, 62.9))):
+                    assert pick(slot, n) == int(reference.slot_rng(seed, slot).integers(n)), (seed, slot, n)
+                    triples += 1
+        assert triples >= 15_000
+
     def test_slots_run_no_profile_check(self, monkeypatch):
         """`run_dco` builds every profile itself, so no slot passes one through `_as_batch`."""
         scenario = generate(GenParams(n_users=30, channels=5), 3)
@@ -298,11 +319,11 @@ def assert_two_candidates_match(scenario, profile) -> int:
     """
     evaluator = scenario.evaluator
     batch = np.array([profile], dtype=np.int64)
-    decisions = batch.T
-    loads = evaluator._loads(batch)
+    decisions = batch.T  # a one-column batch's flat index into its loads, as in `run_dco`
+    loads = evaluator._loads(game._one_hot(batch, evaluator.channels), 1)
     load = loads[:, 0]
     candidates = evaluator.candidate_overheads(batch)[0]
-    current = evaluator._costs(decisions, loads)
+    current = evaluator._costs(decisions, decisions == 0, loads)
     batch_costs = evaluator._batch_costs(batch)[1]
     assert (current.shape, current.tobytes()) == (batch_costs.shape, batch_costs.tobytes())
     costs = current[:, 0]
