@@ -6,7 +6,8 @@ cross-entropy search for instances too large to enumerate, and the two naive
 policies everything is compared against.  Nash enumeration and both exhaustive
 objectives read one cached profile scan per scenario (`ProfileEvaluator._scan`),
 which scores one profile per channel relabelling, the canonical one, and
-expands the canonical equilibria into the full Nash set.
+expands the canonical equilibria into the full Nash set; the same scan gives
+`metrics` the costliest equilibrium's total.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ it offloads at no loss (`_beneficial`) and a profile's total cost (`_totals`);
 the granted user's move, its tie rule and the μ of its potential change come
 from `_best_response`.  A scenario builds its evaluator once, as
 `Scenario.evaluator`, and one cached pass over the canonical profiles, one per
-channel relabelling, gives the Nash set and both exhaustive optima.  The pass
+channel relabelling, gives the Nash set, both exhaustive optima and the
+costliest equilibrium's total, so `metrics` scores no profile itself.  The pass
 reads a scan plan per chunk of those profiles: each channel's one-hot matrix,
 for the chunk's loads, and column blocks of at most _BLOCK_CELLS user entries,
 which the per-user rules run over one at a time; a size that fits one chunk
@@ -219,13 +220,14 @@ def _relabellings(profiles: np.ndarray, channels: int) -> tuple:
 
 
 class _ProfileScan(NamedTuple):
-    """The Nash set, its canonical members and both exhaustive optima, from one pass over the canonical profiles.
+    """The Nash set, its costliest total and both exhaustive optima, from one pass over the canonical profiles.
 
-    `metrics` scores the canonical equilibria alone, one per class of channel relabellings.
+    The costliest equilibrium's total adds its users in order, as the
+    `system_overhead` view does.
     """
 
     equilibria: tuple  # in lexicographic order
-    canonical_equilibria: tuple  # in lexicographic order
+    worst_overhead: float  # costliest equilibrium's total, summed in user order
     max_beneficial: tuple  # (profile, most offloaders with none losing out)
     min_overhead: tuple  # (profile, least total cost)
 
@@ -370,7 +372,8 @@ class ProfileEvaluator:
     def _totals(self, costs: np.ndarray) -> np.ndarray:
         """(k,) totals of (n_users, k) costs: the one numpy total, row sums of their C-ordered transpose.
 
-        Only a single profile's `_total_in_order` sums in user order, as the bench's `poa` digest records.
+        Only the scan's worst equilibrium and the `system_overhead` view sum in user order, as the bench's
+        `poa` digest records.
         """
         return np.ascontiguousarray(costs.T).sum(axis=1)
 
@@ -481,18 +484,26 @@ class ProfileEvaluator:
         every scan.  A canonical profile is the first of its channel
         relabellings, so argmax/argmin and `max`/`min`, which keep the first,
         break ties for the lexicographically first profile, across blocks as
-        within one.  The canonical equilibria are kept and expand into all
-        their relabellings.
+        within one.  Each Nash column's user-order total is the
+        `system_overhead` view's, up to the bits of its loads: a chunk's load
+        can differ from a one-row call's only on a channel three or more
+        users share, since zeros and two weights sum alike in any order.
+        Every seeded equilibrium's total matched with OpenBLAS on a 2-core
+        Xeon, but another BLAS kernel may move such a cell's last bits.  The
+        canonical equilibria expand into all their relabellings.
         """
         # ChannelEnv gives every channel one bandwidth and one noise floor, so relabelling
         # the channels of a profile moves no load, cost or Nash flag of it
-        equilibria, most, least = [], [], []  # most/least: (profile, value) per block
+        equilibria, costliest, most, least = [], [], [], []  # most/least: (profile, value) per block
         for plan in _profile_blocks(self.n_users, self.channels):
             loads = self._loads(plan.one_hot, plan.rows)
             for block in plan.blocks:
                 costs = self._costs(block.index, block.local, loads)
                 nash = ~np.any(self._improvers(costs, loads[:, block.columns]), axis=0)
                 equilibria.append(block.decisions.T[nash])
+                if nash.any():
+                    with np.errstate(over="ignore"):  # as in `_totals`
+                        costliest.append(float(_sum_in_order(costs[:, nash]).max()))
                 # no offloader loses out: beneficial exactly where not local
                 feasible = np.all(self._beneficial(block.local, costs) != block.local, axis=0)
                 counts = np.where(feasible, block.offloaders, -1)
@@ -500,8 +511,7 @@ class ProfileEvaluator:
                 high, low = int(np.argmax(counts)), int(np.argmin(totals))
                 most.append((tuple(block.decisions[:, high].tolist()), int(counts[high])))
                 least.append((tuple(block.decisions[:, low].tolist()), float(totals[low])))
-        canonical = np.concatenate(equilibria)
-        return _ProfileScan(_relabellings(canonical, self.channels), tuple(map(tuple, canonical.tolist())),
+        return _ProfileScan(_relabellings(np.concatenate(equilibria), self.channels), max(costliest),
                             max(most, key=itemgetter(1)), min(least, key=itemgetter(1)))
 
     def _channel_terms(self, batch: np.ndarray, channels) -> tuple:
@@ -557,14 +567,5 @@ def count_beneficial(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[
 
 
 def system_overhead(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> float:
-    """Total cost across all users under profile a."""
-    return _total_in_order(ProfileEvaluator(env, users), a)
-
-
-def _total_in_order(evaluator: ProfileEvaluator, a: Sequence[int]) -> float:
-    """Total cost of one profile a, summed in user order, not by numpy's row sum.
-
-    The `system_overhead` view and `metrics.poa_overhead`, on each canonical
-    equilibrium, both sum through it, so the bench's recorded poa digest holds.
-    """
-    return _sum_in_order(evaluator.overheads([a])[0].tolist())
+    """Total cost across all users under profile a, summed in user order, as the scan's worst equilibrium."""
+    return _sum_in_order(ProfileEvaluator(env, users).overheads([a])[0].tolist())

@@ -2,14 +2,12 @@
 
 Both ratios come from full Nash enumeration against the exhaustive optimum,
 so they are only computed on instances small enough to enumerate; both read
-one cached profile scan per scenario, so a scenario costs one pass over its
-canonical profiles.  Only the scan's canonical equilibria, one per class of
-channel relabellings, are scored, each by one-row calls on
-`Scenario.evaluator`, the calls the single-profile views make, so no further
-evaluator is built.  Every relabelling scores to the bits of its canonical
-form, so the worst of them is the worst of the whole Nash set.  The analytic
-bounds attach when their preconditions hold and are reported as None
-otherwise; the measured ratio is always reported.  The bounds read their
+one cached profile scan per scenario (`ProfileEvaluator._scan`), so a
+scenario costs one scan and this module scores no profile itself.  The
+beneficial ratio counts each equilibrium's offloaders; the overhead ratio
+takes the costliest equilibrium's total from the scan.
+The analytic bounds attach when their preconditions hold and are reported as
+None otherwise; the measured ratio is always reported.  The bounds read their
 per-user weights, thresholds, local costs and cloud-cost extremes from
 `Scenario.evaluator`.
 """
@@ -20,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .baselines import DEFAULT_PROFILE_CAP, Objective, enumerate_nash, exhaustive_optimize
-from .game import _total_in_order
 # not called here: bench/spans.py patches both names in this module, and tests/test_package.py checks they exist
 from .game import count_beneficial, system_overhead  # noqa: F401
 from .model import AccessModel, _sum_in_order
@@ -57,12 +54,6 @@ def _instance_extremes(scenario: Scenario) -> dict:
             "threshold_min": min(thresholds) if finite else None}
 
 
-def _canonical_equilibria(scenario: Scenario, profile_cap: int) -> tuple:
-    """The scan's canonical equilibria, after `enumerate_nash`'s cap check; bench/spans.py counts its list."""
-    enumerate_nash(scenario, profile_cap)
-    return scenario.evaluator._scan.canonical_equilibria
-
-
 def poa_beneficial(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> PoaReport:
     """Ratio of the fewest offloaders at any equilibrium to the optimum count.
 
@@ -73,8 +64,8 @@ def poa_beneficial(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -
     bound needs every threshold finite and nonnegative and every weight
     positive, and t_max / q_min must not overflow.
     """
-    equilibria = _canonical_equilibria(scenario, profile_cap)
-    worst = min(int(scenario.evaluator.beneficial_counts([a])[0]) for a in equilibria)
+    # at an equilibrium no offloader loses out, so its offloaders are its beneficial users
+    worst = min(sum(1 for d in a if d) for a in enumerate_nash(scenario, profile_cap))
     _, optimum = exhaustive_optimize(scenario, Objective.MAX_BENEFICIAL, profile_cap)
     extremes = _instance_extremes(scenario)
     q_max, q_min, t_max, t_min = extremes.values()
@@ -96,13 +87,13 @@ def poa_beneficial(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -
 def poa_overhead(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> PoaReport:
     """Ratio of the costliest equilibrium's total cost to the minimum total cost.
 
-    At least 1 up to rounding: the worst equilibrium is summed user by user
-    and the optimum by numpy's row sum, so the ratio can fall a rounding step
-    or two below 1 until both come from one sum.  The analytic upper bound
-    exists only under the interference model.
+    At least 1 up to rounding: the worst equilibrium's costs are summed user
+    by user and the optimum's by numpy's row sum, so the ratio can fall a
+    rounding step or two below 1 until both come from one sum.  The analytic
+    upper bound exists only under the interference model.
     """
-    equilibria = _canonical_equilibria(scenario, profile_cap)
-    worst = max(_total_in_order(scenario.evaluator, a) for a in equilibria)
+    enumerate_nash(scenario, profile_cap)  # the cap check; bench/spans.py counts its list
+    worst = scenario.evaluator._scan.worst_overhead
     _, optimum = exhaustive_optimize(scenario, Objective.MIN_OVERHEAD, profile_cap)
     bound_high = None
     if scenario.channel_env.access is AccessModel.INTERFERENCE:

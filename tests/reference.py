@@ -17,8 +17,8 @@ methods, as the enumerators were before they shared one cached scan of the
 canonical profiles per scenario.  `UserLastKernel` is the evaluator's batch
 kernel as it was before it went user-major, the bit-exact oracle of every
 batch method and of the profile scan.  `worst_equilibria` is the
-price-of-anarchy metrics' scoring loop as it was before it scored the
-canonical equilibria alone: every member of the Nash set, one-row calls each.
+price-of-anarchy metrics' scoring loop as it was before they read their worst
+equilibria from the scan: every member of the Nash set, one-row calls each.
 """
 
 from __future__ import annotations
@@ -388,7 +388,7 @@ def worst_equilibria(scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> tuple:
     """
     evaluator, equilibria = scenario.evaluator, enumerate_nash(scenario, profile_cap)
     return (min(int(evaluator.beneficial_counts([a])[0]) for a in equilibria),
-            max(game._total_in_order(evaluator, a) for a in equilibria))
+            max(sum_in_order(evaluator.overheads([a])[0].tolist()) for a in equilibria))
 
 
 # the user-last batch kernel
@@ -460,12 +460,19 @@ class UserLastKernel:
         return out
 
     def scan(self):
-        """`ProfileEvaluator._scan` from this kernel, over the same canonical chunks."""
+        """`ProfileEvaluator._scan` from this kernel, over the same canonical chunks.
+
+        The costliest equilibrium's total comes from the whole Nash set of
+        each chunk, its costs summed user by user.
+        """
         ev = self.evaluator
-        equilibria, most, least = [], [], []
+        equilibria, costliest, most, least = [], [], [], []
         for chunk in game._canonical_chunks(ev.n_users, ev.channels):
             costs, least_load = self.batch_costs(chunk)
-            equilibria.append(chunk[~np.any(self.improvers(costs, least_load), axis=1)])
+            nash = ~np.any(self.improvers(costs, least_load), axis=1)
+            equilibria.append(chunk[nash])
+            with np.errstate(over="ignore"):
+                costliest += sum_in_order(costs[nash].T).tolist()
             offloading = chunk > 0
             feasible = np.all((offloading & (costs <= ev.local_costs)) == offloading, axis=1)
             counts = np.where(feasible, offloading.sum(axis=1), -1)
@@ -474,6 +481,5 @@ class UserLastKernel:
             high, low = int(np.argmax(counts)), int(np.argmin(totals))
             most.append((tuple(chunk[high].tolist()), int(counts[high])))
             least.append((tuple(chunk[low].tolist()), float(totals[low])))
-        canonical = np.concatenate(equilibria)
-        return game._ProfileScan(game._relabellings(canonical, ev.channels), tuple(map(tuple, canonical.tolist())),
+        return game._ProfileScan(game._relabellings(np.concatenate(equilibria), ev.channels), max(costliest),
                                  max(most, key=lambda pair: pair[1]), min(least, key=lambda pair: pair[1]))

@@ -90,9 +90,24 @@ class TestPoaBeneficial:
         assert (report.worst_equilibrium, report.optimum) == (0.0, 1.0)
         assert report.ratio == 0.0 and report.bound_low == 0.0
 
-    def test_worst_equilibrium_is_the_min_over_the_nash_set(self):
+    @pytest.mark.parametrize("access", list(AccessModel))
+    @pytest.mark.parametrize("n_users, channels, seed", [
+        (4, 2, 9), (8, 3, 0), (7, 5, 1),
+        (10, 3, 2),  # more canonical profiles than one chunk holds: the scan streams
+    ], ids=["4x2", "8x3", "7x5", "10x3"])
+    def test_worst_equilibrium_is_the_min_over_the_nash_set(self, access, n_users, channels, seed):
+        """Every offloader at an equilibrium is beneficial, so the fewest offloaders are the fewest beneficial users."""
+        for energy_weights in ((1.0, 0.5, 0.0), (0.0,)):
+            params = GenParams(n_users=n_users, channels=channels, access_model=access,
+                               contention_weight_choices=(1.0, 2.0, 3.0), energy_weight_choices=energy_weights)
+            scenario = generate(params, seed)
+            equilibria = np.array(enumerate_nash(scenario))
+            offloading = equilibria > 0
+            assert np.array_equal(scenario.evaluator.beneficial_mask(equilibria), offloading)
+            assert poa_beneficial(scenario).worst_equilibrium == offloading.sum(axis=1).min()
+
+    def test_worst_equilibrium_matches_the_scalar_oracle(self):
         scenario = small_paper_scenario(4, 2, seed=9, time_only=True)
-        report = poa_beneficial(scenario)
         env, users = scenario.channel_env, scenario.user_profiles
         counts = []
         for a in enumerate_nash(scenario):
@@ -100,7 +115,7 @@ class TestPoaBeneficial:
             # collapses to the number of offloaders
             assert reference.count_beneficial(env, users, a) == sum(1 for d in a if d > 0)
             counts.append(reference.count_beneficial(env, users, a))
-        assert report.worst_equilibrium == min(counts)
+        assert poa_beneficial(scenario).worst_equilibrium == min(counts)
 
 
 class TestPoaOverhead:
@@ -245,16 +260,6 @@ class TestScenarioEvaluatorOnly:
             assert overhead.worst_equilibrium == max(system_overhead(env, users, a) for a in equilibria)
 
 
-def _numbers_channels_in_order(profile) -> bool:
-    """True when every entry is 0 or at most one above the largest entry before it."""
-    top = 0
-    for d in profile:
-        if d > top + 1:
-            return False
-        top = max(top, d)
-    return True
-
-
 def _never_beneficial_scenario(access) -> Scenario:
     """Cloud execution alone outlasts local computing for every user, so no user ever benefits."""
     user = ScenarioUser(q_mw=100.0, g=1.0, b_kb=1.0, d_megacycles=10.0, f_m_ghz=1.0, f_c_ghz=0.5,
@@ -263,13 +268,14 @@ def _never_beneficial_scenario(access) -> Scenario:
 
 
 class TestCanonicalScoring:
-    """The ratios score one equilibrium per class of channel relabellings."""
+    """The ratios read both worst equilibria from the scan, which scores one profile per relabelling class."""
 
     @pytest.mark.parametrize("access", list(AccessModel))
     @pytest.mark.parametrize("n_users, channels, seeds", [
-        (8, 3, (0, 1)), (7, 5, (0, 1)), (1, 1, (0, 1)), (3, 1, (0, 1)),
-        (10, 3, (2, 3)),  # more canonical profiles than one chunk holds: the scan streams
-    ], ids=["8x3", "7x5", "1x1", "3x1", "10x3"])
+        (8, 3, (0, 1)), (7, 5, (0, 1)), (6, 2, (0, 1)), (5, 1, (0, 1)), (1, 1, (0, 1)), (3, 1, (0, 1)),
+        # more canonical profiles than one chunk holds: the scan streams, over 2, 4 and 14 chunks
+        (9, 4, (0,)), (10, 3, (2, 3)), (13, 2, (0,)),
+    ], ids=["8x3", "7x5", "6x2", "5x1", "1x1", "3x1", "9x4", "10x3", "13x2"])
     def test_worst_equilibria_match_scoring_the_whole_nash_set(self, access, n_users, channels, seeds):
         for seed in seeds:
             for energy_weights in ((1.0, 0.5, 0.0), (0.0,)):
@@ -291,19 +297,15 @@ class TestCanonicalScoring:
         fewest, costliest = reference.worst_equilibria(scenario)
         assert beneficial.worst_equilibrium == float(fewest)
         assert np.float64(overhead.worst_equilibrium).tobytes() == np.float64(costliest).tobytes()
-        equilibria = enumerate_nash(scenario)
-        canonical = scenario.evaluator._scan.canonical_equilibria
-        assert canonical == tuple(a for a in equilibria if _numbers_channels_in_order(a))
         return beneficial
 
-    def test_one_row_calls_are_two_per_canonical_equilibrium(self, monkeypatch):
-        """At N=7, M=5 the Nash set is 120 times its canonical set; only the canonical members are scored."""
+    def test_the_metrics_score_no_profile_once_the_scan_is_cached(self, monkeypatch):
+        """At N=7, M=5 the Nash set has 120 relabellings per class; neither ratio scores any of them."""
         params = GenParams(n_users=7, channels=5, contention_weight_choices=(1.0, 2.0, 3.0),
                            energy_weight_choices=(0.0,))
         scenario = generate(params, 1)
         equilibria = enumerate_nash(scenario)  # the scan is cached before the spy goes in
-        canonical = scenario.evaluator._scan.canonical_equilibria
-        assert len(canonical) > 1 and len(equilibria) == 120 * len(canonical)
+        assert len(equilibria) > 120 and len(equilibria) % 120 == 0
         rows = []
         batch_costs = ProfileEvaluator._batch_costs
 
@@ -314,4 +316,4 @@ class TestCanonicalScoring:
         monkeypatch.setattr(ProfileEvaluator, "_batch_costs", spy)
         poa_beneficial(scenario)
         poa_overhead(scenario)
-        assert rows == [1] * (2 * len(canonical))
+        assert rows == []
