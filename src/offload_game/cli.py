@@ -122,8 +122,9 @@ def _seed_range(args: argparse.Namespace) -> range:
 
 
 def _worker_count(requested: int, cells: int) -> int:
-    """Worker processes for a cell map: never more than the CPUs or the cells."""
-    return min(requested, os.cpu_count() or 1, cells)
+    """Worker processes for a cell map: never more than the CPUs this process may run on, or the cells."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(requested, cpus, cells)
 
 
 def _map_cells(func, cells, requested_workers: int) -> list:

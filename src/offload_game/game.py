@@ -13,17 +13,18 @@ a move touches.  A `run_dco` slot is a batch of one column with `_loads`'
 (channels + 1, 1) loads, indexed by decision, so batches and slots share one
 method per rule: a user's cost (`_costs`), whether it has an improving move,
 checked on its own and the least-loaded channel only (`_improvers`), whether
-it offloads at no loss (`_beneficial`) and a profile's total cost (`_totals`);
-the granted user's move, its tie rule and the μ of its potential change come
-from `_best_response`.  A scenario builds its evaluator once, as
-`Scenario.evaluator`, and one cached pass over the canonical profiles, one per
-channel relabelling, gives the Nash set, both exhaustive optima and the
-costliest equilibrium's total, so `metrics` scores no profile itself.  The pass
-reads a scan plan per chunk of those profiles: each channel's one-hot matrix,
-for the chunk's loads, and column blocks of at most _BLOCK_CELLS user entries,
-which the per-user rules run over one at a time; a size that fits one chunk
-builds its plan once per process.  The module-level functions are
-single-profile views of it.
+it offloads at no loss (`_beneficial`) and a profile's total cost (`_totals`,
+numpy's row sum); the granted user's move, its tie rule and the μ of its
+potential change come from `_best_response`.  A scenario builds its evaluator
+once, as `Scenario.evaluator`, and one cached pass over the canonical
+profiles, one per channel relabelling, gives the Nash set, both exhaustive
+optima and the costliest equilibrium's total, every total adding users in
+order as the `system_overhead` view does, so `metrics` scores no profile
+itself.  The pass reads a scan plan per chunk of those profiles: each
+channel's one-hot matrix, for the chunk's loads, and column blocks of at
+most _BLOCK_CELLS user entries, which the per-user rules run over one at a
+time; a size that fits one chunk builds its plan once per process.  The
+module-level functions are single-profile views of it.
 """
 
 from __future__ import annotations
@@ -222,12 +223,12 @@ def _relabellings(profiles: np.ndarray, channels: int) -> tuple:
 class _ProfileScan(NamedTuple):
     """The Nash set, its costliest total and both exhaustive optima, from one pass over the canonical profiles.
 
-    The costliest equilibrium's total adds its users in order, as the
-    `system_overhead` view does.
+    Every total adds its users in order, as the `system_overhead` view does,
+    so the costliest equilibrium's is never below the least.
     """
 
     equilibria: tuple  # in lexicographic order
-    worst_overhead: float  # costliest equilibrium's total, summed in user order
+    worst_overhead: float  # costliest equilibrium's total
     max_beneficial: tuple  # (profile, most offloaders with none losing out)
     min_overhead: tuple  # (profile, least total cost)
 
@@ -370,10 +371,9 @@ class ProfileEvaluator:
 
     @np.errstate(over="ignore")  # a total of finite costs past the float range is +inf
     def _totals(self, costs: np.ndarray) -> np.ndarray:
-        """(k,) totals of (n_users, k) costs: the one numpy total, row sums of their C-ordered transpose.
+        """(k,) totals of (n_users, k) costs: row sums of their C-ordered transpose.
 
-        Only the scan's worst equilibrium and the `system_overhead` view sum in user order, as the bench's
-        `poa` digest records.
+        Batches and `run_dco` slots total by it; the scan and `system_overhead` add users in order.
         """
         return np.ascontiguousarray(costs.T).sum(axis=1)
 
@@ -476,21 +476,20 @@ class ProfileEvaluator:
         Per plan of `_profile_blocks`, `_loads` gives the chunk's loads from
         its one-hot matrices, over the whole chunk as the bits of a load
         depend on the row count.  Then per column block, `_costs`,
-        `_improvers`, `_beneficial` and `_totals` give the Nash mask, the
-        offloader counts of rows where no offloader loses out and the totals,
-        with the bits of the public methods, which call the same kernels
-        through `_batch_costs`; a block's temporaries stay small enough for
-        the heap to reuse, where a chunk's would fault in fresh pages on
-        every scan.  A canonical profile is the first of its channel
-        relabellings, so argmax/argmin and `max`/`min`, which keep the first,
-        break ties for the lexicographically first profile, across blocks as
-        within one.  Each Nash column's user-order total is the
-        `system_overhead` view's, up to the bits of its loads: a chunk's load
-        can differ from a one-row call's only on a channel three or more
-        users share, since zeros and two weights sum alike in any order.
-        Every seeded equilibrium's total matched with OpenBLAS on a 2-core
-        Xeon, but another BLAS kernel may move such a cell's last bits.  The
-        canonical equilibria expand into all their relabellings.
+        `_improvers` and `_beneficial` give the Nash mask and the offloader
+        counts of rows where no offloader loses out, with the bits of the
+        public methods, which call the same kernels through `_batch_costs`,
+        and one user-order sum of the costs gives both extreme totals; a
+        block's temporaries stay small enough for the heap to reuse, where a
+        chunk's would fault in fresh pages on every scan.  A canonical profile
+        is the first of its channel relabellings, so argmax/argmin and
+        `max`/`min`, which keep the first, break ties for the lexicographically
+        first profile, across blocks as within one.  Each total is the
+        `system_overhead` view's, up to the bits of its loads, which can differ
+        from a one-row call's only on a channel three or more users share;
+        every seeded equilibrium's matched with OpenBLAS on a 2-core Xeon, but
+        another BLAS kernel may move such a cell's last bits.  The canonical
+        equilibria expand into all their relabellings.
         """
         # ChannelEnv gives every channel one bandwidth and one noise floor, so relabelling
         # the channels of a profile moves no load, cost or Nash flag of it
@@ -501,13 +500,13 @@ class ProfileEvaluator:
                 costs = self._costs(block.index, block.local, loads)
                 nash = ~np.any(self._improvers(costs, loads[:, block.columns]), axis=0)
                 equilibria.append(block.decisions.T[nash])
+                with np.errstate(over="ignore"):  # as in `_totals`
+                    totals = _sum_in_order(costs)
                 if nash.any():
-                    with np.errstate(over="ignore"):  # as in `_totals`
-                        costliest.append(float(_sum_in_order(costs[:, nash]).max()))
+                    costliest.append(float(totals[nash].max()))
                 # no offloader loses out: beneficial exactly where not local
                 feasible = np.all(self._beneficial(block.local, costs) != block.local, axis=0)
                 counts = np.where(feasible, block.offloaders, -1)
-                totals = self._totals(costs)
                 high, low = int(np.argmax(counts)), int(np.argmin(totals))
                 most.append((tuple(block.decisions[:, high].tolist()), int(counts[high])))
                 least.append((tuple(block.decisions[:, low].tolist()), float(totals[low])))
@@ -567,5 +566,5 @@ def count_beneficial(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[
 
 
 def system_overhead(env: ChannelEnv, users: Sequence[UserProfile], a: Sequence[int]) -> float:
-    """Total cost across all users under profile a, summed in user order, as the scan's worst equilibrium."""
+    """Total cost across all users under profile a, summed in user order, as the scan's totals are."""
     return _sum_in_order(ProfileEvaluator(env, users).overheads([a])[0].tolist())

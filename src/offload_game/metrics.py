@@ -87,10 +87,10 @@ def poa_beneficial(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -
 def poa_overhead(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> PoaReport:
     """Ratio of the costliest equilibrium's total cost to the minimum total cost.
 
-    At least 1 up to rounding: the worst equilibrium's costs are summed user
-    by user and the optimum's by numpy's row sum, so the ratio can fall a
-    rounding step or two below 1 until both come from one sum.  The analytic
-    upper bound exists only under the interference model.
+    At least 1: the scan reads both totals from one user-order sum of the
+    same costs, so the optimum is the least of a set the worst equilibrium's
+    total belongs to.  The analytic upper bound exists only under the
+    interference model.
     """
     enumerate_nash(scenario, profile_cap)  # the cap check; bench/spans.py counts its list
     worst = scenario.evaluator._scan.worst_overhead

@@ -344,7 +344,7 @@ def profile_chunks(n_users: int, channels: int, total: int):
 def exhaustive_optimize_separate(
     scenario, objective: Objective, profile_cap: int = DEFAULT_PROFILE_CAP
 ) -> tuple:
-    """`baselines.exhaustive_optimize` as it was: its own scan on every call."""
+    """`baselines.exhaustive_optimize` as it was: its own scan on every call, totals summed in user order."""
     _check_cap(scenario, profile_cap)
     total = (scenario.channels + 1) ** scenario.n_users
     evaluator = scenario.evaluator
@@ -359,7 +359,8 @@ def exhaustive_optimize_separate(
             pick = int(np.argmax(values))
             better = best_value is None or values[pick] > best_value
         else:
-            values = evaluator.system_overheads(chunk)
+            with np.errstate(over="ignore"):
+                values = sum_in_order(evaluator.overheads(chunk).T)
             pick = int(np.argmin(values))
             better = best_value is None or values[pick] < best_value
         if better:
@@ -399,10 +400,11 @@ class UserLastKernel:
 
     Loads are (k, channels), by the same matmul; the own-channel μ is one
     `take_along_axis` gather that reads a local user's entry from channel 1;
-    costs keep the user axis last and are picked with `np.where`; row totals
-    are numpy's row sums of the (k, n_users) costs.  It reads the evaluator's
-    per-user constants, so it checks the kernel, not the cost model: every
-    batch method must equal it bit for bit.
+    costs keep the user axis last and are picked with `np.where`; the batch
+    methods' row totals are numpy's row sums of the (k, n_users) costs, the
+    scan's add users in order.  It reads the evaluator's per-user constants,
+    so it checks the kernel, not the cost model: every batch method must
+    equal it bit for bit.
     """
 
     def __init__(self, evaluator, users: Sequence[UserProfile]):
@@ -463,7 +465,7 @@ class UserLastKernel:
         """`ProfileEvaluator._scan` from this kernel, over the same canonical chunks.
 
         The costliest equilibrium's total comes from the whole Nash set of
-        each chunk, its costs summed user by user.
+        each chunk; it and the optimum rank totals summed user by user.
         """
         ev = self.evaluator
         equilibria, costliest, most, least = [], [], [], []
@@ -477,7 +479,7 @@ class UserLastKernel:
             feasible = np.all((offloading & (costs <= ev.local_costs)) == offloading, axis=1)
             counts = np.where(feasible, offloading.sum(axis=1), -1)
             with np.errstate(over="ignore"):
-                totals = costs.sum(axis=1)
+                totals = sum_in_order(costs.T)
             high, low = int(np.argmax(counts)), int(np.argmin(totals))
             most.append((tuple(chunk[high].tolist()), int(counts[high])))
             least.append((tuple(chunk[low].tolist()), float(totals[low])))

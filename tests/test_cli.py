@@ -242,7 +242,7 @@ class TestSweep:
         assert not (tmp_path / "s" / "summary.csv").exists()
 
     def test_worker_count_clamped(self):
-        cpus = os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         assert _worker_count(10**6, 50) == min(cpus, 50)
         assert _worker_count(10**6, 1) == 1
         assert _worker_count(2, 6) == min(2, cpus)
@@ -426,6 +426,14 @@ class TestParser:
 
     def test_no_command_is_config_error(self):
         assert main([]) == EXIT_CONFIG
+
+    def test_worker_count_follows_the_cpus_this_process_may_use(self, monkeypatch):
+        """On a cpuset-limited host the CPU affinity caps the workers, not the machine's CPU count."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _worker_count(8, 100) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
+        assert _worker_count(8, 100) == 8
 
     def test_scenario_file_fixture_runs(self, tmp_path):
         scenario = generate(GenParams(n_users=3, channels=2), 9)

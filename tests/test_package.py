@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,3 +69,10 @@ def test_cli_runs_as_a_module():
     done = subprocess.run([sys.executable, "-m", "offload_game.cli", "--version"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, f"offload-game {__version__}\n", "")
+
+
+def test_pyproject_version_is_the_package_version():
+    """pyproject.toml's version is `_version`'s, which config.json and every scenario file record."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.MULTILINE | re.DOTALL).group(1)
+    assert re.findall(r'^version\s*=\s*"([^"]*)"', project, re.MULTILINE) == [__version__]
