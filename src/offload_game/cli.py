@@ -301,18 +301,21 @@ def _oracle_cell(cell) -> dict:
     beneficial = poa_beneficial(scenario, profile_cap)
     overhead = poa_overhead(scenario, profile_cap)
     _, ce_max = cross_entropy_optimize(scenario, Objective.MAX_BENEFICIAL, ce_params, seed)
-    _, ce_min = cross_entropy_optimize(scenario, Objective.MIN_OVERHEAD, ce_params, seed)
+    ce_profile, _ = cross_entropy_optimize(scenario, Objective.MIN_OVERHEAD, ce_params, seed)
+    # in user order, as `opt_overhead` is: slot and CE totals are numpy row sums, which can round below it
+    dco_total, ce_total = (_sum_in_order(scenario.evaluator.overheads([a])[0].tolist())
+                           for a in (report.final_profile, ce_profile))
     return {
         "seed": seed,
         "n": params.n_users,
         "m": params.channels,
         "dco_beneficial": report.beneficial_count,
-        "dco_overhead": report.system_overhead,
+        "dco_overhead": dco_total,
         "dco_update_slots": report.update_slots,
         "opt_beneficial": int(beneficial.optimum),
         "opt_overhead": overhead.optimum,
         "ce_beneficial": ce_max,
-        "ce_overhead": ce_min,
+        "ce_overhead": ce_total,
         "poa_beneficial": beneficial.ratio,
         "poa_overhead": overhead.ratio,
     }

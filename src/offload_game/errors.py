@@ -4,7 +4,6 @@ __all__ = [
     "OffloadGameError",
     "InstanceTooLarge",
     "BoundInapplicable",
-    "ContentionUnsupported",
     "SchemaError",
 ]
 
@@ -19,10 +18,6 @@ class InstanceTooLarge(OffloadGameError):
 
 class BoundInapplicable(OffloadGameError):
     """Raised when an analytic bound's preconditions do not hold."""
-
-
-class ContentionUnsupported(OffloadGameError):
-    """Raised for quantities that are only defined under the interference model."""
 
 
 class SchemaError(OffloadGameError):

@@ -37,7 +37,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContentionUnsupported
 from .model import (
     LOCAL,
     AccessModel,
@@ -346,20 +345,6 @@ class ProfileEvaluator:
         if self._free_upload:
             np.copyto(costs, fixed, where=coeff == 0.0)
         return costs
-
-    def cloud_cost_extremes(self) -> np.ndarray:
-        """(2, n_users) best- and worst-case cloud cost per user, interference model only.
-
-        Row 0: the user has its channel to itself.  Row 1: it faces the
-        average co-channel weight, the total weight of everyone else spread
-        over the channel count, which no equilibrium exceeds.
-        """
-        if self.env.access is not AccessModel.INTERFERENCE:
-            raise ContentionUnsupported("cloud-cost extremes are defined for the interference model")
-        weights = self.weights.tolist()
-        # everyone else summed in user order, not total - w_n, which rounds differently
-        others = [_sum_in_order(w for i, w in enumerate(weights) if i != n) for n in range(self.n_users)]
-        return self._cloud_costs(np.column_stack([np.zeros(self.n_users), np.array(others) / self.channels])).T
 
     def overheads(self, profiles) -> np.ndarray:
         """(k, n_users) per-user costs under each profile, C-ordered, so its row sums add in one order."""

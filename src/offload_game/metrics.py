@@ -8,8 +8,8 @@ beneficial ratio counts each equilibrium's offloaders; the overhead ratio
 takes the costliest equilibrium's total from the scan.
 The analytic bounds attach when their preconditions hold and are reported as
 None otherwise; the measured ratio is always reported.  The bounds read their
-per-user weights, thresholds, local costs and cloud-cost extremes from
-`Scenario.evaluator`.
+per-user weights, thresholds and local costs from `Scenario.evaluator`, and
+the overhead bound prices its two cloud-cost rows with that evaluator's kernel.
 """
 
 from __future__ import annotations
@@ -17,9 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .baselines import DEFAULT_PROFILE_CAP, Objective, enumerate_nash, exhaustive_optimize
 # not called here: bench/spans.py patches both names in this module, and tests/test_package.py checks they exist
 from .game import count_beneficial, system_overhead  # noqa: F401
+from .game import ProfileEvaluator
 from .model import AccessModel, _sum_in_order
 from .scenario import Scenario
 
@@ -52,6 +55,18 @@ def _instance_extremes(scenario: Scenario) -> dict:
     return {"weight_max": max(weights), "weight_min": min(weights),
             "threshold_max": max(thresholds) if finite else None,
             "threshold_min": min(thresholds) if finite else None}
+
+
+def _cloud_cost_extremes(evaluator: ProfileEvaluator) -> np.ndarray:
+    """(2, n_users) best- and worst-case cloud cost per user, for the interference bound.
+
+    Row 0: the user has its channel to itself.  Row 1: it faces everyone
+    else's weight spread over the M channels, which no equilibrium exceeds.
+    """
+    weights = evaluator.weights.tolist()
+    # everyone else summed in user order, not total - w_n, which rounds differently
+    others = [_sum_in_order(w for i, w in enumerate(weights) if i != n) for n in range(len(weights))]
+    return evaluator._cloud_costs(np.array([[0.0, o / evaluator.channels] for o in others])).T
 
 
 def poa_beneficial(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> PoaReport:
@@ -92,12 +107,11 @@ def poa_overhead(scenario: Scenario, profile_cap: int = DEFAULT_PROFILE_CAP) -> 
     total belongs to.  The analytic upper bound exists only under the
     interference model.
     """
-    enumerate_nash(scenario, profile_cap)  # the cap check; bench/spans.py counts its list
+    _, optimum = exhaustive_optimize(scenario, Objective.MIN_OVERHEAD, profile_cap)  # checks the cap
     worst = scenario.evaluator._scan.worst_overhead
-    _, optimum = exhaustive_optimize(scenario, Objective.MIN_OVERHEAD, profile_cap)
     bound_high = None
     if scenario.channel_env.access is AccessModel.INTERFERENCE:
-        k_min, k_max = scenario.evaluator.cloud_cost_extremes().tolist()
+        k_min, k_max = _cloud_cost_extremes(scenario.evaluator).tolist()
         local = scenario.evaluator.local_costs.tolist()
         numerator = _sum_in_order(min(k_local, k) for k_local, k in zip(local, k_max))
         denominator = _sum_in_order(min(k_local, k) for k_local, k in zip(local, k_min))

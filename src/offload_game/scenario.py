@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -143,15 +143,17 @@ class Scenario:
     bandwidth_hz: float
     noise_dbm: float
     access_model: AccessModel
-    users: tuple = field(default_factory=tuple)  # tuple[ScenarioUser, ...]
+    users: tuple  # tuple[ScenarioUser, ...], at least one
 
     def __post_init__(self):
         """Check the model invariants once, however the scenario was built.
 
-        A fault raises SchemaError with the path `env`, `users[i]` or, for
-        access weights whose potential overflows, `users`.
+        A fault raises SchemaError with the path `env`, `users[i]` or, for no
+        users or access weights whose potential overflows, `users`.
         """
         self.channel_env  # noqa: B018
+        if not self.users:
+            raise SchemaError("users", "expected a nonempty array")
         self.user_profiles  # noqa: B018
         self.evaluator  # noqa: B018
 

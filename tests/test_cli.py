@@ -275,6 +275,23 @@ class TestOracleAndPoa:
             assert 0.0 < float(row[by["poa_beneficial"]]) <= 1.0
             assert float(row[by["poa_overhead"]]) >= 1.0
 
+    @pytest.mark.parametrize("seed", [13, 37])
+    def test_no_oracle_overhead_below_the_optimum(self, tmp_path, seed):
+        """All three overhead columns add users in order, so DCO's and CE's never read below the optimum.
+
+        Under numpy's row sum 4^8 seed 13's DCO and CE totals and seed 37's CE
+        total read one ulp below `opt_overhead`.  Like `TestCanonicalScoring`,
+        this relies on the scan's chunk loads matching one-row loads, which
+        held with OpenBLAS on a 2-core Xeon but is not guaranteed on every BLAS.
+        """
+        out = tmp_path / "o"
+        assert main(["oracle", "--n", "8", "--m", "3", "--seed-base", str(seed), "--seeds", "1",
+                     "--out", str(out)]) == EXIT_OK
+        (row,) = csv.DictReader((out / "summary.csv").read_text(encoding="utf-8").splitlines())
+        optimum = float(row["opt_overhead"])
+        assert float(row["dco_overhead"]) >= optimum
+        assert float(row["ce_overhead"]) >= optimum
+
     def test_poa_table(self, tmp_path):
         out = tmp_path / "p"
         code = main([

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from offload_game import (
-    ContentionUnsupported,
     GenParams,
+    InstanceTooLarge,
     Objective,
     ProfileEvaluator,
     access_weight,
@@ -22,7 +22,8 @@ from offload_game import (
     poa_overhead,
     system_overhead,
 )
-from offload_game.metrics import BENEFICIAL_USERS, SYSTEM_OVERHEAD
+from offload_game import metrics
+from offload_game.metrics import BENEFICIAL_USERS, SYSTEM_OVERHEAD, _cloud_cost_extremes
 from offload_game.model import AccessModel
 from offload_game.scenario import Scenario, ScenarioUser
 import reference
@@ -148,17 +149,31 @@ class TestPoaOverhead:
             assert report.worst_equilibrium >= report.optimum, (n, seed)
             assert report.ratio >= 1.0, (n, seed)
 
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_report_lists_no_nash_set(self, access, monkeypatch):
+        """The ratio reads the scan's costliest equilibrium, and `exhaustive_optimize` checks the cap first."""
+        params = GenParams(n_users=6, channels=2, access_model=access)
+        expected = poa_overhead(generate(params, 3))
+
+        def refuse(*args):
+            raise AssertionError("poa_overhead listed the Nash set")
+
+        monkeypatch.setattr(metrics, "enumerate_nash", refuse)
+        assert repr(poa_overhead(generate(params, 3))) == repr(expected)
+        with pytest.raises(InstanceTooLarge):
+            poa_overhead(generate(params, 3), profile_cap=3**6 - 1)
+
     def test_worst_case_cloud_cost_vanishes_into_best_case_with_many_channels(self):
         users = [simple_user(), simple_user(channel_gain=2.0), simple_user(channel_gain=0.5)]
         k_maxes = []
         for m in (1, 2, 4, 8, 10**9):
             env = simple_env(channels=m, bandwidth_hz=1.0, noise_mw=0.25)
-            k_min, k_max = ProfileEvaluator(env, users).cloud_cost_extremes()[:, 0]
+            k_min, k_max = _cloud_cost_extremes(ProfileEvaluator(env, users))[:, 0]
             k_maxes.append(k_max)
             assert k_max >= k_min
         assert all(b < a for a, b in zip(k_maxes, k_maxes[1:]))
         env = simple_env(channels=10**9, bandwidth_hz=1.0, noise_mw=0.25)
-        k_min, k_max = ProfileEvaluator(env, users).cloud_cost_extremes()[:, 0]
+        k_min, k_max = _cloud_cost_extremes(ProfileEvaluator(env, users))[:, 0]
         assert k_max == pytest.approx(k_min, rel=1e-6)
 
     def test_no_bound_under_contention(self):
@@ -175,14 +190,14 @@ class TestCloudCostExtremes:
     def test_single_user_extremes_coincide(self):
         scenario = small_paper_scenario(1, 3, seed=4)
         env, users = scenario.channel_env, scenario.user_profiles
-        k_min, k_max = ProfileEvaluator(env, users).cloud_cost_extremes()[:, 0]
+        k_min, k_max = _cloud_cost_extremes(ProfileEvaluator(env, users))[:, 0]
         assert k_min == k_max
 
     def test_rows_match_the_oracle_on_random_interference_instances(self):
         rng = np.random.default_rng(44)
         for _ in range(40):
             env, users = random_instance(rng, n_range=(1, 9), m_range=(1, 5))
-            extremes = ProfileEvaluator(env, users).cloud_cost_extremes()
+            extremes = _cloud_cost_extremes(ProfileEvaluator(env, users))
             assert extremes.shape == (2, len(users))
             for n, u in enumerate(users):
                 others = 0.0
@@ -196,7 +211,7 @@ class TestCloudCostExtremes:
     def test_lower_envelope_of_all_profiles(self):
         scenario = small_paper_scenario(4, 2, seed=13)
         env, users = scenario.channel_env, scenario.user_profiles
-        k_min = ProfileEvaluator(env, users).cloud_cost_extremes()[0]
+        k_min = _cloud_cost_extremes(ProfileEvaluator(env, users))[0]
         for n in range(len(users)):
             for a in itertools.product(range(env.channels + 1), repeat=len(users)):
                 if a[n] > 0:
@@ -209,7 +224,7 @@ class TestCloudCostExtremes:
                 int(rng.integers(2, 6)), int(rng.integers(1, 4)), seed=260 + i
             )
             env, users = scenario.channel_env, scenario.user_profiles
-            k_max = ProfileEvaluator(env, users).cloud_cost_extremes()[1]
+            k_max = _cloud_cost_extremes(ProfileEvaluator(env, users))[1]
             for a in enumerate_nash(scenario):
                 for n in range(len(users)):
                     if a[n] == 0:
@@ -221,12 +236,6 @@ class TestCloudCostExtremes:
                     assert mu <= spread + 1e-12
                     cap = min(local_overhead(users[n]), k_max[n])
                     assert reference.cloud_overhead(env, users, n, a) <= cap + 1e-9 * cap
-
-    def test_contention_unsupported(self):
-        users = (contention_user_with_threshold(2, 1),)
-        scenario = contention_scenario_from_users(users, channels=1)
-        with pytest.raises(ContentionUnsupported):
-            ProfileEvaluator(scenario.channel_env, scenario.user_profiles).cloud_cost_extremes()
 
 
 class TestReportConsistency:

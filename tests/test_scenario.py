@@ -281,6 +281,12 @@ class TestDocuments:
             dataclasses.replace(load_scenario(minimal_doc()), **overrides)
         assert info.value.path == "env"
 
+    def test_no_users_is_a_schema_error(self):
+        """Such a scenario used to build, save a document `load_scenario` refuses and divide by zero in a scan."""
+        with pytest.raises(SchemaError) as info:
+            dataclasses.replace(load_scenario(minimal_doc()), users=())
+        assert (info.value.path, info.value.reason) == ("users", "expected a nonempty array")
+
     @pytest.mark.parametrize("key, value", [
         ("lambda_e", True), ("g", "1e-4"), ("W", None),
         # unit-converted fields, which raised TypeError from the arithmetic
