@@ -4,13 +4,18 @@ A scenario document keeps the user-facing units (KB, Megacycles, GHz, dBm)
 and is the source of truth; conversion to the internal model units happens
 once in `Scenario.user_profiles` / `Scenario.channel_env`, and its cost
 evaluator is built once, in `Scenario.evaluator`.  Loading a document and
-saving it back reproduces it bit-exactly, so fingerprints are stable.
+saving it back reproduces it bit-exactly, so fingerprints are stable.  Loading
+checks the user rows in one pass; the writer and the fingerprint share their
+number texts, made once by one C-encoder call, and give the stdlib's bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -187,6 +192,12 @@ class Scenario:
         except ValueError as exc:
             raise SchemaError("users", str(exc)) from exc
 
+    @cached_property
+    def _user_texts(self) -> list:
+        """The JSON text of every user number `save_scenario` writes, row by row in field order."""
+        numbers = map(float, itertools.chain.from_iterable(map(_user_values, self.users)))
+        return json.dumps(list(numbers), separators=(",", ":"))[1:-1].split(",")
+
     def _user_profile(self, u: ScenarioUser, path: str) -> UserProfile:
         try:
             # one chained test in the common case; the loop only names the culprit
@@ -275,6 +286,11 @@ def generate(params: GenParams, seed: int) -> Scenario:
 
 
 _USER_FIELDS = tuple(f.name for f in fields(ScenarioUser))
+_user_values, _row_values = operator.attrgetter(*_USER_FIELDS), operator.itemgetter(*_USER_FIELDS)
+# one user row of the `indent=2` document and of the compact sorted-key one, %s per number
+_INDENTED_ROW = "\n    {" + ",".join(f"\n      {json.dumps(k)}: %s" for k in _USER_FIELDS) + "\n    }"
+_SORTED_FIELDS = sorted(range(len(_USER_FIELDS)), key=_USER_FIELDS.__getitem__)
+_CANONICAL_ROW = "{" + ",".join(f"{json.dumps(_USER_FIELDS[k])}:%s" for k in _SORTED_FIELDS) + "}"
 
 
 def _require(doc: dict, key: str, path: str):
@@ -322,7 +338,12 @@ def load_scenario(doc: dict) -> Scenario:
     if not isinstance(users_doc, list) or not users_doc:
         raise SchemaError("users", "expected a nonempty array")
     users = []
-    for i, row in enumerate(users_doc):
+    if {dict}.issuperset(map(type, users_doc)) and all(map(frozenset(_USER_FIELDS).issubset, users_doc)):
+        rows = list(map(_row_values, users_doc))
+        numbers = list(itertools.chain.from_iterable(rows))
+        if {float}.issuperset(map(type, numbers)) and all(map(math.isfinite, numbers)):
+            users = list(itertools.starmap(ScenarioUser, rows))
+    for i, row in enumerate(() if users else users_doc):  # not all finite floats: name the culprit
         path = f"users[{i}]"
         if not isinstance(row, dict):
             raise SchemaError(path, "expected an object")
@@ -341,12 +362,8 @@ def load_scenario(doc: dict) -> Scenario:
     )
 
 
-def save_scenario(scenario: Scenario) -> dict:
-    """Scenario back to its document form; inverse of load_scenario.
-
-    Every env and user number is written as the float `load_scenario` reads
-    it as, so a scenario built with an int there has its round trip's fingerprint.
-    """
+def _head(scenario: Scenario) -> dict:
+    """`save_scenario`'s document with no user rows."""
     return {
         "meta": {
             "seed": scenario.seed,
@@ -359,16 +376,26 @@ def save_scenario(scenario: Scenario) -> dict:
             "noise_dbm": float(scenario.noise_dbm),
             "access_model": scenario.access_model.value,
         },
-        "users": [
-            {name: float(getattr(u, name)) for name in _USER_FIELDS} for u in scenario.users
-        ],
+        "users": [],
     }
 
 
+def save_scenario(scenario: Scenario) -> dict:
+    """Scenario back to its document form; inverse of load_scenario.
+
+    Every env and user number is written as the float `load_scenario` reads
+    it as, so a scenario built with an int there has its round trip's fingerprint.
+    """
+    users = [{name: float(getattr(u, name)) for name in _USER_FIELDS} for u in scenario.users]
+    return {**_head(scenario), "users": users}
+
+
 def scenario_fingerprint(scenario: Scenario) -> str:
-    """Stable content hash of the scenario document."""
-    canonical = json.dumps(save_scenario(scenario), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """Stable content hash of the scenario document: the sha256 of its compact sorted-key JSON."""
+    head = json.dumps(_head(scenario), sort_keys=True, separators=(",", ":"))[:-2]  # ..."users":[
+    columns = [scenario._user_texts[k::len(_USER_FIELDS)] for k in _SORTED_FIELDS]
+    rows = ",".join([_CANONICAL_ROW] * scenario.n_users) % tuple(itertools.chain.from_iterable(zip(*columns)))
+    return hashlib.sha256(f"{head}{rows}]}}".encode("utf-8")).hexdigest()
 
 
 def read_scenario(path) -> Scenario:
@@ -383,4 +410,7 @@ def read_scenario(path) -> Scenario:
 
 
 def write_scenario(path, scenario: Scenario):
-    Path(path).write_text(json.dumps(save_scenario(scenario), indent=2) + "\n", encoding="utf-8")
+    """Write `json.dumps(save_scenario(scenario), indent=2)` and a newline."""
+    head = json.dumps(_head(scenario), indent=2)[:-3]  # ..."users": [
+    rows = ",".join([_INDENTED_ROW] * scenario.n_users) % tuple(scenario._user_texts)
+    Path(path).write_text(f"{head}{rows}\n  ]\n}}\n", encoding="utf-8")

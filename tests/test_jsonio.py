@@ -1,21 +1,29 @@
 """The JSON files against their oracle, stdlib `json.dumps(value, indent=2)`.
 
-Every JSON file the CLI writes is the stdlib's indented text.  Only
-`cli.write_report` has its own writer: it streams a trace's report.json slot by
-slot, with the C encoder writing each slot's per-user entries.  Its bytes must
-equal the stdlib's exactly whenever the report's per-user entries are JSON numbers,
-bools and None.
+Every JSON file the CLI writes is the stdlib's indented text.  Two writers have
+their own code.  `cli.write_report` streams a trace's report.json slot by slot,
+with the C encoder writing each slot's per-user entries; its bytes must equal the
+stdlib's exactly whenever the report's per-user entries are JSON numbers, bools
+and None.  `scenario.write_scenario` fills each user row from the number texts
+of one C-encoder call, and `scenario_fingerprint` hashes a compact sorted-key
+row filled from the same texts; both must give the stdlib's bytes for every
+scenario that builds.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from offload_game import GenParams, RunReport, SlotRecord, generate, run_dco
+from offload_game import (GenParams, RunReport, SchemaError, SlotRecord, generate, read_scenario,
+                          run_dco, save_scenario, scenario_fingerprint, write_scenario)
 from offload_game.cli import main, report_document, write_report
 from offload_game.model import AccessModel
+from offload_game.scenario import ScenarioUser
+from test_cli import GOLDEN_RUNS
 
 
 def oracle(value) -> str:
@@ -116,3 +124,57 @@ def test_streamed_columns_of_look_alike_entries(tmp_path_factory, column):
     """Every column of one slot sequence drawn from entries that compare equal across types."""
     report = hand_report(column, column[::-1], column)
     assert streamed_mismatch(tmp_path_factory.mktemp("report"), report, HAND_SCENARIO) is None
+
+
+def scenario_mismatch(tmp_path, scenario):
+    """`difference` of `write_scenario`'s file from the stdlib's bytes, after checking that
+    `scenario_fingerprint` is the sha256 of the stdlib's compact sorted-key text."""
+    doc = save_scenario(scenario)
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert scenario_fingerprint(scenario) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path = tmp_path / "scenario.json"
+    write_scenario(path, scenario)
+    return difference(path.read_text(encoding="utf-8"), oracle(doc) + "\n")
+
+
+def test_golden_scenarios_equal_stdlib(tmp_path):
+    """The scenarios of the fixed CLI set, as `gen` writes them and as they read back."""
+    for name, argv in GOLDEN_RUNS:
+        if argv[0] == "gen":
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+            scenario = read_scenario(tmp_path / name / "scenario.json")
+            assert scenario_mismatch(tmp_path, scenario) is None, name
+
+
+@pytest.mark.parametrize("access", list(AccessModel), ids=lambda a: a.value)
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 2), (1000, 166)])
+def test_generated_scenarios_equal_stdlib(tmp_path, access, n, m):
+    scenario = generate(GenParams(n_users=n, channels=m, access_model=access), n)
+    assert scenario_mismatch(tmp_path, scenario) is None
+
+
+# user numbers at the edges of the float range and of repr, integral floats, and ints that
+# save_scenario writes as their floats; -0.0 only where a field allows zero
+EDGE_NUMBERS = [5e-324, 1e308, 0.1 + 0.2, 2.0, 1e16, 3, 10**15]
+FIELD_NUMBERS = {f.name: st.sampled_from(EDGE_NUMBERS) for f in dataclasses.fields(ScenarioUser)}
+FIELD_NUMBERS["L_j"] = st.sampled_from([-0.0, 0.0, 0, *EDGE_NUMBERS])
+FIELD_NUMBERS["lambda_e"] = st.sampled_from([0, 1, 0.0, -0.0, 1.0, 0.5, 0.1 + 0.2, 5e-324])
+EDITS = st.lists(st.sampled_from(sorted(FIELD_NUMBERS)).flatmap(
+    lambda name: st.tuples(st.just(name), FIELD_NUMBERS[name])), max_size=4)
+GENERATORS = st.dictionaries(st.text(max_size=4), st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6), max_size=4)
+
+
+@given(access=st.sampled_from(list(AccessModel)), edits=st.lists(EDITS, min_size=1, max_size=3),
+       generator=GENERATORS, seed=st.sampled_from([None, 0, 2**127]))
+def test_drawn_scenarios_equal_stdlib(tmp_path_factory, access, edits, generator, seed):
+    """Edge numbers in the user rows, and any JSON in `meta.generator`."""
+    base = generate(GenParams(n_users=len(edits), channels=2, access_model=access), 1)
+    users = tuple(dataclasses.replace(u, **dict(e)) for u, e in zip(base.users, edits))
+    try:
+        scenario = dataclasses.replace(base, seed=seed, generator=generator, users=users)
+    except SchemaError:
+        assume(False)  # the numbers break a model invariant
+    assert scenario_mismatch(tmp_path_factory.mktemp("scenario"), scenario) is None

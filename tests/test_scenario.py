@@ -28,6 +28,7 @@ from offload_game import (
     scenario_fingerprint,
     write_scenario,
 )
+from offload_game import scenario as scenario_module
 from offload_game.model import AccessModel
 from offload_game.scenario import ScenarioUser, dbm_to_mw
 from support import integer_contention_scenario
@@ -376,6 +377,55 @@ class TestDocuments:
         with pytest.raises(SchemaError) as info:
             load_scenario(doc)
         assert str(info.value) == "document: expected an object"
+
+
+# one bad user row each: (label, the row made bad, path below users[i], SchemaError reason)
+BAD_ROWS = [
+    ("bool", lambda row: {**row, "lambda_e": True}, ".lambda_e", "value must be a number, got bool"),
+    ("string", lambda row: {**row, "g": "1e-4"}, ".g", "value must be a number, got str"),
+    ("missing-field", lambda row: {k: v for k, v in row.items() if k != "q_mw"}, ".q_mw", "missing"),
+    ("list", lambda row: list(row.values()), "", "expected an object"),
+    ("nan-literal", lambda row: {**row, "g": math.nan}, ".g", "value must be finite, got nan"),
+]
+
+
+class TestUserRowFallback:
+    """`load_scenario` checks every user row in one pass and reads them by field only when that
+    fails, so the per-field loop must still name the first bad row and field of a large document."""
+
+    @pytest.fixture(scope="class")
+    def large_doc(self):
+        return save_scenario(generate(GenParams(n_users=1000, channels=166), 4))
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("label, edit, field, reason", BAD_ROWS, ids=[c[0] for c in BAD_ROWS])
+    def test_bad_row_names_its_path(self, tmp_path, large_doc, where, label, edit, field, reason):
+        users = list(large_doc["users"])
+        i = 0 if where == "first" else len(users) - 1
+        users[i] = edit(users[i])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**large_doc, "users": users}), encoding="utf-8")  # NaN: the bare literal
+        with pytest.raises(SchemaError) as info:
+            read_scenario(path)
+        assert (info.value.path, info.value.reason) == (f"users[{i}]{field}", reason)
+
+    def test_int_numbers_and_extra_keys_load_to_the_float_twin(self, large_doc):
+        want = scenario_fingerprint(load_scenario(large_doc))
+        as_ints = [{k: int(v) if v.is_integer() else v for k, v in row.items()} for row in large_doc["users"]]
+        assert sum(type(v) is int for row in as_ints for v in row.values()) > 1000
+        with_extra = [{**row, "note": "é", "z": [1, None]} for row in large_doc["users"]]
+        for users in (as_ints, with_extra):
+            scenario = load_scenario({**large_doc, "users": users})
+            assert scenario == load_scenario(large_doc)
+            assert scenario_fingerprint(scenario) == want
+
+    def test_all_float_rows_skip_the_per_field_loop(self, monkeypatch, large_doc):
+        """The one-pass check accepts a generated document: only env's two numbers go through `_number`."""
+        calls = []
+        number = scenario_module._number
+        monkeypatch.setattr(scenario_module, "_number", lambda value, path: calls.append(path) or number(value, path))
+        load_scenario(large_doc)
+        assert calls == ["env.w_hz", "env.noise_dbm"]
 
 
 # what a mutated document may hold: every JSON value, the NaN and ±inf that json reads from
