@@ -13,7 +13,6 @@ import argparse
 import csv
 import itertools
 import json
-import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -175,40 +174,63 @@ def report_document(report: RunReport, scenario: Scenario) -> dict:
     }
 
 
+_FIELD, _ENTRY = "\n      ", "\n        "  # a slot's fields and a tuple field's entries in indent=2 text
+_SEP = "," + _ENTRY
+_BLOCK = 32  # entries per cached text block of a tuple column
+
+
+def _texts(values) -> list:
+    """The JSON text of each value, from one C-encoder call; each must be a JSON number, bool or None."""
+    return json.dumps(values)[1:-1].split(", ")
+
+
 class _Column:
-    """One SlotRecord field across slots.  A tuple as long as the last re-encodes only the entries
-    that are not the very object the last held there: one object has one text, and `run_dco` hands
-    each unchanged entry on as the same object.  Any other field value is one C-encoder call, split
-    into entries for a non-empty tuple, so it must be a JSON number, bool or None, or a tuple of
-    them, as SlotRecord declares: for those the C encoder writes the stdlib's `indent=2` text."""
+    """One tuple field of SlotRecord across slots, as its entries' texts and their joins in blocks
+    of `_BLOCK`.  A slot re-encodes only the entries `renewals` names for it (all of them for None)
+    and re-joins only the blocks those entries fall in."""
 
-    prev, texts = (), None
+    def __init__(self, renewals):
+        self.renewals, self.texts, self.blocks = renewals, [], []
 
-    def encode(self, values, indent: str) -> str:
-        if type(values) is not tuple or not values:
-            return json.dumps(values)
-        if len(self.prev) == len(values):
-            for i in itertools.compress(range(len(values)), map(operator.is_not, self.prev, values)):
-                self.texts[i] = json.dumps(values[i])
-        else:
-            self.texts = json.dumps(values, separators=(",", ":"))[1:-1].split(",")
-        self.prev = values
-        inner = indent + "  "
-        return "[" + inner + ("," + inner).join(self.texts) + indent + "]"
+    def encode(self, values) -> str:
+        renewed = next(self.renewals)
+        if not values:
+            return "[]"
+        if renewed is None:
+            self.texts = _texts(values)
+            self.blocks = [_SEP.join(self.texts[b:b + _BLOCK]) for b in range(0, len(values), _BLOCK)]
+        elif renewed:
+            for i, text in zip(renewed, _texts([values[i] for i in renewed])):
+                self.texts[i] = text
+            for b in {i // _BLOCK for i in renewed}:
+                self.blocks[b] = _SEP.join(self.texts[b * _BLOCK:(b + 1) * _BLOCK])
+        return f"[{_ENTRY}{_SEP.join(self.blocks)}{_FIELD}]"
 
 
 def write_report(path: Path, report: RunReport, scenario: Scenario):
-    """`_write_json(path, report_document(report, scenario))`, streamed: each slot re-encodes only
-    the per-user entries that are new objects since the last, and no report-sized string is built."""
+    """`_write_json(path, report_document(report, scenario))`, streamed slot by slot with no
+    report-sized string.  A tuple field `run_dco` recorded (see `RunReport`) re-encodes only the
+    entries it renewed since the slot before; any other tuple field is re-encoded whole on every
+    slot.  A slot's other fields take one C-encoder call together.  The fields must hold JSON
+    numbers, bools and None, or tuples of them, as SlotRecord declares."""
     head = report_document(report, scenario)
     del head["slots"]
-    columns = [(f.name, "\n      " + json.dumps(f.name) + ": ", _Column()) for f in fields(SlotRecord)]
+    # (name, key text, column) per field in order: the fields holding a tuple are columns, the others scalars
+    first = report.slots[0]
+    layout = [(f.name, ("," if k else "") + _FIELD + json.dumps(f.name) + ": ",
+               _Column(iter(report._renewed.get(f.name) or itertools.repeat(None)))
+               if isinstance(getattr(first, f.name), tuple) else None)
+              for k, f in enumerate(fields(SlotRecord))]
+    scalars = [name for name, _, column in layout if column is None]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "slots": [')
         for i, rec in enumerate(report.slots):
-            body = ",".join([key + column.encode(getattr(rec, name), "\n      ")
-                             for name, key, column in columns])
-            fh.write((",\n    {" if i else "\n    {") + body + "\n    }")
+            texts = iter(_texts([getattr(rec, name) for name in scalars]))
+            parts = [",\n    {" if i else "\n    {"]
+            for name, key, column in layout:
+                parts += key, next(texts) if column is None else column.encode(getattr(rec, name))
+            parts.append("\n    }")
+            fh.write("".join(parts))
         fh.write("\n  ]\n}\n")
 
 

@@ -17,14 +17,16 @@ granted user's move and both μ of its descent check are the evaluator's
 `_best_response`.  A slot then costs O(N + M), and every SlotRecord has the
 bits a full rescoring of the profile would give.  Records share what did
 not change: a per-user decision or cost the slot left alone, to the bit, is
-the very object of the record before, so a streamed writer can find the few
-new entries by identity.  A report is its seed and slots; it names no scenario.
+the very object of the record before, and the run records which entries are
+not, so a streamed writer re-encodes only those.  A report is its seed and
+slots, compares by them alone, and names no scenario.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,6 +43,7 @@ class SlotRecord:
 
     `profile` holds Python ints and `overheads` Python floats; an entry equal
     to the last slot's, bit for bit, is the same object as that slot's entry.
+    The `RunReport` of a `run_dco` run names, per slot, the entries that are not.
     """
 
     slot: int
@@ -56,10 +59,18 @@ class SlotRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    """One run's record, replayable from its scenario and `seed`; its result is the last slot."""
+    """One run's record, replayable from its scenario and `seed`; its result is the last slot.
+
+    `run_dco` sets the private `_renewed` on the reports it makes: it maps
+    "profile" and "overheads" to, per slot, the indices where that tuple holds
+    another object than the slot before (None on the first slot).  Any other
+    report, one built by hand or by `dataclasses.replace`, has it empty.  It is
+    not a field: equality, hashing, `repr` and `fields` see only `seed` and `slots`.
+    """
 
     seed: int
     slots: tuple  # tuple[SlotRecord, ...], ending at a Nash equilibrium
+    _renewed = MappingProxyType({})  # not annotated, so no field
 
     @property
     def final_profile(self) -> tuple:
@@ -121,15 +132,20 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
     # `_loads`' layout, indexed by decision; all-local, no channel carries a user and every pair term is 0
     loads = evaluator._loads((), 1)
     pair_terms = np.zeros_like(loads)  # row 0 (local) stays 0
-    # the records' decisions and costs as Python objects, renewed only where a move or a cost's bits change
+    # the records' decisions and costs as Python objects, renewed only where a move or a cost's bits
+    # change; per slot, the indices renewed since the slot before (None on the first: all are new)
     entries, kept, last = [0] * scenario.n_users, [None] * scenario.n_users, None
+    moved, repriced = [None], [None]
     records = []
     for slot in itertools.count():
         local = decisions == LOCAL
         costs = evaluator._costs(decisions, local, loads)
         bits = costs[:, 0].view(np.int64)
-        for i in (bits != last).nonzero()[0].tolist() if slot else range(len(kept)):
+        changed = (bits != last).nonzero()[0].tolist() if slot else range(len(kept))
+        for i in changed:
             kept[i] = costs.item(i)
+        if slot:
+            repriced.append(changed)
         last = bits
         senders = tuple(evaluator._improvers(costs, loads).nonzero()[0].tolist())
         pick = new_decision = None
@@ -162,10 +178,13 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
                 f"co-channel weight {mu_old!r} to {mu_new!r}; improvement path broken"
             )
         profile[0, pick] = entries[pick] = new_decision
-        moved = [d for d in (old_decision, new_decision) if d > 0]
-        loads[moved], pair_terms[moved] = evaluator._channel_terms(profile, moved)
+        moved.append([pick])
+        channels = [d for d in (old_decision, new_decision) if d > 0]
+        loads[channels], pair_terms[channels] = evaluator._channel_terms(profile, channels)
 
-    return RunReport(seed=seed, slots=tuple(records))
+    report = RunReport(seed=seed, slots=tuple(records))
+    object.__setattr__(report, "_renewed", {"profile": moved, "overheads": repriced})
+    return report
 
 
 def convergence_slot_bound(scenario: Scenario) -> float:

@@ -341,6 +341,26 @@ def assert_two_candidates_match(scenario, profile) -> int:
     return len(movers)
 
 
+class TestWeightScaling:
+    def test_contention_weights_times_four_scale_only_the_potential(self):
+        """Every contention weight times 4 scales each load and threshold by 4 exactly and leaves
+        each rate share as it was, so a run makes the same moves at the same costs, and φ, a sum of
+        weight products, reads exactly 16 times as much on every slot."""
+        nonzero = 0
+        for seed in range(20):
+            base, scaled = (
+                run_dco(generate(GenParams(n_users=40, channels=4, access_model=AccessModel.CONTENTION,
+                                           contention_weight_choices=choices), seed), seed)
+                for choices in [(1.0, 2.0, 0.5), (4.0, 8.0, 2.0)]
+            )
+            assert base.update_slots > 0 and scaled.total_slots == base.total_slots, seed
+            for rec, twin in zip(base.slots, scaled.slots):
+                assert replace(twin, potential=rec.potential) == rec, (seed, rec.slot)
+                assert twin.potential == 16 * rec.potential, (seed, rec.slot)
+                nonzero += rec.potential != 0
+        assert nonzero > 0
+
+
 class TestTwoCandidates:
     """A user's cheapest channel is its own or the least-loaded one."""
 

@@ -80,6 +80,44 @@ def test_streamed_report_of_edge_scenarios(tmp_path, seed, params):
     assert streamed_mismatch(tmp_path, run_dco(scenario, seed), scenario) is None
 
 
+RECORD_CASES = [
+    *[pytest.param(n + m, GenParams(n_users=n, channels=m, access_model=access), id=f"{access.value}-{n}x{m}")
+      for access in AccessModel for n, m in [(1, 1), (2, 1), (7, 3), (40, 5), (300, 50), (1000, 166)]],
+    pytest.param(475, GenParams(cell_radius_m=300.0), id="sub-ulp-descent"),
+    pytest.param(1, GenParams(n_users=5, access_model=AccessModel.CONTENTION, transmit_power_mw=0.0,
+                              energy_weight_choices=(1.0,)), id="free-upload"),
+]
+
+
+def identity_changes(slots, name) -> list:
+    """Per slot, the indices where field `name` holds another object than the slot before; None on
+    the first slot, which has no slot before."""
+    columns = [getattr(rec, name) for rec in slots]
+    return [None, *([i for i, (old, new) in enumerate(zip(prev, values, strict=True)) if old is not new]
+                    for prev, values in zip(columns, columns[1:]))]
+
+
+@pytest.mark.parametrize("seed, params", RECORD_CASES)
+def test_recorded_renewals_are_the_identity_changes(tmp_path, seed, params):
+    """On every slot `run_dco` records exactly the `profile` and `overheads` entries that are new
+    objects since the slot before; the writer gives the stdlib's bytes from that record and from the
+    same slots rebuilt without it, whose columns it re-encodes whole on every slot."""
+    scenario = generate(params, seed)
+    report = run_dco(scenario, seed)
+    assert sorted(report._renewed) == ["overheads", "profile"]
+    for name, recorded in report._renewed.items():
+        for slot, (got, want) in enumerate(zip(recorded, identity_changes(report.slots, name), strict=True)):
+            assert got == want, (name, slot)
+    rebuilt = RunReport(report.seed, report.slots)
+    assert not rebuilt._renewed and not dataclasses.replace(report)._renewed
+    assert rebuilt == report and repr(rebuilt) == repr(report) and hash(rebuilt) == hash(report)
+    want = (json.dumps(report_document(report, scenario), indent=2) + "\n").encode()
+    path = tmp_path / "report.json"
+    for written in (report, rebuilt):
+        write_report(path, written, scenario)
+        assert difference(path.read_bytes(), want) is None
+
+
 def hand_report(profiles, overheads, senders) -> RunReport:
     """A report whose slots carry the given columns; the scalars vary with them."""
     slots = tuple(
