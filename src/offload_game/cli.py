@@ -10,6 +10,7 @@ names its scenario by `scenario_fingerprint`, computed once as the file is writt
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import itertools
 import json
@@ -207,18 +208,37 @@ class _Column:
         return f"[{_ENTRY}{_SEP.join(self.blocks)}{_FIELD}]"
 
 
+class _Members(_Column):
+    """The sorted `rtu_senders` column: a slot splices in or out the texts of the members `renewals`
+    names as joined or left, or re-encodes them all for None (as on the first slot)."""
+
+    def encode(self, values) -> str:
+        toggled = next(self.renewals)
+        if toggled is None:
+            self.members, self.texts = list(values), _texts(values) if values else []
+        else:
+            for member, text in zip(toggled, _texts(toggled)):
+                at = bisect.bisect_left(self.members, member)
+                if self.members[at:at + 1] == [member]:
+                    del self.members[at], self.texts[at]
+                else:
+                    self.members[at:at], self.texts[at:at] = [member], [text]
+        return f"[{_ENTRY}{_SEP.join(self.texts)}{_FIELD}]" if values else "[]"
+
+
 def write_report(path: Path, report: RunReport, scenario: Scenario):
     """`_write_json(path, report_document(report, scenario))`, streamed slot by slot with no
     report-sized string.  A tuple field `run_dco` recorded (see `RunReport`) re-encodes only the
-    entries it renewed since the slot before; any other tuple field is re-encoded whole on every
-    slot.  A slot's other fields take one C-encoder call together.  The fields must hold JSON
-    numbers, bools and None, or tuples of them, as SlotRecord declares."""
+    entries it renewed, or the requesters that joined or left, since the slot before; any other
+    is re-encoded whole on every slot.  A slot's other fields take one C-encoder call together.
+    The fields must hold JSON numbers, bools and None, or tuples of them, as SlotRecord declares."""
     head = report_document(report, scenario)
     del head["slots"]
     # (name, key text, column) per field in order: the fields holding a tuple are columns, the others scalars
     first = report.slots[0]
     layout = [(f.name, ("," if k else "") + _FIELD + json.dumps(f.name) + ": ",
-               _Column(iter(report._renewed.get(f.name) or itertools.repeat(None)))
+               (_Members if f.name == "rtu_senders" else _Column)(
+                   iter(report._renewed.get(f.name) or itertools.repeat(None)))
                if isinstance(getattr(first, f.name), tuple) else None)
               for k, f in enumerate(fields(SlotRecord))]
     scalars = [name for name, _, column in layout if column is None]

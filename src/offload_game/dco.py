@@ -11,19 +11,21 @@ Nash equilibrium of the underlying game.
 As in the paper's protocol, one user moves per slot, so the simulation keeps
 the per-channel loads and potential terms between slots and refreshes only
 the two channels a move touches.  Each slot is a one-column batch of the
-evaluator's kernel: each user is costed on its own channel and on the
-least-loaded one, by the Nash test's rule (`_costs`, `_improvers`); the
-granted user's move and both μ of its descent check are the evaluator's
-`_best_response`.  A slot then costs O(N + M), and every SlotRecord has the
-bits a full rescoring of the profile would give.  Records share what did
-not change: a per-user decision or cost the slot left alone, to the bit, is
-the very object of the record before, and the run records which entries are
-not, so a streamed writer re-encodes only those.  A report is its seed and
-slots, compares by them alone, and names no scenario.
+evaluator's kernel: a user requests an update where its cost (`_costs`) lies
+above its `_floor`, the Nash test's rule, and the granted user's move and
+both μ of its descent check are `_best_response`.  A floor moves only with
+the least load, so the run keeps the floors and the sorted requesters, and
+while the least load stays re-tests only the users whose cost moved.  A slot
+then costs O(N + M), and every SlotRecord has the bits a full rescoring of
+the profile would give.  Records share what did not change: an entry the
+slot left alone, to the bit, is the very object of the record before, and
+the run records what changed, so a streamed writer re-encodes only that.
+A report is its seed and slots, compares by them alone, and names no scenario.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -42,8 +44,9 @@ class SlotRecord:
     """State observed during one decision slot, before any update applies.
 
     `profile` holds Python ints and `overheads` Python floats; an entry equal
-    to the last slot's, bit for bit, is the same object as that slot's entry.
-    The `RunReport` of a `run_dco` run names, per slot, the entries that are not.
+    to the last slot's, bit for bit, is the same object as that slot's entry,
+    as each user in the sorted `rtu_senders` is.  The `RunReport` of a
+    `run_dco` run names, per slot, the entries and the users that are not.
     """
 
     slot: int
@@ -63,7 +66,9 @@ class RunReport:
 
     `run_dco` sets the private `_renewed` on the reports it makes: it maps
     "profile" and "overheads" to, per slot, the indices where that tuple holds
-    another object than the slot before (None on the first slot).  Any other
+    another object than the slot before (None on the first slot), and
+    "rtu_senders" to the sorted users that joined or left the tuple (None
+    where the least load moved, as on the first slot).  Any other
     report, one built by hand or by `dataclasses.replace`, has it empty.  It is
     not a field: equality, hashing, `repr` and `fields` see only `seed` and `slots`.
     """
@@ -135,8 +140,10 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
     # the records' decisions and costs as Python objects, renewed only where a move or a cost's bits
     # change; per slot, the indices renewed since the slot before (None on the first: all are new)
     entries, kept, last = [0] * scenario.n_users, [None] * scenario.n_users, None
-    moved, repriced = [None], [None]
-    records = []
+    moved, repriced, records = [None], [None], []
+    # the sorted requesters, one int object per user, each user's `_floor` and whether it lies below
+    # its cost: all rebuilt only when the least load moves; per slot, the requesters that toggled
+    ids, least, toggled = np.arange(scenario.n_users).astype(object), None, []
     for slot in itertools.count():
         local = decisions == LOCAL
         costs = evaluator._costs(decisions, local, loads)
@@ -147,7 +154,19 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
         if slot:
             repriced.append(changed)
         last = bits
-        senders = tuple(evaluator._improvers(costs, loads).nonzero()[0].tolist())
+        if least != (least := loads[1:].min()):  # every user's floor moved with it
+            floor = evaluator._floor(loads)[:, 0]
+            requesting = floor < costs[:, 0]
+            senders = ids[requesting].tolist()
+            toggled.append(None)
+        else:  # only a user whose cost moved can join or leave
+            toggled.append([i for i in changed if (floor.item(i) < kept[i]) != requesting.item(i)])
+            for i in toggled[-1]:
+                requesting[i] = not requesting[i]
+                if requesting[i]:
+                    bisect.insort(senders, ids[i])
+                else:
+                    del senders[bisect.bisect_left(senders, i)]
         pick = new_decision = None
         if senders:
             pick = senders[pick_from(slot, len(senders))]
@@ -163,7 +182,7 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
                 system_overhead=float(evaluator._totals(costs)[0]),
                 beneficial_count=int(evaluator._beneficial(local, costs).sum()),
                 overheads=tuple(kept),
-                rtu_senders=senders,
+                rtu_senders=tuple(senders),
                 updater=pick,
                 new_decision=new_decision,
             )
@@ -183,7 +202,7 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
         loads[channels], pair_terms[channels] = evaluator._channel_terms(profile, channels)
 
     report = RunReport(seed=seed, slots=tuple(records))
-    object.__setattr__(report, "_renewed", {"profile": moved, "overheads": repriced})
+    object.__setattr__(report, "_renewed", {"profile": moved, "overheads": repriced, "rtu_senders": toggled})
     return report
 
 

@@ -11,8 +11,8 @@ never a negative number.  The potential is assembled from per-channel terms, so
 `dco.run_dco` can keep those terms between slots and refresh only the channels
 a move touches.  A `run_dco` slot is a batch of one column with `_loads`'
 (channels + 1, 1) loads, indexed by decision, so batches and slots share one
-method per rule: a user's cost (`_costs`), whether it has an improving move,
-checked on its own and the least-loaded channel only (`_improvers`), whether
+method per rule: a user's cost (`_costs`), the floor a cost must lie above for
+an improving move, local or on the least-loaded channel (`_floor`), whether
 it offloads at no loss (`_beneficial`) and a profile's total cost (`_totals`,
 numpy's row sum); the granted user's move, its tie rule and the μ of its
 potential change come from `_best_response`.  A scenario builds its evaluator
@@ -405,17 +405,17 @@ class ProfileEvaluator:
         np.copyto(costs, self._columns[4], where=local)
         return costs
 
-    def _improvers(self, costs: np.ndarray, loads: np.ndarray) -> np.ndarray:
-        """True where a user at cost `costs` has a strictly improving unilateral move.
+    def _floor(self, loads: np.ndarray) -> np.ndarray:
+        """(n_users, k) min(local cost, cloud cost at the least of `loads[1:]`): a user at cost `costs`
+        has a strictly improving unilateral move exactly where `floor < costs`.
 
-        A cloud cost never decreases as μ grows, so a user's cheapest move is
-        local, its own channel (its cost now) or the one with the least of
-        `loads[1:]`.  On the least-loaded or only channel, that last is its own
-        at μ = load, never below staying; every other channel is at least as loaded.
+        A cloud cost never decreases as μ grows, so a user's cheapest move is local, its own channel
+        (its cost now) or the least-loaded one.  On the least-loaded or only channel, that last is
+        its own at μ = load, never below staying; every other channel is at least as loaded.
         """
-        best = self._cloud_costs(loads[1:].min(axis=0, keepdims=True))
-        np.minimum(self._columns[4], best, out=best)
-        return best < costs
+        floor = self._cloud_costs(loads[1:].min(axis=0, keepdims=True))
+        np.minimum(self._columns[4], floor, out=floor)
+        return floor
 
     def _beneficial(self, local: np.ndarray, costs: np.ndarray) -> np.ndarray:
         """True where a user offloads (is not `local`) and its cost `costs` is at most its local cost."""
@@ -442,7 +442,7 @@ class ProfileEvaluator:
     def _batch_costs(self, batch: np.ndarray) -> tuple:
         """(local, costs, loads) of a checked batch: C-ordered (n_users, k) and `_loads`' (channels + 1, k).
 
-        `local` is True where a user computes locally.  With `_improvers` it
+        `local` is True where a user computes locally.  With `_floor` it
         gives the Nash mask, so no (k, n_users, channels+1) block is built.
         """
         local = np.equal(batch.T, LOCAL, order="C")
@@ -452,7 +452,7 @@ class ProfileEvaluator:
     def nash_mask(self, profiles) -> np.ndarray:
         """(k,) True where no user has a strictly improving unilateral deviation."""
         _, costs, loads = self._batch_costs(self._as_batch(profiles))
-        return ~np.any(self._improvers(costs, loads), axis=0)
+        return ~np.any(self._floor(loads) < costs, axis=0)
 
     @cached_property
     def _scan(self) -> _ProfileScan:
@@ -461,7 +461,7 @@ class ProfileEvaluator:
         Per plan of `_profile_blocks`, `_loads` gives the chunk's loads from
         its one-hot matrices, over the whole chunk as the bits of a load
         depend on the row count.  Then per column block, `_costs`,
-        `_improvers` and `_beneficial` give the Nash mask and the offloader
+        `_floor` and `_beneficial` give the Nash mask and the offloader
         counts of rows where no offloader loses out, with the bits of the
         public methods, which call the same kernels through `_batch_costs`,
         and one user-order sum of the costs gives both extreme totals; a
@@ -483,7 +483,7 @@ class ProfileEvaluator:
             loads = self._loads(plan.one_hot, plan.rows)
             for block in plan.blocks:
                 costs = self._costs(block.index, block.local, loads)
-                nash = ~np.any(self._improvers(costs, loads[:, block.columns]), axis=0)
+                nash = ~np.any(self._floor(loads[:, block.columns]) < costs, axis=0)
                 equilibria.append(block.decisions.T[nash])
                 with np.errstate(over="ignore"):  # as in `_totals`
                     totals = _sum_in_order(costs)

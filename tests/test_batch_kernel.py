@@ -130,8 +130,9 @@ def test_local_users_reach_the_cost_kernel_as_nan(scenario, monkeypatch):
     """A local user's own-channel μ is NaN, never a negative load − w, whose log2 is slow.
 
     Both inputs, a batch and every slot of `run_dco`, reach the kernel as
-    2-D all-user calls: the own-channel μ, then in a slot the (1, 1) least load.
-    The granted user's candidates are one (1, M+1) row against its (1, 1) constants.
+    2-D all-user calls: the own-channel μ, then, on a slot where the least load
+    moved and the requester set is rebuilt, the (1, 1) least load.  The granted
+    user's candidates are one (1, M+1) row against its (1, 1) constants.
     """
     calls = []
     cloud_costs = ProfileEvaluator._cloud_costs
@@ -148,11 +149,13 @@ def test_local_users_reach_the_cost_kernel_as_nan(scenario, monkeypatch):
         ((1, scenario.channels + 1), slice(rec.updater, rec.updater + 1)) for rec in report.slots[:-1]]
     received = [mu for mu, users in calls if users is None]
     assert np.array_equal(np.isnan(received[0]), batch.T == 0)
-    slot_calls = received[1:]
-    assert len(slot_calls) == 2 * report.total_slots
-    for slot, own_mu, least_load in zip(report.slots, slot_calls[::2], slot_calls[1::2]):
-        assert np.array_equal(np.isnan(own_mu), np.array([slot.profile]).T == 0)
-        assert least_load.shape == (1, 1)
+    rebuilt = [toggled is None for toggled in report._renewed["rtu_senders"]]
+    slot_calls = iter(received[1:])
+    assert len(received) == 1 + report.total_slots + sum(rebuilt)
+    for slot, rebuilds in zip(report.slots, rebuilt):
+        assert np.array_equal(np.isnan(next(slot_calls)), np.array([slot.profile]).T == 0)
+        if rebuilds:
+            assert next(slot_calls).shape == (1, 1)
     for mu in received:
         assert mu.ndim == 2 and np.all(mu[~np.isnan(mu)] >= 0)
 

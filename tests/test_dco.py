@@ -24,6 +24,7 @@ from offload_game.game import BEST_RESPONSE_ATOL, ProfileEvaluator
 from offload_game.model import AccessModel
 from offload_game.scenario import Scenario, ScenarioUser
 import reference
+from test_jsonio import RECORD_CASES
 from support import (
     contention_scenario_from_users,
     contention_user_with_threshold,
@@ -229,6 +230,51 @@ class TestIncrementalEngine:
         assert report.update_slots > 50
         assert report == reference.run_dco_dense(scenario, 3)
 
+    @pytest.mark.parametrize("access", list(AccessModel), ids=lambda a: a.value)
+    def test_least_load_moving_on_every_slot_or_on_none(self, access):
+        """On one channel every move changes the least load, so `run_dco` rebuilds the requester set on
+        every slot; with more channels than users one stays empty, so it rebuilds it on the first slot
+        only and keeps it on every other.  Both equal the dense loop."""
+        for seed in range(40):
+            n = 2 + seed % 12
+            for m in (1, n + 1):
+                scenario = generate(GenParams(n_users=n, channels=m, access_model=access), 3000 + seed)
+                report = run_dco(scenario, seed)
+                assert report == reference.run_dco_dense(scenario, seed), (n, m, seed)
+                want = [True] * report.total_slots if m == 1 else [True] + [False] * report.update_slots
+                assert [t is None for t in report._renewed["rtu_senders"]] == want, (n, m, seed)
+
+    @pytest.mark.parametrize("access", list(AccessModel), ids=lambda a: a.value)
+    def test_copies_of_one_user_tie_for_the_least_load(self, access):
+        """Copies of one user on two or four channels: equal loads are equal sums, so occupied channels
+        tie for the least load on some slots, not only the empty ones of the first."""
+        ties = 0
+        for seed in range(30):
+            base = generate(GenParams(n_users=1, channels=4, access_model=access), seed)
+            for m in (2, 4):
+                scenario = replace(base, channels=m, users=base.users * (3 + seed % 9))
+                report = run_dco(scenario, seed)
+                assert report == reference.run_dco_dense(scenario, seed), (m, seed)
+                for rec in report.slots:
+                    loads = scenario.evaluator.channel_loads([rec.profile])[0]
+                    ties += int(loads.min() > 0 and np.count_nonzero(loads == loads.min()) > 1)
+        assert ties > 10
+
+    def test_contention_unit_weights_mostly_keep_the_requester_set(self):
+        """Unit contention weights give exact integer loads, and the least load stays 0 until every
+        channel carries a user, so most slots keep the requester set and re-test only moved costs."""
+        for seed, (n, m) in enumerate([(60, 10), (200, 40)] * 3):
+            scenario = generate(GenParams(n_users=n, channels=m, access_model=AccessModel.CONTENTION), seed)
+            report = run_dco(scenario, seed)
+            assert report == reference.run_dco_dense(scenario, seed), (n, m, seed)
+            assert 4 * sum(t is None for t in report._renewed["rtu_senders"]) < report.total_slots
+
+    @pytest.mark.parametrize("seed, params", [case for case in RECORD_CASES
+                                              if case.id in ("free-upload", "sub-ulp-descent")])
+    def test_edge_generators_equal_the_dense_loop(self, seed, params):
+        scenario = generate(params, seed)
+        assert run_dco(scenario, seed) == reference.run_dco_dense(scenario, seed)
+
     def test_one_philox_per_run_picks_as_a_fresh_one_per_slot(self):
         """15,000 (seed, slot, n) picks, slots out of order, against `Philox(key=seed, counter=slot)` each.
 
@@ -271,11 +317,12 @@ class TestIncrementalEngine:
 
         A cost entry is the last slot's object exactly when its float64 bits are
         equal; a decision entry is, unless its user moved.  Each is an exact
-        float or int, as the streamed report writer needs.
+        float or int, as the streamed report writer needs.  A requester of the
+        last slot that still requests is the same int object.
         """
-        kept = renewed = 0
-        for seed in range(6):
-            n, m = [(8, 3), (40, 5), (120, 20)][seed % 3]
+        kept = renewed = kept_requesters = 0
+        cases = [(seed, [(8, 3), (40, 5), (120, 20)][seed % 3]) for seed in range(6)]
+        for seed, (n, m) in cases + [(6, (400, 66)), (7, (400, 66))]:
             report = run_dco(generate(GenParams(n_users=n, channels=m, access_model=access), seed), seed)
             for last, rec in zip(report.slots, report.slots[1:]):
                 assert {type(c) for c in rec.overheads} == {float}
@@ -285,9 +332,13 @@ class TestIncrementalEngine:
                 assert same_object == same_bits.tolist(), (n, m, seed, rec.slot)
                 moved = [i == last.updater for i in range(n)]
                 assert [d is not d0 for d, d0 in zip(rec.profile, last.profile)] == moved
+                requesters = {i: i for i in last.rtu_senders}  # each requester's object, by value
+                assert all(i is requesters[i] for i in rec.rtu_senders if i in requesters), (n, m, seed, rec.slot)
                 kept += int(same_bits.sum())
                 renewed += int((~same_bits).sum())
-        assert kept > renewed > 0
+                # CPython caches the ints up to 256, so only those above show a shared object
+                kept_requesters += len({i for i in rec.rtu_senders if i > 256} & requesters.keys())
+        assert kept > renewed > 0 and kept_requesters > 0
 
     def test_a_move_that_does_not_lower_the_potential_raises(self, tmp_path, monkeypatch):
         """The descent guard names the slot and the user; `trace` lets it propagate as the bug it is."""
@@ -310,7 +361,7 @@ class TestIncrementalEngine:
 
 
 def assert_two_candidates_match(scenario, profile) -> int:
-    """The slot engine's _costs, _improvers and _best_response against every candidate cost, bit for bit.
+    """The slot engine's _costs, _floor and _best_response against every candidate cost, bit for bit.
 
     The slot is a one-column batch: its costs have the bytes of `_batch_costs`
     on the same 1-row batch.  Returns how many users have a move, each of
@@ -328,7 +379,7 @@ def assert_two_candidates_match(scenario, profile) -> int:
     assert (current.shape, current.tobytes()) == (batch_costs.shape, batch_costs.tobytes())
     costs = current[:, 0]
     assert costs.tolist() == candidates[np.arange(len(costs)), batch[0]].tolist()
-    improvers = evaluator._improvers(current, loads)[:, 0]
+    improvers = (evaluator._floor(loads) < current)[:, 0]
     assert improvers.tolist() == (candidates.min(axis=1) < costs).tolist()
     movers = np.flatnonzero(improvers).tolist()
     for n in movers:

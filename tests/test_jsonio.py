@@ -97,17 +97,32 @@ def identity_changes(slots, name) -> list:
                     for prev, values in zip(columns, columns[1:]))]
 
 
+def least_load_moves(scenario, slots) -> list:
+    """Per slot, whether its least channel load differs from the slot before's; True on the first.
+
+    Each profile's loads come from its own one-row `channel_loads` call, whose bits the slot's are."""
+    least = [scenario.evaluator.channel_loads([rec.profile]).min() for rec in slots]
+    return [True, *(old != new for old, new in zip(least, least[1:]))]
+
+
 @pytest.mark.parametrize("seed, params", RECORD_CASES)
 def test_recorded_renewals_are_the_identity_changes(tmp_path, seed, params):
     """On every slot `run_dco` records exactly the `profile` and `overheads` entries that are new
-    objects since the slot before; the writer gives the stdlib's bytes from that record and from the
-    same slots rebuilt without it, whose columns it re-encodes whole on every slot."""
+    objects since the slot before, and the requesters that joined or left, except on the slots
+    where the least load moved, where it rebuilt the requester set; the writer gives the stdlib's
+    bytes from that record and from the same slots rebuilt without it, whose columns it re-encodes
+    whole on every slot."""
     scenario = generate(params, seed)
     report = run_dco(scenario, seed)
-    assert sorted(report._renewed) == ["overheads", "profile"]
-    for name, recorded in report._renewed.items():
+    assert sorted(report._renewed) == ["overheads", "profile", "rtu_senders"]
+    for name in ("profile", "overheads"):
+        recorded = report._renewed[name]
         for slot, (got, want) in enumerate(zip(recorded, identity_changes(report.slots, name), strict=True)):
             assert got == want, (name, slot)
+    toggled = report._renewed["rtu_senders"]
+    assert [t is None for t in toggled] == least_load_moves(scenario, report.slots)
+    for last, rec, got in zip(report.slots, report.slots[1:], toggled[1:]):
+        assert got is None or got == sorted(set(last.rtu_senders) ^ set(rec.rtu_senders)), rec.slot
     rebuilt = RunReport(report.seed, report.slots)
     assert not rebuilt._renewed and not dataclasses.replace(report)._renewed
     assert rebuilt == report and repr(rebuilt) == repr(report) and hash(rebuilt) == hash(report)
@@ -146,6 +161,22 @@ def test_streamed_report_change_detection_edges(tmp_path):
     senders = [(0, 1, 2), (1,), (), (), (2, 0), (0, 1, 2), (), (1,), (0, 1), (), (2,)]
     report = hand_report(profiles, overheads, senders)
     assert streamed_mismatch(tmp_path, report, HAND_SCENARIO) is None
+
+
+def test_streamed_requesters_spliced_from_a_record(tmp_path):
+    """A hand-built `rtu_senders` record, set as `run_dco` sets it: requesters join and leave at the
+    first, middle and last positions, the set empties and refills, and one slot mid-run is rebuilt
+    (None).  The writer splices the texts it names, so a record that drops one change gives other bytes."""
+    senders = [(2, 5, 9), (1, 2, 5, 9), (1, 2, 4, 5, 9), (1, 2, 4, 5, 9, 12), (2, 4, 5, 9), (2, 4, 9),
+               (2, 4), (), (3,), (0, 3, 7, 300), (0, 1, 3, 7, 8, 300), (0, 3, 8), (0, 3, 8, 10), (3,)]
+    record = [None, *(sorted(set(old) ^ set(new)) for old, new in zip(senders, senders[1:]))]
+    record[9] = None
+    report = hand_report([(t % 3, 1) for t in range(len(senders))], [(0.5 * t,) for t in range(len(senders))],
+                         senders)
+    object.__setattr__(report, "_renewed", {"rtu_senders": record})
+    assert streamed_mismatch(tmp_path, report, HAND_SCENARIO) is None
+    record[4] = record[4][1:]
+    assert streamed_mismatch(tmp_path, report, HAND_SCENARIO) is not None
 
 
 # a slot's entries come from one pool: the ints, the floats, or both plus the bools, whose
