@@ -53,14 +53,17 @@ def all_cloud_random(scenario: Scenario, seed: int) -> tuple:
     return tuple(int(c) for c in rng.integers(1, scenario.channels + 1, scenario.n_users))
 
 
-def _check_cap(scenario: Scenario, profile_cap: int) -> None:
-    """InstanceTooLarge past the cap; ValueError for a cap that is not an int >= 1."""
+def _check_cap(instance, profile_cap: int) -> None:
+    """InstanceTooLarge where a Scenario or its GenParams has more profiles than the cap;
+    ValueError for a cap that is not an int >= 1."""
     _check_count("profile_cap", profile_cap)
     if profile_cap < 1:
         raise ValueError(f"profile_cap must be >= 1, got {profile_cap}")
-    # the power is named, not printed: it can have more digits than str() converts
-    if (scenario.channels + 1) ** scenario.n_users > profile_cap:
-        raise InstanceTooLarge(f"{scenario.channels + 1}^{scenario.n_users} profiles exceed the cap {profile_cap}")
+    n, m = instance.n_users, instance.channels
+    # the power is named, not printed: it can have more digits than str() converts.  With
+    # m >= 1 it is at least 2**n, so from the cap's bit length on it is past the cap unbuilt
+    if n >= profile_cap.bit_length() or (m + 1) ** n > profile_cap:
+        raise InstanceTooLarge(f"{m + 1}^{n} profiles exceed the cap {profile_cap}")
 
 
 def _check_objective(objective) -> None:

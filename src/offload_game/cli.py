@@ -10,7 +10,6 @@ names its scenario by `scenario_fingerprint`, computed once as the file is writt
 from __future__ import annotations
 
 import argparse
-import bisect
 import csv
 import itertools
 import json
@@ -26,8 +25,8 @@ from .baselines import (
     DEFAULT_PROFILE_CAP,
     CrossEntropyParams,
     Objective,
+    _check_cap,
     all_cloud_random,
-    all_local,
     cross_entropy_optimize,
 )
 from .dco import RunReport, SlotRecord, run_dco
@@ -191,7 +190,7 @@ class _Column:
     and re-joins only the blocks those entries fall in."""
 
     def __init__(self, renewals):
-        self.renewals, self.texts, self.blocks = renewals, [], []
+        self.renewals, self.texts, self.blocks = iter(renewals), [], []
 
     def encode(self, values) -> str:
         renewed = next(self.renewals)
@@ -208,47 +207,38 @@ class _Column:
         return f"[{_ENTRY}{_SEP.join(self.blocks)}{_FIELD}]"
 
 
-class _Members(_Column):
-    """The sorted `rtu_senders` column: a slot splices in or out the texts of the members `renewals`
-    names as joined or left, or re-encodes them all for None (as on the first slot)."""
-
-    def encode(self, values) -> str:
-        toggled = next(self.renewals)
-        if toggled is None:
-            self.members, self.texts = list(values), _texts(values) if values else []
-        else:
-            for member, text in zip(toggled, _texts(toggled)):
-                at = bisect.bisect_left(self.members, member)
-                if self.members[at:at + 1] == [member]:
-                    del self.members[at], self.texts[at]
-                else:
-                    self.members[at:at], self.texts[at:at] = [member], [text]
-        return f"[{_ENTRY}{_SEP.join(self.texts)}{_FIELD}]" if values else "[]"
-
-
 def write_report(path: Path, report: RunReport, scenario: Scenario):
     """`_write_json(path, report_document(report, scenario))`, streamed slot by slot with no
-    report-sized string.  A tuple field `run_dco` recorded (see `RunReport`) re-encodes only the
-    entries it renewed, or the requesters that joined or left, since the slot before; any other
-    is re-encoded whole on every slot.  A slot's other fields take one C-encoder call together.
-    The fields must hold JSON numbers, bools and None, or tuples of them, as SlotRecord declares."""
+    report-sized string.  For a report `run_dco` made (see `RunReport`) a slot re-encodes only the
+    costs it renewed and the decision of the slot before's updater, and joins its requesters from
+    the user indices' texts, made once; any other report has its tuple fields re-encoded whole on
+    every slot.  A slot's other fields take one C-encoder call together.  The fields must hold
+    JSON numbers, bools and None, or tuples of them, as SlotRecord declares."""
     head = report_document(report, scenario)
     del head["slots"]
-    # (name, key text, column) per field in order: the fields holding a tuple are columns, the others scalars
-    first = report.slots[0]
+    slots = report.slots
+    encoders = {}
+    if report._repriced:
+        users = _texts(list(range(len(slots[0].profile))))
+        encoders = {
+            "profile": _Column([None, *([rec.updater] for rec in slots[:-1])]).encode,
+            "overheads": _Column(report._repriced).encode,
+            "rtu_senders": lambda senders: f"[{_ENTRY}{_SEP.join([users[i] for i in senders])}{_FIELD}]"
+            if senders else "[]",
+        }
+    # (name, key text, encoder) per field in order: a field holding a tuple has an encoder, a scalar None
     layout = [(f.name, ("," if k else "") + _FIELD + json.dumps(f.name) + ": ",
-               (_Members if f.name == "rtu_senders" else _Column)(
-                   iter(report._renewed.get(f.name) or itertools.repeat(None)))
-               if isinstance(getattr(first, f.name), tuple) else None)
+               encoders.get(f.name) or _Column(itertools.repeat(None)).encode
+               if isinstance(getattr(slots[0], f.name), tuple) else None)
               for k, f in enumerate(fields(SlotRecord))]
-    scalars = [name for name, _, column in layout if column is None]
+    scalars = [name for name, _, encode in layout if encode is None]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "slots": [')
-        for i, rec in enumerate(report.slots):
+        for i, rec in enumerate(slots):
             texts = iter(_texts([getattr(rec, name) for name in scalars]))
             parts = [",\n    {" if i else "\n    {"]
-            for name, key, column in layout:
-                parts += key, next(texts) if column is None else column.encode(getattr(rec, name))
+            for name, key, encode in layout:
+                parts += key, next(texts) if encode is None else encode(getattr(rec, name))
             parts.append("\n    }")
             fh.write("".join(parts))
         fh.write("\n  ]\n}\n")
@@ -288,7 +278,6 @@ def _sweep_cell(cell) -> dict:
     scenario = generate(params, gen_seed)
     evaluator = scenario.evaluator
     report = run_dco(scenario, run_seed)
-    local_cost = float(evaluator.system_overheads([all_local(scenario)])[0])
     random_profile = all_cloud_random(scenario, run_seed)
     return {
         "n": params.n_users,
@@ -296,7 +285,7 @@ def _sweep_cell(cell) -> dict:
         "dco_beneficial": report.beneficial_count,
         "dco_system_overhead": report.system_overhead,
         "dco_update_slots": report.update_slots,
-        "all_local_overhead": local_cost,
+        "all_local_overhead": report.slots[0].system_overhead,  # the run starts all-local
         "all_cloud_beneficial": int(evaluator.beneficial_counts([random_profile])[0]),
         "all_cloud_overhead": float(evaluator.system_overheads([random_profile])[0]),
     }
@@ -365,6 +354,7 @@ def _oracle_cell(cell) -> dict:
 
 def cmd_oracle(args: argparse.Namespace, out: Path):
     params = _from_fields(args, GenParams, "generator flags", n_users=args.n, channels=args.m)
+    _check_cap(params, args.profile_cap)
     ce_params = _from_fields(args, CrossEntropyParams, "ce flags", prefix="ce_")
     cells = [(params, seed, args.profile_cap, ce_params) for seed in _seed_range(args)]
     _run_cells(args, out, _oracle_cell, cells)
@@ -392,6 +382,7 @@ def _poa_cell(cell) -> dict:
 
 def cmd_poa(args: argparse.Namespace, out: Path):
     params = _from_fields(args, GenParams, "generator flags", n_users=args.n, channels=args.m)
+    _check_cap(params, args.profile_cap)
     cells = [(params, seed, args.profile_cap) for seed in _seed_range(args)]
     _run_cells(args, out, _poa_cell, cells)
 

@@ -19,7 +19,7 @@ while the least load stays re-tests only the users whose cost moved.  A slot
 then costs O(N + M), and every SlotRecord has the bits a full rescoring of
 the profile would give.  Records share what did not change: an entry the
 slot left alone, to the bit, is the very object of the record before, and
-the run records what changed, so a streamed writer re-encodes only that.
+the report lists the costs each slot renewed (`RunReport`).
 A report is its seed and slots, compares by them alone, and names no scenario.
 """
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -45,8 +44,8 @@ class SlotRecord:
 
     `profile` holds Python ints and `overheads` Python floats; an entry equal
     to the last slot's, bit for bit, is the same object as that slot's entry,
-    as each user in the sorted `rtu_senders` is.  The `RunReport` of a
-    `run_dco` run names, per slot, the entries and the users that are not.
+    as each user index in the sorted `rtu_senders` is.  `profile` differs from
+    the last slot's only at that slot's `updater`.
     """
 
     slot: int
@@ -64,18 +63,17 @@ class SlotRecord:
 class RunReport:
     """One run's record, replayable from its scenario and `seed`; its result is the last slot.
 
-    `run_dco` sets the private `_renewed` on the reports it makes: it maps
-    "profile" and "overheads" to, per slot, the indices where that tuple holds
-    another object than the slot before (None on the first slot), and
-    "rtu_senders" to the sorted users that joined or left the tuple (None
-    where the least load moved, as on the first slot).  Any other
-    report, one built by hand or by `dataclasses.replace`, has it empty.  It is
-    not a field: equality, hashing, `repr` and `fields` see only `seed` and `slots`.
+    `run_dco` sets the private `_repriced` on the reports it makes: per slot,
+    the users whose `overheads` entry is another object than the slot before's
+    (None on the first slot), the one change the slots do not name.  Any
+    other report, one built by hand or by `dataclasses.replace`, has it
+    empty.  It is not a field: equality, hashing, `repr` and `fields` see
+    only `seed` and `slots`.
     """
 
     seed: int
     slots: tuple  # tuple[SlotRecord, ...], ending at a Nash equilibrium
-    _renewed = MappingProxyType({})  # not annotated, so no field
+    _repriced = ()  # not annotated, so no field
 
     @property
     def final_profile(self) -> tuple:
@@ -138,12 +136,12 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
     loads = evaluator._loads((), 1)
     pair_terms = np.zeros_like(loads)  # row 0 (local) stays 0
     # the records' decisions and costs as Python objects, renewed only where a move or a cost's bits
-    # change; per slot, the indices renewed since the slot before (None on the first: all are new)
+    # change; per slot, the costs renewed since the slot before (None on the first: all are new)
     entries, kept, last = [0] * scenario.n_users, [None] * scenario.n_users, None
-    moved, repriced, records = [None], [None], []
+    repriced, records = [None], []
     # the sorted requesters, one int object per user, each user's `_floor` and whether it lies below
-    # its cost: all rebuilt only when the least load moves; per slot, the requesters that toggled
-    ids, least, toggled = np.arange(scenario.n_users).astype(object), None, []
+    # its cost: all rebuilt only when the least load moves
+    ids, least = np.arange(scenario.n_users).astype(object), None
     for slot in itertools.count():
         local = decisions == LOCAL
         costs = evaluator._costs(decisions, local, loads)
@@ -158,10 +156,8 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
             floor = evaluator._floor(loads)[:, 0]
             requesting = floor < costs[:, 0]
             senders = ids[requesting].tolist()
-            toggled.append(None)
         else:  # only a user whose cost moved can join or leave
-            toggled.append([i for i in changed if (floor.item(i) < kept[i]) != requesting.item(i)])
-            for i in toggled[-1]:
+            for i in [i for i in changed if (floor.item(i) < kept[i]) != requesting.item(i)]:
                 requesting[i] = not requesting[i]
                 if requesting[i]:
                     bisect.insort(senders, ids[i])
@@ -197,12 +193,11 @@ def run_dco(scenario: Scenario, seed: int) -> RunReport:
                 f"co-channel weight {mu_old!r} to {mu_new!r}; improvement path broken"
             )
         profile[0, pick] = entries[pick] = new_decision
-        moved.append([pick])
         channels = [d for d in (old_decision, new_decision) if d > 0]
         loads[channels], pair_terms[channels] = evaluator._channel_terms(profile, channels)
 
     report = RunReport(seed=seed, slots=tuple(records))
-    object.__setattr__(report, "_renewed", {"profile": moved, "overheads": repriced, "rtu_senders": toggled})
+    object.__setattr__(report, "_repriced", repriced)
     return report
 
 

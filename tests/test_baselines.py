@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -26,7 +27,8 @@ from offload_game import (
     poa_overhead,
     run_dco,
 )
-from offload_game import game, metrics
+from offload_game import baselines, game, metrics
+from offload_game.baselines import DEFAULT_PROFILE_CAP
 from offload_game.model import AccessModel
 import reference
 import test_game
@@ -117,6 +119,22 @@ class TestExhaustive:
         # 2^15000 has more digits than str() converts, so the message names the power
         with pytest.raises(InstanceTooLarge, match=r"^2\^15000 profiles exceed the cap 10000000$"):
             enumerate_nash(small_paper_scenario(15000, 1, seed=0))
+
+    def test_cap_past_the_bit_length_raises_unbuilt(self):
+        """6^(10^8) is never built: past the cap's bit length, 2^N alone exceeds it (6^(10^7) takes seconds)."""
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLarge, match=r"^6\^100000000 profiles exceed the cap 10000000$"):
+            baselines._check_cap(SimpleNamespace(channels=5, n_users=10**8), DEFAULT_PROFILE_CAP)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_is_exact_at_the_bit_length(self):
+        for cap, n, m in itertools.product(range(1, 70), range(1, 9), range(1, 5)):
+            instance = SimpleNamespace(channels=m, n_users=n)
+            if (m + 1) ** n > cap:
+                with pytest.raises(InstanceTooLarge):
+                    baselines._check_cap(instance, cap)
+            else:
+                baselines._check_cap(instance, cap)
 
     @pytest.mark.parametrize("cap", [0, -5, True, 2.5, None, "x"])
     @pytest.mark.parametrize("entry", [

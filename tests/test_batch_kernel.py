@@ -19,6 +19,7 @@ from offload_game.model import AccessModel, _cloud_cost_coefficients
 import reference
 from support import random_instance, simple_user
 from test_dco import generator_params
+from test_jsonio import least_load_moves
 
 BATCH_METHODS = ("channel_loads", "overheads", "system_overheads", "beneficial_mask", "beneficial_counts",
                  "repair_to_beneficial", "nash_mask", "candidate_overheads", "potential")
@@ -149,7 +150,7 @@ def test_local_users_reach_the_cost_kernel_as_nan(scenario, monkeypatch):
         ((1, scenario.channels + 1), slice(rec.updater, rec.updater + 1)) for rec in report.slots[:-1]]
     received = [mu for mu, users in calls if users is None]
     assert np.array_equal(np.isnan(received[0]), batch.T == 0)
-    rebuilt = [toggled is None for toggled in report._renewed["rtu_senders"]]
+    rebuilt = least_load_moves(scenario, report.slots)
     slot_calls = iter(received[1:])
     assert len(received) == 1 + report.total_slots + sum(rebuilt)
     for slot, rebuilds in zip(report.slots, rebuilt):

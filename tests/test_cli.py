@@ -7,10 +7,11 @@ import math
 import os
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from offload_game import (
-    GenParams, SlotRecord, generate, load_scenario, read_scenario, run_dco, save_scenario,
+    GenParams, SlotRecord, all_local, generate, load_scenario, read_scenario, run_dco, save_scenario,
     scenario_fingerprint, write_scenario,
 )
 from offload_game import cli
@@ -241,6 +242,17 @@ class TestSweep:
         assert err.startswith("error: users: user 0: a cost or its threshold is not a number")
         assert not (tmp_path / "s" / "summary.csv").exists()
 
+    @pytest.mark.parametrize("access", list(AccessModel), ids=lambda a: a.value)
+    def test_all_local_overhead_is_the_all_local_total(self, access):
+        """A run starts all-local, so the cell's `all_local_overhead`, its first slot's total, has the
+        bits of `system_overheads` of the all-local profile."""
+        for seed in range(120):
+            params = GenParams(n_users=1 + seed % 58, channels=1 + seed % 7, access_model=access)
+            scenario = generate(params, seed)
+            total = scenario.evaluator.system_overheads([all_local(scenario)])[0]
+            row = cli._sweep_cell((params, seed, seed))
+            assert np.float64(row["all_local_overhead"]).tobytes() == total.tobytes(), seed
+
     def test_worker_count_clamped(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         assert _worker_count(10**6, 50) == min(cpus, 50)
@@ -341,6 +353,19 @@ class TestOracleAndPoa:
         assert main(base + ["--seed-base", str(2**128 - 1), "--seeds", "2"]) == EXIT_CONFIG
         assert main(base + ["--profile-cap", "0"]) == EXIT_CONFIG
         assert main(base + ["--profile-cap", "-5"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, n, m", [("oracle", 20000, 3000), ("poa", 300000, 5)])
+    def test_too_large_rejected_before_any_scenario(self, tmp_path, capsys, monkeypatch, command, n, m):
+        """(M+1)^N meets the cap once the generator flags validate, before a cell generates its scenario."""
+        def no_scenario(*args):
+            raise AssertionError("a cell generated its scenario")
+
+        monkeypatch.setattr(cli, "generate", no_scenario)
+        out = tmp_path / command
+        assert main([command, "--n", str(n), "--m", str(m), "--seeds", "1", "--out", str(out)]) == EXIT_TOO_LARGE
+        assert capsys.readouterr().err == f"error: {m + 1}^{n} profiles exceed the cap 10000000\n"
+        assert not (out / "summary.csv").exists()
+        assert main([command, "--n", "0", "--m", str(m), "--seeds", "1", "--out", str(out)]) == EXIT_CONFIG
 
     def test_too_large_exit_code(self, tmp_path, capsys):
         code = main([

@@ -24,7 +24,7 @@ from offload_game.game import BEST_RESPONSE_ATOL, ProfileEvaluator
 from offload_game.model import AccessModel
 from offload_game.scenario import Scenario, ScenarioUser
 import reference
-from test_jsonio import RECORD_CASES
+from test_jsonio import RECORD_CASES, least_load_moves
 from support import (
     contention_scenario_from_users,
     contention_user_with_threshold,
@@ -200,6 +200,28 @@ class TestSlotTotal:
                 assert np.float64(rec.system_overhead).tobytes() == total.tobytes(), (n_users, rec.slot)
 
 
+def requester_rebuilds(monkeypatch, scenario, seed) -> tuple:
+    """`run_dco(scenario, seed)` and, per slot, whether it called `_floor`, so rebuilt its requester
+    set; read from spies on `_costs`, which each slot calls once before, and on `_floor`."""
+    calls = []
+
+    def spy(name):
+        method = getattr(ProfileEvaluator, name)
+
+        def call(evaluator, *args):
+            calls.append(name)
+            return method(evaluator, *args)
+        return call
+
+    with monkeypatch.context() as patch:
+        for name in ("_costs", "_floor"):
+            patch.setattr(ProfileEvaluator, name, spy(name))
+        report = run_dco(scenario, seed)
+    assert calls.count("_costs") == report.total_slots
+    return report, [call == "_costs" and after == "_floor" for call, after in zip(calls, calls[1:] + [None])
+                    if call == "_costs"]
+
+
 # (N, M) shapes for the differential test: one channel, two, fewer users than
 # channels, and many users on few channels
 SHAPES = [(1, 1), (6, 1), (12, 1), (3, 2), (9, 2), (40, 2), (2, 5), (3, 8), (8, 3), (25, 4)]
@@ -231,7 +253,7 @@ class TestIncrementalEngine:
         assert report == reference.run_dco_dense(scenario, 3)
 
     @pytest.mark.parametrize("access", list(AccessModel), ids=lambda a: a.value)
-    def test_least_load_moving_on_every_slot_or_on_none(self, access):
+    def test_least_load_moving_on_every_slot_or_on_none(self, access, monkeypatch):
         """On one channel every move changes the least load, so `run_dco` rebuilds the requester set on
         every slot; with more channels than users one stays empty, so it rebuilds it on the first slot
         only and keeps it on every other.  Both equal the dense loop."""
@@ -239,10 +261,10 @@ class TestIncrementalEngine:
             n = 2 + seed % 12
             for m in (1, n + 1):
                 scenario = generate(GenParams(n_users=n, channels=m, access_model=access), 3000 + seed)
-                report = run_dco(scenario, seed)
+                report, rebuilt = requester_rebuilds(monkeypatch, scenario, seed)
                 assert report == reference.run_dco_dense(scenario, seed), (n, m, seed)
                 want = [True] * report.total_slots if m == 1 else [True] + [False] * report.update_slots
-                assert [t is None for t in report._renewed["rtu_senders"]] == want, (n, m, seed)
+                assert rebuilt == least_load_moves(scenario, report.slots) == want, (n, m, seed)
 
     @pytest.mark.parametrize("access", list(AccessModel), ids=lambda a: a.value)
     def test_copies_of_one_user_tie_for_the_least_load(self, access):
@@ -260,14 +282,15 @@ class TestIncrementalEngine:
                     ties += int(loads.min() > 0 and np.count_nonzero(loads == loads.min()) > 1)
         assert ties > 10
 
-    def test_contention_unit_weights_mostly_keep_the_requester_set(self):
+    def test_contention_unit_weights_mostly_keep_the_requester_set(self, monkeypatch):
         """Unit contention weights give exact integer loads, and the least load stays 0 until every
         channel carries a user, so most slots keep the requester set and re-test only moved costs."""
         for seed, (n, m) in enumerate([(60, 10), (200, 40)] * 3):
             scenario = generate(GenParams(n_users=n, channels=m, access_model=AccessModel.CONTENTION), seed)
-            report = run_dco(scenario, seed)
+            report, rebuilt = requester_rebuilds(monkeypatch, scenario, seed)
             assert report == reference.run_dco_dense(scenario, seed), (n, m, seed)
-            assert 4 * sum(t is None for t in report._renewed["rtu_senders"]) < report.total_slots
+            assert rebuilt == least_load_moves(scenario, report.slots), (n, m, seed)
+            assert 4 * sum(rebuilt) < report.total_slots
 
     @pytest.mark.parametrize("seed, params", [case for case in RECORD_CASES
                                               if case.id in ("free-upload", "sub-ulp-descent")])

@@ -107,24 +107,24 @@ def least_load_moves(scenario, slots) -> list:
 
 @pytest.mark.parametrize("seed, params", RECORD_CASES)
 def test_recorded_renewals_are_the_identity_changes(tmp_path, seed, params):
-    """On every slot `run_dco` records exactly the `profile` and `overheads` entries that are new
-    objects since the slot before, and the requesters that joined or left, except on the slots
-    where the least load moved, where it rebuilt the requester set; the writer gives the stdlib's
-    bytes from that record and from the same slots rebuilt without it, whose columns it re-encodes
-    whole on every slot."""
+    """On every slot `run_dco` records exactly the `overheads` entries that are new objects since
+    the slot before, and its slots hold the writer's two premises: a slot's `profile` holds a new
+    object only at the slot before's updater, and every `rtu_senders` is a sorted tuple of user
+    indices.  The writer gives the stdlib's bytes from that record and from the same slots rebuilt
+    without it, whose columns it re-encodes whole on every slot."""
     scenario = generate(params, seed)
     report = run_dco(scenario, seed)
-    assert sorted(report._renewed) == ["overheads", "profile", "rtu_senders"]
-    for name in ("profile", "overheads"):
-        recorded = report._renewed[name]
-        for slot, (got, want) in enumerate(zip(recorded, identity_changes(report.slots, name), strict=True)):
-            assert got == want, (name, slot)
-    toggled = report._renewed["rtu_senders"]
-    assert [t is None for t in toggled] == least_load_moves(scenario, report.slots)
-    for last, rec, got in zip(report.slots, report.slots[1:], toggled[1:]):
-        assert got is None or got == sorted(set(last.rtu_senders) ^ set(rec.rtu_senders)), rec.slot
+    for slot, (got, want) in enumerate(zip(report._repriced, identity_changes(report.slots, "overheads"),
+                                           strict=True)):
+        assert got == want, slot
+    assert identity_changes(report.slots, "profile") == [None, *([rec.updater] for rec in report.slots[:-1])]
+    users = range(scenario.n_users)
+    for rec in report.slots:
+        senders = rec.rtu_senders
+        assert type(senders) is tuple and list(senders) == sorted(set(senders)), rec.slot
+        assert all(type(i) is int and i in users for i in senders), rec.slot
     rebuilt = RunReport(report.seed, report.slots)
-    assert not rebuilt._renewed and not dataclasses.replace(report)._renewed
+    assert not rebuilt._repriced and not dataclasses.replace(report)._repriced
     assert rebuilt == report and repr(rebuilt) == repr(report) and hash(rebuilt) == hash(report)
     want = (json.dumps(report_document(report, scenario), indent=2) + "\n").encode()
     path = tmp_path / "report.json"
@@ -163,17 +163,27 @@ def test_streamed_report_change_detection_edges(tmp_path):
     assert streamed_mismatch(tmp_path, report, HAND_SCENARIO) is None
 
 
-def test_streamed_requesters_spliced_from_a_record(tmp_path):
-    """A hand-built `rtu_senders` record, set as `run_dco` sets it: requesters join and leave at the
-    first, middle and last positions, the set empties and refills, and one slot mid-run is rebuilt
-    (None).  The writer splices the texts it names, so a record that drops one change gives other bytes."""
+def test_streamed_recorded_report_follows_its_moves(tmp_path):
+    """A hand-built report recorded as `run_dco` records one: a slot's profile differs from the slot
+    before's only at that slot's updater, one of its sorted requesters, and `_repriced` names the
+    costs that are new objects.  Requesters join and leave at the first, middle and last positions,
+    the list shrinks to one and refills, and it is empty on the last slot only, where `run_dco`
+    stops.  A record that drops one renewed cost gives other bytes."""
     senders = [(2, 5, 9), (1, 2, 5, 9), (1, 2, 4, 5, 9), (1, 2, 4, 5, 9, 12), (2, 4, 5, 9), (2, 4, 9),
-               (2, 4), (), (3,), (0, 3, 7, 300), (0, 1, 3, 7, 8, 300), (0, 3, 8), (0, 3, 8, 10), (3,)]
-    record = [None, *(sorted(set(old) ^ set(new)) for old, new in zip(senders, senders[1:]))]
-    record[9] = None
-    report = hand_report([(t % 3, 1) for t in range(len(senders))], [(0.5 * t,) for t in range(len(senders))],
-                         senders)
-    object.__setattr__(report, "_renewed", {"rtu_senders": record})
+               (2, 4), (4,), (3,), (0, 3, 7, 300), (0, 1, 3, 7, 8, 300), (0, 3, 8), (300,), (0, 3, 8, 10), (3,), ()]
+    profile, costs, slots = [0] * 301, [0.5] * 301, []
+    for t, requesters in enumerate(senders):
+        updater = requesters[t % len(requesters)] if requesters else None
+        new_decision = None if updater is None else (profile[updater] + 1 + t % 3) % 4
+        slots.append(SlotRecord(slot=t, profile=tuple(profile), potential=0.25 * t, system_overhead=1.5 * t,
+                                beneficial_count=len(requesters), overheads=tuple(costs),
+                                rtu_senders=requesters, updater=updater, new_decision=new_decision))
+        if updater is not None:
+            profile[updater] = new_decision
+        costs[(37 * t) % 301], costs[t] = 0.5 * t, 0.5 * t + 1  # fresh floats, old values among them
+    report = RunReport(seed=0, slots=tuple(slots))
+    record = identity_changes(report.slots, "overheads")
+    object.__setattr__(report, "_repriced", record)
     assert streamed_mismatch(tmp_path, report, HAND_SCENARIO) is None
     record[4] = record[4][1:]
     assert streamed_mismatch(tmp_path, report, HAND_SCENARIO) is not None
