@@ -18,6 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 
 from ._version import __version__
@@ -220,11 +221,16 @@ def write_report(path: Path, report: RunReport, scenario: Scenario):
     encoders = {}
     if report._repriced:
         users = _texts(list(range(len(slots[0].profile))))
+
+        def requesters(senders) -> str:
+            if len(senders) < 2:  # itemgetter of one index returns its text bare, not in a tuple
+                return f"[{_ENTRY}{users[senders[0]]}{_FIELD}]" if senders else "[]"
+            return f"[{_ENTRY}{_SEP.join(itemgetter(*senders)(users))}{_FIELD}]"
+
         encoders = {
             "profile": _Column([None, *([rec.updater] for rec in slots[:-1])]).encode,
             "overheads": _Column(report._repriced).encode,
-            "rtu_senders": lambda senders: f"[{_ENTRY}{_SEP.join([users[i] for i in senders])}{_FIELD}]"
-            if senders else "[]",
+            "rtu_senders": requesters,
         }
     # (name, key text, encoder) per field in order: a field holding a tuple has an encoder, a scalar None
     layout = [(f.name, ("," if k else "") + _FIELD + json.dumps(f.name) + ": ",

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from offload_game import GenParams, beneficial_threshold, generate
 from offload_game._version import __version__
-from offload_game.model import AccessModel, ChannelEnv, UserProfile
+from offload_game.model import AccessModel, ChannelEnv, UserProfile, _cloud_cost_coefficients
 from offload_game.scenario import Scenario, ScenarioUser
 
 
@@ -74,6 +76,19 @@ def random_instance(rng, access=AccessModel.INTERFERENCE, n_range=(2, 6), m_rang
                 continue
         users.append(u)
     return env, users
+
+
+def extreme_users() -> list:
+    """A user whose upload is free (zero rate coefficient) and users of weight 1e-300 and 1e150.
+
+    1e150 is about the largest weight whose potential stays finite: the
+    evaluator rejects a 1e300 weight.
+    """
+    free = simple_user(transmit_power_mw=0.0, time_weight=0.0, energy_weight=1.0, tail_energy_j=0.1)
+    tiny = simple_user(channel_gain=1e-300, contention_weight=1e-300, peak_rate_bps=10.0)
+    huge = simple_user(channel_gain=1e150, contention_weight=1e150, peak_rate_bps=1e3)
+    assert _cloud_cost_coefficients(free)[0] == 0.0
+    return [free, tiny, huge]
 
 
 def random_profile(rng, env, users) -> tuple:
@@ -163,3 +178,18 @@ def small_paper_scenario(n_users: int, channels: int, seed: int, time_only=False
         energy_weight_choices=(0.0,) if time_only else (1.0, 0.5, 0.0),
     )
     return generate(params, seed)
+
+
+def infinite_coefficient_scenario() -> Scenario:
+    """A seeded 3^6 contention instance whose user 2 has rate coefficient +inf and a NaN cloud cost.
+
+    Its 1.25e303 KB input overflows the coefficient, and its peak rate times
+    weight overflows, so its rate is +inf on every channel and its cloud cost
+    inf/inf.  A NaN cost is not beneficial, so no profile where user 2
+    offloads is feasible, yet no floor is below it: two of the four
+    equilibria have user 2 offloading.
+    """
+    scenario = generate(GenParams(n_users=6, channels=2, access_model=AccessModel.CONTENTION), 3)
+    users = list(scenario.users)
+    users[2] = replace(users[2], b_kb=1.25e303, lambda_e=0.5, R_bps=1e308, W=10.0)
+    return replace(scenario, users=tuple(users))

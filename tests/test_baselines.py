@@ -33,6 +33,7 @@ from offload_game.model import AccessModel
 import reference
 import test_game
 from support import (
+    infinite_coefficient_scenario,
     integer_contention_scenario,
     never_beneficial_user,
     random_instance,
@@ -224,6 +225,31 @@ class TestSharedScan:
                 patch.setattr(metrics, "exhaustive_optimize", lambda s, o, cap: optima[o])
                 assert reports == (asdict(poa_beneficial(scenario)),
                                    asdict(poa_overhead(scenario))), label
+
+    def test_an_infinite_rate_coefficient(self):
+        """User 2's rate coefficient is +inf and its cloud cost NaN (`support.infinite_coefficient_scenario`).
+
+        The Nash set, two of whose four members have user 2 offloading, and
+        both optimum profiles are the user-last kernel's and the separate
+        scans'.  Two totals are NaN: the least, since np.argmin returns the
+        first NaN, and the costliest equilibrium's, since numpy's max over a
+        block carries the NaN, where the kernel's Python max over the
+        equilibria's totals passes over it.
+        """
+        scenario = infinite_coefficient_scenario()
+        evaluator = scenario.evaluator
+        assert math.isinf(evaluator.rate_coeffs[2])
+        scan = evaluator._scan
+        kernel = reference.UserLastKernel(evaluator, scenario.user_profiles).scan()
+        assert len(scan.equilibria) == 4 and sum(a[2] > 0 for a in scan.equilibria) == 2
+        assert scan.equilibria == kernel.equilibria == tuple(reference.enumerate_nash_separate(scenario))
+        assert scan.max_beneficial == kernel.max_beneficial == reference.exhaustive_optimize_separate(
+            scenario, Objective.MAX_BENEFICIAL)
+        profile, total = scan.min_overhead
+        separate_profile, separate_total = reference.exhaustive_optimize_separate(scenario, Objective.MIN_OVERHEAD)
+        assert profile == kernel.min_overhead[0] == separate_profile == (0, 0, 1, 0, 0, 0)
+        assert math.isnan(total) and math.isnan(kernel.min_overhead[1]) and math.isnan(separate_total)
+        assert math.isnan(scan.worst_overhead) and not math.isnan(kernel.worst_overhead)
 
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_equals_the_separate_scans_across_chunk_boundaries(self, access, monkeypatch):
@@ -444,14 +470,26 @@ class TestScanBlocks:
         assert crossed == {"nash", "max_beneficial", "min_overhead"}
 
     def test_no_cost_call_of_a_scan_exceeds_a_block(self, monkeypatch):
-        """Kept (N=8, M=3) or streamed (N=10, M=3), a scan costs two blocks of at most _BLOCK_CELLS at a time.
+        """Kept (N=8, M=3) or streamed (N=10, M=3), a scan prices at most _BLOCK_CELLS costs a call.
 
-        Each block costs its users once on their own channel and once at the
-        least load.  The loads come from one `_loads` call per chunk, over all
-        its rows, since a load's bits depend on the row count.
+        Each block costs its users once on their own channel.  The least-load
+        floor prices, in one call a block or none, only the block's columns
+        where no offloader loses out, in order: the loads it is given are
+        exactly those columns' loads.  The loads come from one `_loads` call
+        per chunk, over all its rows, since a load's bits depend on the row count.
         """
-        sizes, rows_loaded = [], []
-        cloud_costs, loads = ProfileEvaluator._cloud_costs, ProfileEvaluator._loads
+        scenarios = [small_paper_scenario(n, 3, seed=0) for n in (8, 10)]
+        blocks, chunk_rows, candidate_loads = 0, [], []
+        for scenario in scenarios:
+            n, evaluator = scenario.n_users, scenario.evaluator
+            assert np.isfinite(evaluator.rate_coeffs).all()
+            for chunk in game._canonical_chunks(n, 3):
+                blocks += -(-len(chunk) // (game._BLOCK_CELLS // n))
+                chunk_rows.append(len(chunk))
+                feasible = (evaluator.beneficial_mask(chunk) == (chunk > 0)).all(axis=1)
+                candidate_loads.append(evaluator.channel_loads(chunk)[feasible])
+        sizes, rows_loaded, floored = [], [], []
+        cloud_costs, loads, floor = ProfileEvaluator._cloud_costs, ProfileEvaluator._loads, ProfileEvaluator._floor
 
         def spy(self, received, users=None):
             costs = cloud_costs(self, received, users)
@@ -462,16 +500,33 @@ class TestScanBlocks:
             rows_loaded.append(rows)
             return loads(self, one_hot, rows)
 
+        def floor_spy(self, loads):
+            floored.append(loads[1:].T.copy())
+            return floor(self, loads)
+
         monkeypatch.setattr(ProfileEvaluator, "_cloud_costs", spy)
         monkeypatch.setattr(ProfileEvaluator, "_loads", loads_spy)
-        blocks, chunk_rows = 0, []
-        for n in (8, 10):
-            small_paper_scenario(n, 3, seed=0).evaluator._scan
-            rows = [len(chunk) for chunk in game._canonical_chunks(n, 3)]
-            blocks += sum(-(-k // (game._BLOCK_CELLS // n)) for k in rows)
-            chunk_rows += rows
+        monkeypatch.setattr(ProfileEvaluator, "_floor", floor_spy)
+        for scenario in scenarios:
+            scenario.evaluator._scan
         assert rows_loaded == chunk_rows and len(chunk_rows) == 5  # one kept chunk, four streamed
-        assert len(sizes) == 2 * blocks and max(sizes) <= game._BLOCK_CELLS
+        assert 0 < len(floored) <= blocks and all(len(part) for part in floored)
+        assert np.array_equal(np.concatenate(floored), np.concatenate(candidate_loads))
+        assert len(sizes) == blocks + len(floored) and max(sizes) <= game._BLOCK_CELLS
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_the_floor_prices_few_canonical_columns(self, access, monkeypatch):
+        """At N=8, M=3, seeds 0-19, the least-load floor prices at most 1% of the canonical columns."""
+        priced, floor = [], ProfileEvaluator._floor
+
+        def floor_spy(self, loads):
+            priced.append(loads.shape[1])
+            return floor(self, loads)
+
+        monkeypatch.setattr(ProfileEvaluator, "_floor", floor_spy)
+        for seed in range(20):
+            generate(GenParams(n_users=8, channels=3, access_model=access), seed).evaluator._scan
+        assert sum(priced) <= 0.01 * 20 * game._completions(8, 3)[8][0]
 
 
 class TestMetamorphic:

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from offload_game import GenParams, SchemaError, generate, run_dco
 from offload_game.game import ProfileEvaluator, _canonical_chunks
-from offload_game.model import AccessModel, _cloud_cost_coefficients
+from offload_game.model import AccessModel
 import reference
-from support import random_instance, simple_user
+from support import extreme_users, random_instance
 from test_dco import generator_params
 from test_jsonio import least_load_moves
 
@@ -41,19 +41,6 @@ def assert_equals_the_user_last_kernel(evaluator, kernel, batch):
         assert _signature(getattr(evaluator, name)(batch)) == _signature(getattr(kernel, name)(batch)), name
 
 
-def _extreme_users():
-    """A user whose upload is free (zero rate coefficient) and users of weight 1e-300 and 1e150.
-
-    1e150 is about the largest weight whose potential stays finite: the
-    evaluator rejects a 1e300 weight.
-    """
-    free = simple_user(transmit_power_mw=0.0, time_weight=0.0, energy_weight=1.0, tail_energy_j=0.1)
-    tiny = simple_user(channel_gain=1e-300, contention_weight=1e-300, peak_rate_bps=10.0)
-    huge = simple_user(channel_gain=1e150, contention_weight=1e150, peak_rate_bps=1e3)
-    assert _cloud_cost_coefficients(free)[0] == 0.0
-    return [free, tiny, huge]
-
-
 def _instances(access):
     """(evaluator, users) pairs: generated ones, and random ones with the extreme users appended."""
     for seed in range(10):
@@ -64,7 +51,7 @@ def _instances(access):
     rng = np.random.default_rng(19)
     for _ in range(4):
         env, users = random_instance(rng, access=access, n_range=(2, 5))
-        users = [*users, *_extreme_users()]
+        users = [*users, *extreme_users()]
         yield ProfileEvaluator(env, users), users
 
 

@@ -27,6 +27,8 @@ from offload_game.game import BEST_RESPONSE_ATOL
 from offload_game.model import AccessModel, ChannelEnv
 import reference
 from support import (
+    extreme_users,
+    infinite_coefficient_scenario,
     integer_contention_scenario,
     never_beneficial_user,
     random_instance,
@@ -434,6 +436,41 @@ class TestProfileEvaluator:
 
 class TestTwoCandidateNashMask:
     """`nash_mask` against the dense mask over every candidate decision, bit for bit."""
+
+    def test_an_infinite_rate_coefficient(self):
+        """User 2's NaN cloud cost makes no profile where it offloads feasible, yet two are Nash.
+
+        `nash_mask` leaves users of infinite rate coefficient out of its
+        pre-test; a pre-test on feasibility alone would find two of the four
+        equilibria.  Whole and in 3-row batches.
+        """
+        evaluator = infinite_coefficient_scenario().evaluator
+        assert np.isinf(evaluator.rate_coeffs).tolist() == [False, False, True, False, False, False]
+        (profiles,) = reference.profile_chunks(6, 2, 3**6)
+        mask = evaluator.nash_mask(profiles)
+        assert np.array_equal(mask, reference.nash_mask_dense(evaluator, profiles))
+        assert mask.sum() == 4 and np.count_nonzero(profiles[mask, 2]) == 2
+        assert not evaluator.beneficial_mask(profiles[mask & (profiles[:, 2] > 0)])[:, 2].any()
+        batches = [profiles[i:i + 3] for i in range(0, len(profiles), 3)]
+        assert np.array_equal(np.concatenate([evaluator.nash_mask(b) for b in batches]), mask)
+
+    @pytest.mark.parametrize("access", list(AccessModel))
+    def test_seeded_random_batches(self, access):
+        """500-row random batches of generated instances and of random ones with extreme users."""
+        rng = np.random.default_rng(21)
+        evaluators = [generate(GenParams(n_users=3 + seed % 7, channels=1 + seed % 4, access_model=access,
+                                         contention_weight_choices=(0.5, 1.0, 3.0)), seed).evaluator
+                      for seed in range(12)]
+        for _ in range(6):
+            env, users = random_instance(rng, access=access, n_range=(3, 7))
+            evaluators.append(ProfileEvaluator(env, users + extreme_users()))
+        found = 0
+        for evaluator in evaluators:
+            batch = rng.integers(0, evaluator.channels + 1, size=(500, evaluator.n_users))
+            mask = evaluator.nash_mask(batch)
+            assert np.array_equal(mask, reference.nash_mask_dense(evaluator, batch))
+            found += int(mask.sum())
+        assert found > 0
 
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_every_profile_of_seeded_instances(self, access):
