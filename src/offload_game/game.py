@@ -4,29 +4,30 @@ Both access models reduce to the same structure through a per-user access
 weight: transmit power times channel gain under interference, the contention
 weight otherwise.  ProfileEvaluator is the one place rates, costs, cost totals,
 channel loads and the potential are computed, for numpy batches of decision
-profiles.  Its cost kernel keeps the per-user constants as (n_users, 1) columns
-and puts the user axis first, so a batch's C-ordered (n_users, k) arrays run
-each ufunc along the batch, one buffer per call, and a local user's μ is NaN,
-never a negative number.  The potential is assembled from per-channel terms, so
-`dco.run_dco` can keep those terms between slots and refresh only the channels
-a move touches.  A `run_dco` slot is a batch of one column with `_loads`'
-(channels + 1, 1) loads, indexed by decision, so batches and slots share one
-method per rule: a user's cost (`_costs`), the floor a cost must lie above for
-an improving move, local or on the least-loaded channel (`_floor`), whether
-it offloads at no loss (`_beneficial`) and a profile's total cost (`_totals`,
-numpy's row sum); the granted user's move, its tie rule and the μ of its
-potential change come from `_best_response`.  The Nash test of a batch or a
-scan block (`_nash`) prices the floor only on the columns that can still be
-Nash, those where no user of finite rate coefficient offloads at a loss.  A
-scenario builds its evaluator once, as `Scenario.evaluator`, and one cached
-pass over the canonical profiles, one per channel relabelling, gives the Nash
-set, both exhaustive optima and the costliest equilibrium's total, every
-total adding users in order as the `system_overhead` view does, so `metrics`
-scores no profile itself.  The pass reads a scan plan per chunk of those profiles: each
-channel's one-hot matrix, for the chunk's loads, and column blocks of at
-most _BLOCK_CELLS user entries, which the per-user rules run over one at a
-time; a size that fits one chunk builds its plan once per process.  The
-module-level functions are single-profile views of it.
+profiles.  Its cost kernel keeps the per-user constants as (n_users, 1)
+columns, each finite or the evaluator is refused, so no cost, threshold or
+potential term is NaN.  It puts the user axis first, so a batch's C-ordered
+(n_users, k) arrays run each ufunc along the batch, one buffer per call, and a
+local user's μ is NaN, never a negative number.  The potential is assembled
+from per-channel terms, so `dco.run_dco` can keep those terms between slots and
+refresh only the channels a move touches.  A `run_dco` slot is a batch of one
+column with `_loads`' (channels + 1, 1) loads, indexed by decision, so batches
+and slots share one method per rule: a user's cost (`_costs`), the floor a cost
+must lie above for an improving move, local or on the least-loaded channel
+(`_floor`), whether it offloads at no loss (`_beneficial`) and a profile's
+total cost (`_totals`, numpy's row sum); the granted user's move, its tie rule
+and the μ of its potential change come from `_best_response`.  The Nash test of
+a batch or a scan block (`_nash`) prices the floor only on the columns that can
+still be Nash, those where no user offloads at a loss.  A scenario builds its
+evaluator once, as `Scenario.evaluator`, and one cached pass over the canonical
+profiles, one per channel relabelling, gives the Nash set, both exhaustive
+optima and the costliest equilibrium's total, every total adding users in order
+as the `system_overhead` view does, so `metrics` scores no profile itself.  The
+pass reads a scan plan per chunk of those profiles: each channel's one-hot
+matrix, for the chunk's loads, and column blocks of at most _BLOCK_CELLS user
+entries, which the per-user rules run over one at a time; a size that fits one
+chunk builds its plan once per process.  The module-level functions are
+single-profile views of it.
 """
 
 from __future__ import annotations
@@ -255,34 +256,34 @@ class ProfileEvaluator:
         weights = [access_weight(env, u) for u in users]
         local_costs = [local_overhead(u) for u in users]
         coeff_fixed = [_cloud_cost_coefficients(u) for u in users]
-        thresholds = [_threshold(env, u, c, f, lc) for u, (c, f), lc in zip(users, coeff_fixed, local_costs)]
-        phi_thresholds = _clamped(thresholds, weights)
-        # a sum of terms >= 0 is NaN only through a NaN term; infinite local and cloud
-        # costs leave the threshold inf - inf = NaN
-        for n, (local, (coeff, fixed), t) in enumerate(zip(local_costs, coeff_fixed, thresholds)):
-            if math.isnan(local + coeff + fixed + abs(t)):
-                raise ValueError(f"user {n}: a cost or its threshold is not a number")
-        # Python floats overflow to inf without a warning; the bound covers
-        # every pair term, every local term and the potential itself
-        total = _sum_in_order(weights)
-        local_terms = _sum_in_order(abs(w * t) for w, t in zip(weights, phi_thresholds))
-        if not math.isfinite(0.5 * (total * total) + local_terms):
-            raise ValueError("access weights too large: the potential would overflow")
         self.weights = np.array(weights)
         self.local_costs = np.array(local_costs)
         coeffs = [cf[0] for cf in coeff_fixed]
         self.rate_coeffs = np.array(coeffs)
         self.fixed_cloud_costs = np.array([cf[1] for cf in coeff_fixed])
-        self.thresholds = np.array(thresholds)
-        self._phi_thresholds = np.array(phi_thresholds)
-        self._squared_weights = self.weights * self.weights
-        self._local_phi_weights = self.weights * self._phi_thresholds
         # the cost kernel's per-user constants as (n_users, 1) columns.  A rate's numerator is w,
         # or under contention peak·w in Python floats (> 0: see _threshold)
         numerators = self.weights if env.access is AccessModel.INTERFERENCE else np.array(
             [float(u.peak_rate_bps) * w for u, w in zip(users, weights)])
         self._columns = tuple([row[:, np.newaxis] for row in (
             self.weights, numerators, self.rate_coeffs, self.fixed_cloud_costs, self.local_costs)])
+        # the one numeric domain: with every constant finite no cost, threshold or φ term is NaN.
+        # It comes before the potential bound, which a NaN constant would fail under another name
+        finite = np.isfinite(np.hstack(self._columns)).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"user {int(np.argmin(finite))}: a cost constant is not finite")
+        thresholds = [_threshold(env, u, c, f, lc) for u, (c, f), lc in zip(users, coeff_fixed, local_costs)]
+        phi_thresholds = _clamped(thresholds, weights)
+        # Python floats overflow to inf without a warning; the bound covers
+        # every pair term, every local term and the potential itself
+        total = _sum_in_order(weights)
+        local_terms = _sum_in_order(abs(w * t) for w, t in zip(weights, phi_thresholds))
+        if not math.isfinite(0.5 * (total * total) + local_terms):
+            raise ValueError("access weights too large: the potential would overflow")
+        self.thresholds = np.array(thresholds)
+        self._phi_thresholds = np.array(phi_thresholds)
+        self._squared_weights = self.weights * self.weights
+        self._local_phi_weights = self.weights * self._phi_thresholds
         self._free_upload = 0.0 in coeffs  # some user's cloud cost ignores its rate
 
     def _as_batch(self, profiles) -> np.ndarray:
@@ -451,34 +452,24 @@ class ProfileEvaluator:
         loads = self._loads(_one_hot(batch, self.channels), len(batch))
         return local, self._costs(_flat_index(batch.T, len(batch)), local, loads), loads
 
-    def _nash(self, local: np.ndarray, costs: np.ndarray, loads: np.ndarray, finite) -> tuple:
+    def _nash(self, local: np.ndarray, costs: np.ndarray, loads: np.ndarray) -> tuple:
         """(nash, feasible), each (k,): no user has a strictly improving move; no offloader loses out.
 
-        `finite` selects the users whose rate coefficient is finite, or is
-        None when all are.  Only columns where none of them offloads at a
-        loss can be Nash: such a user's floor is at most its local cost, below
-        its cost.  An infinite coefficient can make a cloud cost NaN, and a
-        NaN floor never breaks Nash, so those users are left out of the
-        pre-test.  `_floor` prices only the remaining columns, gathered into
-        one compact block, with the bits it has over the whole batch.
+        Only feasible columns can be Nash: an offloader at a loss has a floor
+        at most its local cost, below its cost.  `_floor` prices only those
+        columns, gathered into one compact block, with the bits it has over
+        the whole batch.
         """
-        gains = self._beneficial(local, costs) != local  # beneficial exactly where not local
-        feasible = np.all(gains, axis=0)
-        nash = feasible.copy() if finite is None else np.all(gains[finite], axis=0)
+        feasible = np.all(self._beneficial(local, costs) != local, axis=0)  # beneficial exactly where not local
+        nash = feasible.copy()
         columns = np.flatnonzero(nash)
         if columns.size:
             nash[columns] = ~np.any(self._floor(loads[:, columns]) < costs[:, columns], axis=0)
         return nash, feasible
 
-    def _finite_coeffs(self):
-        """The `finite` argument of `_nash`: rows of users with a finite rate coefficient, None if all are."""
-        finite = np.isfinite(self.rate_coeffs)
-        return None if finite.all() else finite
-
     def nash_mask(self, profiles) -> np.ndarray:
         """(k,) True where no user has a strictly improving unilateral deviation."""
-        local, costs, loads = self._batch_costs(self._as_batch(profiles))
-        return self._nash(local, costs, loads, self._finite_coeffs())[0]
+        return self._nash(*self._batch_costs(self._as_batch(profiles)))[0]
 
     @cached_property
     def _scan(self) -> _ProfileScan:
@@ -507,12 +498,11 @@ class ProfileEvaluator:
         # ChannelEnv gives every channel one bandwidth and one noise floor, so relabelling
         # the channels of a profile moves no load, cost or Nash flag of it
         equilibria, costliest, most, least = [], [], [], []  # most/least: (profile, value) per block
-        finite = self._finite_coeffs()
         for plan in _profile_blocks(self.n_users, self.channels):
             loads = self._loads(plan.one_hot, plan.rows)
             for block in plan.blocks:
                 costs = self._costs(block.index, block.local, loads)
-                nash, feasible = self._nash(block.local, costs, loads[:, block.columns], finite)
+                nash, feasible = self._nash(block.local, costs, loads[:, block.columns])
                 equilibria.append(block.decisions.T[nash])
                 with np.errstate(over="ignore"):  # as in `_totals`
                     totals = _sum_in_order(costs)

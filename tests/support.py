@@ -180,16 +180,23 @@ def small_paper_scenario(n_users: int, channels: int, seed: int, time_only=False
     return generate(params, seed)
 
 
-def infinite_coefficient_scenario() -> Scenario:
-    """A seeded 3^6 contention instance whose user 2 has rate coefficient +inf and a NaN cloud cost.
+# user 2 of `infinite_coefficient_users`: its 1.25e303 KB input overflows the rate coefficient to +inf
+INFINITE_COEFFICIENT_ROW = dict(b_kb=1.25e303, lambda_e=0.5, W=10.0)
 
-    Its 1.25e303 KB input overflows the coefficient, and its peak rate times
-    weight overflows, so its rate is +inf on every channel and its cloud cost
-    inf/inf.  A NaN cost is not beneficial, so no profile where user 2
-    offloads is feasible, yet no floor is below it: two of the four
-    equilibria have user 2 offloading.
+
+def infinite_coefficient_users(peak_rate_bps: float = 1e308) -> tuple:
+    """(scenario, rows, profiles): a seeded 3^6 contention scenario, and its user rows and
+    profiles with user 2 made `INFINITE_COEFFICIENT_ROW` at peak rate `peak_rate_bps`.
+
+    User 2's rate coefficient is +inf.  At the default peak rate its peak rate
+    times weight overflows too, so its rate is +inf on every channel and its
+    cloud cost inf/inf = NaN; at a finite rate its cloud cost is +inf.  Both
+    are refused where the evaluator is built, since a per-user cost constant
+    is not finite: `replace(scenario, users=rows)` raises SchemaError, and
+    `ProfileEvaluator(scenario.channel_env, profiles)` ValueError.
     """
     scenario = generate(GenParams(n_users=6, channels=2, access_model=AccessModel.CONTENTION), 3)
-    users = list(scenario.users)
-    users[2] = replace(users[2], b_kb=1.25e303, lambda_e=0.5, R_bps=1e308, W=10.0)
-    return replace(scenario, users=tuple(users))
+    rows = list(scenario.users)
+    rows[2] = replace(rows[2], **INFINITE_COEFFICIENT_ROW, R_bps=peak_rate_bps)
+    profiles = [scenario._user_profile(row, f"users[{i}]") for i, row in enumerate(rows)]
+    return scenario, tuple(rows), profiles

@@ -3,7 +3,7 @@
 import itertools
 import math
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +15,7 @@ from offload_game import (
     InstanceTooLarge,
     Objective,
     ProfileEvaluator,
+    SchemaError,
     all_cloud_random,
     all_local,
     beneficial_threshold,
@@ -33,7 +34,7 @@ from offload_game.model import AccessModel
 import reference
 import test_game
 from support import (
-    infinite_coefficient_scenario,
+    infinite_coefficient_users,
     integer_contention_scenario,
     never_beneficial_user,
     random_instance,
@@ -226,30 +227,20 @@ class TestSharedScan:
                 assert reports == (asdict(poa_beneficial(scenario)),
                                    asdict(poa_overhead(scenario))), label
 
-    def test_an_infinite_rate_coefficient(self):
-        """User 2's rate coefficient is +inf and its cloud cost NaN (`support.infinite_coefficient_scenario`).
+    @pytest.mark.parametrize("peak_rate_bps", [1e308, 1e8], ids=["nan-cost", "infinite-cost"])
+    def test_an_infinite_rate_coefficient(self, peak_rate_bps):
+        """User 2's rate coefficient is +inf (`support.infinite_coefficient_users`): no scan is reached.
 
-        The Nash set, two of whose four members have user 2 offloading, and
-        both optimum profiles are the user-last kernel's and the separate
-        scans'.  Two totals are NaN: the least, since np.argmin returns the
-        first NaN, and the costliest equilibrium's, since numpy's max over a
-        block carries the NaN, where the kernel's Python max over the
-        equilibria's totals passes over it.
+        Its cloud cost is NaN at an infinite rate, where the scan reported a
+        NaN least total, and +inf at a finite rate.  Both scenarios are
+        refused at `users`, naming user 2, and so is an evaluator of their users.
         """
-        scenario = infinite_coefficient_scenario()
-        evaluator = scenario.evaluator
-        assert math.isinf(evaluator.rate_coeffs[2])
-        scan = evaluator._scan
-        kernel = reference.UserLastKernel(evaluator, scenario.user_profiles).scan()
-        assert len(scan.equilibria) == 4 and sum(a[2] > 0 for a in scan.equilibria) == 2
-        assert scan.equilibria == kernel.equilibria == tuple(reference.enumerate_nash_separate(scenario))
-        assert scan.max_beneficial == kernel.max_beneficial == reference.exhaustive_optimize_separate(
-            scenario, Objective.MAX_BENEFICIAL)
-        profile, total = scan.min_overhead
-        separate_profile, separate_total = reference.exhaustive_optimize_separate(scenario, Objective.MIN_OVERHEAD)
-        assert profile == kernel.min_overhead[0] == separate_profile == (0, 0, 1, 0, 0, 0)
-        assert math.isnan(total) and math.isnan(kernel.min_overhead[1]) and math.isnan(separate_total)
-        assert math.isnan(scan.worst_overhead) and not math.isnan(kernel.worst_overhead)
+        scenario, rows, profiles = infinite_coefficient_users(peak_rate_bps)
+        with pytest.raises(SchemaError) as info:
+            replace(scenario, users=rows)
+        assert info.value.path == "users" and info.value.reason.startswith("user 2: ")
+        with pytest.raises(ValueError, match="^user 2: "):
+            ProfileEvaluator(scenario.channel_env, profiles)
 
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_equals_the_separate_scans_across_chunk_boundaries(self, access, monkeypatch):

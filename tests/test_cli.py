@@ -239,7 +239,7 @@ class TestSweep:
                 "1e300", "--energy-per-cycle-j", "0", *flags, "--out", str(tmp_path / "s")]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: users: user 0: a cost or its threshold is not a number")
+        assert err.startswith("error: users: user 0: a cost constant is not finite")
         assert not (tmp_path / "s" / "summary.csv").exists()
 
     @pytest.mark.parametrize("access", list(AccessModel), ids=lambda a: a.value)

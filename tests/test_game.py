@@ -5,18 +5,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from offload_game import (
     GenParams,
     ProfileEvaluator,
+    SchemaError,
     access_weight,
     beneficial_threshold,
     count_beneficial,
     enumerate_nash,
     generate,
     is_nash,
+    load_scenario,
     poa_beneficial,
     poa_overhead,
     system_overhead,
@@ -24,11 +26,12 @@ from offload_game import (
 )
 from offload_game import game
 from offload_game.game import BEST_RESPONSE_ATOL
-from offload_game.model import AccessModel, ChannelEnv
+from offload_game.model import AccessModel, ChannelEnv, _cloud_cost_coefficients
 import reference
 from support import (
+    INFINITE_COEFFICIENT_ROW,
     extreme_users,
-    infinite_coefficient_scenario,
+    infinite_coefficient_users,
     integer_contention_scenario,
     never_beneficial_user,
     random_instance,
@@ -437,22 +440,21 @@ class TestProfileEvaluator:
 class TestTwoCandidateNashMask:
     """`nash_mask` against the dense mask over every candidate decision, bit for bit."""
 
-    def test_an_infinite_rate_coefficient(self):
-        """User 2's NaN cloud cost makes no profile where it offloads feasible, yet two are Nash.
+    @pytest.mark.parametrize("peak_rate_bps", [1e308, 1e8], ids=["nan-cost", "infinite-cost"])
+    def test_an_infinite_rate_coefficient(self, peak_rate_bps):
+        """User 2's rate coefficient is +inf, its cloud cost NaN at an infinite rate and +inf at a finite one.
 
-        `nash_mask` leaves users of infinite rate coefficient out of its
-        pre-test; a pre-test on feasibility alone would find two of the four
-        equilibria.  Whole and in 3-row batches.
+        Neither reaches the Nash test: the evaluator refuses a user any of
+        whose cost constants is not finite, and the scenario names the user
+        at `users`.  A check for NaN alone would let the finite rate's +inf through.
         """
-        evaluator = infinite_coefficient_scenario().evaluator
-        assert np.isinf(evaluator.rate_coeffs).tolist() == [False, False, True, False, False, False]
-        (profiles,) = reference.profile_chunks(6, 2, 3**6)
-        mask = evaluator.nash_mask(profiles)
-        assert np.array_equal(mask, reference.nash_mask_dense(evaluator, profiles))
-        assert mask.sum() == 4 and np.count_nonzero(profiles[mask, 2]) == 2
-        assert not evaluator.beneficial_mask(profiles[mask & (profiles[:, 2] > 0)])[:, 2].any()
-        batches = [profiles[i:i + 3] for i in range(0, len(profiles), 3)]
-        assert np.array_equal(np.concatenate([evaluator.nash_mask(b) for b in batches]), mask)
+        scenario, rows, profiles = infinite_coefficient_users(peak_rate_bps)
+        assert _cloud_cost_coefficients(profiles[2])[0] == np.inf
+        with pytest.raises(ValueError, match="^user 2: a cost constant is not finite$"):
+            ProfileEvaluator(scenario.channel_env, profiles)
+        with pytest.raises(SchemaError) as info:
+            replace(scenario, users=rows)
+        assert info.value.path == "users" and info.value.reason.startswith("user 2: ")
 
     @pytest.mark.parametrize("access", list(AccessModel))
     def test_seeded_random_batches(self, access):
@@ -643,3 +645,54 @@ def test_cloud_cost_never_decreases_as_mu_grows(access, generated, cell_radius_m
     mu = np.sort(np.concatenate([mu, np.nextafter(mu, np.inf)]))
     costs = evaluator._cloud_costs(mu[np.newaxis, :]).T  # (len(mu), n_users)
     assert np.all(costs[1:] >= costs[:-1])
+
+
+_TYPICAL_USER = {"q_mw": 100.0, "g": 1e-4, "b_kb": 5000.0, "d_megacycles": 1000.0, "f_m_ghz": 1.0,
+                 "f_c_ghz": 10.0, "gamma_j_per_cycle": 1e-9, "L_j": 0.1, "lambda_e": 0.5, "W": 1.0, "R_bps": 1e8}
+_LOG_UNIFORM = st.floats(-300.0, 308.0).map(lambda exponent: 10.0 ** exponent)
+
+
+def _document(access: str, channels: int, users: list, w_hz=5e6, noise_dbm=-100.0) -> dict:
+    return {"meta": {"seed": 1, "generator": {}, "version": "0.1.0"},
+            "env": {"M": channels, "w_hz": w_hz, "noise_dbm": noise_dbm, "access_model": access},
+            "users": users}
+
+
+@st.composite
+def extreme_documents(draw):
+    """Documents of N <= 4 users on M <= 2 channels under either access model.
+
+    Each user number keeps its `_TYPICAL_USER` value or is drawn log-uniform
+    over 1e-300..1e308, the energy priority from 0, 0.5 and 1; the bandwidth
+    is typical or log-uniform too, the noise floor from -3,000 to 3,080 dBm.
+    """
+    def number(typical):
+        return draw(st.just(typical) | _LOG_UNIFORM)
+
+    users = [{key: draw(st.sampled_from([0.0, 0.5, 1.0])) if key == "lambda_e" else number(value)
+              for key, value in _TYPICAL_USER.items()} for _ in range(draw(st.integers(1, 4)))]
+    return _document(draw(st.sampled_from([m.value for m in AccessModel])), draw(st.integers(1, 2)), users,
+                     number(5e6), draw(st.just(-100.0) | st.floats(-3000.0, 3080.0)))
+
+
+@settings(max_examples=200, deadline=None)
+# an infinite rate coefficient at an infinite rate: its cloud cost was inf/inf = NaN
+@example(doc=_document("contention", 2, [_TYPICAL_USER, {**_TYPICAL_USER, **INFINITE_COEFFICIENT_ROW,
+                                                         "R_bps": 1e308}]), seed=0)
+@given(doc=extreme_documents(), seed=st.integers(0, 2**16))
+def test_extreme_documents_are_refused_or_cost_no_nan(doc, seed):
+    """A document of extreme finite numbers raises SchemaError, or costs no NaN.
+
+    On 64 random profiles no cost or potential is NaN and `nash_mask` is the
+    dense mask over every candidate decision; no total the scan reports is NaN.
+    """
+    try:
+        evaluator = load_scenario(doc).evaluator
+    except SchemaError:
+        return
+    batch = np.random.default_rng(seed).integers(0, evaluator.channels + 1, size=(64, evaluator.n_users))
+    assert not np.isnan(evaluator.overheads(batch)).any()
+    assert not np.isnan(evaluator.potential(batch)).any()
+    assert np.array_equal(evaluator.nash_mask(batch), reference.nash_mask_dense(evaluator, batch))
+    scan = evaluator._scan
+    assert not np.isnan([scan.worst_overhead, scan.min_overhead[1]]).any()
